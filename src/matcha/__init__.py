@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .model import Hyper, ModelParams, cosine, init_params, represent, score
 from .tokenizer import Vocabulary, WordVocabulary, build_word_vocabulary, load_vocabulary
-from .training import TrainConfig, TripletBatch, batch_loss, margin_loss, train
+from .training import TrainConfig, TripletBatch, margin_loss, train
 
 __all__ = [
     "Hyper",
@@ -13,7 +13,6 @@ __all__ = [
     "TripletBatch",
     "Vocabulary",
     "WordVocabulary",
-    "batch_loss",
     "build_word_vocabulary",
     "cosine",
     "init_params",

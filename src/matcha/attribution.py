@@ -3,9 +3,14 @@
 One document of a pair is attributed: its token-embedding matrix is
 interpolated from a baseline to its actual value while the other document's
 representation stays fixed, and the path-averaged gradient of the score is
-weighted by the input delta.  The midpoint grid never evaluates at the
-baseline itself, which sidesteps the zero-norm cosine singularity of an
-all-zero start.
+weighted by the input delta.  The score sees the attributed embeddings only
+through their mean, and the model is affine up to the cosine, so the path
+maps to the straight line h_α = h_0 + α(h_1 - h_0) between the endpoint
+representations.  The midpoint rule therefore averages the cosine gradient
+over the `steps` points of that line and pulls it back once; every token
+row receives the same embedding gradient.  The midpoint grid never
+evaluates at the baseline itself, which sidesteps the zero-norm cosine
+singularity of an all-zero start.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRepresentationError
-from .model import ModelParams, embed, represent
-from .training import _cosine_with_grads
+from .model import ModelParams, cosine_with_grads, embed, forward, represent
 
 DIRECTIONS = ("toward_candidate", "toward_reference")
 BASELINE_KINDS = ("zero", "input")
@@ -47,39 +51,6 @@ class AttributionResult:
         }
 
 
-def path_integral_attributions(grad_fn, inputs: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:
-    """Midpoint-rule integrated gradients of an arbitrary scalar function.
-
-    grad_fn maps a point shaped like `inputs` to the gradient at that point.
-    Exact for linear functions at any step count >= 1.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    inputs = np.asarray(inputs, dtype=np.float64)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if inputs.shape != baseline.shape:
-        raise ValueError(f"baseline shape {baseline.shape} != input shape {inputs.shape}")
-    delta = inputs - baseline
-    grad_sum = np.zeros_like(inputs)
-    for k in range(steps):
-        alpha = (k + 0.5) / steps
-        grad_sum += grad_fn(baseline + alpha * delta)
-    return delta * (grad_sum / steps)
-
-
-def _score_and_grad(params: ModelParams, emb: np.ndarray, h_fixed: np.ndarray):
-    """Pair score and its gradient with respect to the attributed embedding matrix."""
-    n_ctx, dim = params.hyper.n_ctx, params.hyper.dim
-    length = emb.shape[0]
-    y = params.proj_weight @ emb.mean(axis=0) + params.proj_bias
-    ctx_mean = y.reshape(n_ctx, dim).mean(axis=0)
-    h = ctx_mean @ params.conversion
-    sim, _, g_h = _cosine_with_grads(h_fixed, h)
-    d_ctx = params.conversion @ g_h
-    d_emb_row = params.proj_weight.T @ (np.tile(d_ctx, n_ctx) / n_ctx) / length
-    return sim, np.tile(d_emb_row, (length, 1))
-
-
 def integrated_gradients(
     params: ModelParams,
     reference: str,
@@ -108,21 +79,24 @@ def integrated_gradients(
     emb = embed(params, ids)
     baseline = emb.copy() if baseline_kind == "input" else np.zeros_like(emb)
     h_fixed = represent(params, vocab.encode(fixed_text, max_len))
-
-    def grad_fn(point: np.ndarray) -> np.ndarray:
-        try:
-            return _score_and_grad(params, point, h_fixed)[1]
-        except DegenerateRepresentationError as exc:
-            raise DegenerateRepresentationError(
-                f"zero-norm representation along the interpolation path; "
-                f"try a different baseline ({exc})"
-            ) from exc
-
-    attributions = path_integral_attributions(grad_fn, emb, baseline, steps)
-    per_token_values = attributions.sum(axis=1)
+    _, h_baseline = forward(params, baseline.mean(axis=0))
+    _, h_actual = forward(params, emb.mean(axis=0))
+    alphas = (np.arange(steps) + 0.5) / steps
+    path = h_baseline + alphas[:, None] * (h_actual - h_baseline)
     try:
-        score_actual, _ = _score_and_grad(params, emb, h_fixed)
-        score_baseline, _ = _score_and_grad(params, baseline, h_fixed)
+        g_h = np.mean([cosine_with_grads(h_fixed, h)[2] for h in path], axis=0)
+    except DegenerateRepresentationError as exc:
+        raise DegenerateRepresentationError(
+            f"zero-norm representation along the interpolation path; "
+            f"try a different baseline ({exc})"
+        ) from exc
+    n_ctx = params.hyper.n_ctx
+    d_ctx = params.conversion @ g_h
+    row_grad = params.proj_weight.T @ (np.tile(d_ctx, n_ctx) / n_ctx) / len(ids)
+    per_token_values = (emb - baseline) @ row_grad
+    try:
+        score_actual = cosine_with_grads(h_fixed, h_actual)[0]
+        score_baseline = cosine_with_grads(h_fixed, h_baseline)[0]
     except DegenerateRepresentationError as exc:
         raise DegenerateRepresentationError(
             f"zero-norm representation at an interpolation endpoint; "

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -432,6 +433,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Keys a --config file may set, with the type of the field each one fills.
+_CONFIG_FILE_TYPES = typing.get_type_hints(TrainConfig) | {"dim": int, "n_ctx": int, "max_len": int}
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has a field's declared type; a bool is no number here."""
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint in (int, bool, str):
+        return isinstance(value, hint)
+    # curriculum_order: list[str] | None
+    return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     train_cfg = TrainConfig()
     file_values: dict = {}
@@ -443,10 +460,16 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
         if not isinstance(file_values, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = set(file_values) - set(vars(train_cfg)) - {"dim", "n_ctx", "max_len"}
+        unknown = set(file_values) - set(_CONFIG_FILE_TYPES)
         if unknown:
             raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
         for key, value in file_values.items():
+            hint = _CONFIG_FILE_TYPES[key]
+            if not _fits(hint, value):
+                raise ConfigError(
+                    f"{args.config}: key {key!r} must be {getattr(hint, '__name__', hint)}, "
+                    f"got {json.dumps(value)}"
+                )
             if hasattr(train_cfg, key):
                 setattr(train_cfg, key, value)
 

@@ -1,9 +1,12 @@
 """Forward computation: embedding lookup, context projection, conversion, pooling, cosine scoring.
 
-Documents are processed one at a time, so pooling always divides by the true
-token count; no padding masks are needed on this path.  Parameters are held
-as float64 arrays whose values are float32-representable, matching the
-32-bit checkpoint container exactly.
+Every step before the cosine is affine, and pooling averages over tokens and
+context blocks, so the whole stack folds into one map of a document's mean
+token embedding: h = (W̄·mean(E[ids]) + b̄)·C, where W̄ and b̄ average the n_ctx
+projection blocks.  `forward` computes exactly that; scoring, training and
+attribution all go through it.  Parameters are held as float64 arrays whose
+values are float32-representable, matching the 32-bit checkpoint container
+exactly.
 """
 
 from __future__ import annotations
@@ -132,46 +135,22 @@ def embed(params: ModelParams, seq: list[int]) -> np.ndarray:
     return params.embedding[ids]
 
 
-def project(params: ModelParams, emb: np.ndarray) -> np.ndarray:
-    """Affine map of each token embedding into n_ctx context vectors: (n_ctx, L, dim).
+def forward(params: ModelParams, emb_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The model up to the cosine, from a document's mean token embedding (dim,).
 
-    Token j's output y = proj_weight @ e_j + proj_bias is split into n_ctx
-    blocks of length dim; block i becomes row [i, j, :].  No activation.
+    Returns (ctx_mean, h): the projection averaged over the n_ctx blocks, and
+    the document representation h = ctx_mean @ conversion.  Equal to the
+    layer-by-layer graph (project every token into n_ctx context vectors,
+    convert each, pool over blocks and tokens) because each layer is affine.
     """
-    emb = np.asarray(emb, dtype=np.float64)
-    d, n_ctx = params.hyper.dim, params.hyper.n_ctx
-    if emb.ndim != 2 or emb.shape[1] != d:
-        raise ShapeError(f"embeddings must be (L, {d}), got {emb.shape}")
-    y = emb @ params.proj_weight.T + params.proj_bias  # (L, n_ctx*dim)
-    return y.reshape(emb.shape[0], n_ctx, d).transpose(1, 0, 2)
-
-
-def convert(context: np.ndarray, conversion: np.ndarray) -> np.ndarray:
-    """Apply the learned square map over the last axis: out[i, j, :] = context[i, j, :] @ conversion."""
-    context = np.asarray(context, dtype=np.float64)
-    conversion = np.asarray(conversion, dtype=np.float64)
-    if context.ndim != 3 or conversion.ndim != 2 or conversion.shape[0] != conversion.shape[1]:
-        raise ShapeError(
-            f"expected (n_ctx, L, dim) and (dim, dim), got {context.shape} and {conversion.shape}"
-        )
-    if context.shape[2] != conversion.shape[0]:
-        raise ShapeError(f"last axis {context.shape[2]} != conversion dim {conversion.shape[0]}")
-    return context @ conversion
-
-
-def pool(context: np.ndarray) -> np.ndarray:
-    """Mean over both the context and token axes; returns the document vector (dim,)."""
-    context = np.asarray(context, dtype=np.float64)
-    if context.ndim != 3:
-        raise ShapeError(f"expected (n_ctx, L, dim), got {context.shape}")
-    if context.shape[0] == 0 or context.shape[1] == 0:
-        raise EmptyInputError("cannot pool an empty context tensor")
-    return context.mean(axis=(0, 1))
+    y = params.proj_weight @ emb_mean + params.proj_bias
+    ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
+    return ctx_mean, ctx_mean @ params.conversion
 
 
 def represent(params: ModelParams, seq: list[int]) -> np.ndarray:
-    """Document representation: pool(convert(project(embed(seq))))."""
-    return pool(convert(project(params, embed(params, seq)), params.conversion))
+    """Document representation h of a token sequence, shape (dim,)."""
+    return forward(params, embed(params, seq).mean(axis=0))[1]
 
 
 def cosine(h1: np.ndarray, h2: np.ndarray) -> float:
@@ -186,6 +165,18 @@ def cosine(h1: np.ndarray, h2: np.ndarray) -> float:
         return 1.0
     value = float(h1 @ h2) / (n1 * n2)
     return min(1.0, max(-1.0, value))
+
+
+def cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Unclamped cosine of h1 and h2 with its gradients with respect to h1 and to h2."""
+    n1 = float(np.linalg.norm(h1))
+    n2 = float(np.linalg.norm(h2))
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateRepresentationError("zero-norm document representation")
+    sim = float(h1 @ h2) / (n1 * n2)
+    g1 = h2 / (n1 * n2) - sim * h1 / n1**2
+    g2 = h1 / (n1 * n2) - sim * h2 / n2**2
+    return sim, g1, g2
 
 
 def score(params: ModelParams, reference: str, candidate: str, vocab) -> float:

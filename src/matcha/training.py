@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateRepresentationError, NumericError, ShapeError
-from .model import ModelParams, cosine, embed, represent
+from .model import ModelParams, cosine_with_grads, embed, forward
 
 TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
 
@@ -136,68 +136,23 @@ def margin_loss(sim_correct: float, sim_incorrect: float, margin: float) -> floa
     return max(0.0, margin + sim_incorrect - sim_correct)
 
 
-def batch_loss(params: ModelParams, batch: TripletBatch) -> float:
-    """Mean per-item margin loss over the batch."""
-    if not batch.items:
-        raise ValueError("batch must be non-empty")
-    m = params.hyper.margin
-    total = 0.0
-    for idx, (ref, cor, inc) in enumerate(batch.items):
-        try:
-            h_r = represent(params, ref)
-            sim_c = cosine(h_r, represent(params, cor))
-            sim_i = cosine(h_r, represent(params, inc))
-        except DegenerateRepresentationError as exc:
-            raise DegenerateRepresentationError(
-                f"item {idx} of batch from {batch.source_dataset!r}: {exc}"
-            ) from exc
-        total += margin_loss(sim_c, sim_i, m)
-    return total / len(batch.items)
-
-
-@dataclass
-class _DocState:
-    """Cached forward quantities for one document, enough to backpropagate."""
-
-    ids: list[int]
-    emb_sum: np.ndarray  # sum of embedding rows, (dim,)
-    ctx_mean: np.ndarray  # pooled context vector before conversion, (dim,)
-    h: np.ndarray  # document representation, (dim,)
-
-
-def _doc_forward(params: ModelParams, ids: list[int]) -> _DocState:
-    emb = embed(params, ids)
-    emb_sum = emb.sum(axis=0)
-    y = params.proj_weight @ (emb_sum / len(ids)) + params.proj_bias
-    ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
-    return _DocState(ids=ids, emb_sum=emb_sum, ctx_mean=ctx_mean, h=ctx_mean @ params.conversion)
-
-
-def _doc_backward(params: ModelParams, doc: _DocState, dh: np.ndarray, grads: Gradients) -> None:
+def _doc_backward(
+    params: ModelParams, ids: list[int], emb_sum: np.ndarray, ctx_mean: np.ndarray,
+    dh: np.ndarray, grads: Gradients,
+) -> None:
     """Accumulate d(loss)/d(tensors) for one document given dh = d(loss)/d(h)."""
     n_ctx = params.hyper.n_ctx
-    length = len(doc.ids)
-    grads.conversion += np.outer(doc.ctx_mean, dh)
+    length = len(ids)
+    grads.conversion += np.outer(ctx_mean, dh)
     d_ctx = params.conversion @ dh
     # Every token row of the projected tensor carries the same upstream
     # gradient tile(d_ctx, n_ctx) / (n_ctx * L); sums below fold L away.
     u = np.tile(d_ctx, n_ctx) / (n_ctx * length)
-    grads.proj_weight += np.outer(u, doc.emb_sum)
+    grads.proj_weight += np.outer(u, emb_sum)
     grads.proj_bias += u * length
     if grads.embedding is not None:
         d_emb = params.proj_weight.T @ u
-        np.add.at(grads.embedding, np.asarray(doc.ids, dtype=np.intp), d_emb)
-
-
-def _cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    n1 = float(np.linalg.norm(h1))
-    n2 = float(np.linalg.norm(h2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateRepresentationError("zero-norm document representation")
-    sim = float(h1 @ h2) / (n1 * n2)
-    g1 = h2 / (n1 * n2) - sim * h1 / n1**2
-    g2 = h1 / (n1 * n2) - sim * h2 / n2**2
-    return sim, g1, g2
+        np.add.at(grads.embedding, np.asarray(ids, dtype=np.intp), d_emb)
 
 
 def loss_and_grads(
@@ -210,13 +165,12 @@ def loss_and_grads(
     scale = 1.0 / len(batch.items)
     grads = Gradients.zeros(params, train_embeddings)
     total = 0.0
-    for idx, (ref, cor, inc) in enumerate(batch.items):
+    for idx, item in enumerate(batch.items):
+        emb_sums = [embed(params, ids).sum(axis=0) for ids in item]
+        ctx, (h_r, h_c, h_i) = zip(*(forward(params, s / len(ids)) for s, ids in zip(emb_sums, item)))
         try:
-            doc_r = _doc_forward(params, ref)
-            doc_c = _doc_forward(params, cor)
-            doc_i = _doc_forward(params, inc)
-            sim_c, g_r_c, g_c = _cosine_with_grads(doc_r.h, doc_c.h)
-            sim_i, g_r_i, g_i = _cosine_with_grads(doc_r.h, doc_i.h)
+            sim_c, g_r_c, g_c = cosine_with_grads(h_r, h_c)
+            sim_i, g_r_i, g_i = cosine_with_grads(h_r, h_i)
         except DegenerateRepresentationError as exc:
             raise DegenerateRepresentationError(
                 f"item {idx} of batch from {batch.source_dataset!r}: {exc}"
@@ -225,19 +179,14 @@ def loss_and_grads(
         total += loss
         if loss <= 0.0:
             continue
-        _doc_backward(params, doc_r, (g_r_i - g_r_c) * scale, grads)
-        _doc_backward(params, doc_c, -g_c * scale, grads)
-        _doc_backward(params, doc_i, g_i * scale, grads)
+        upstream = ((g_r_i - g_r_c) * scale, -g_c * scale, g_i * scale)
+        for ids, emb_sum, ctx_mean, dh in zip(item, emb_sums, ctx, upstream):
+            _doc_backward(params, ids, emb_sum, ctx_mean, dh, grads)
     for name in TENSOR_NAMES:
         g = getattr(grads, name)
         if g is not None and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
     return total * scale, grads
-
-
-def backward(params: ModelParams, batch: TripletBatch, train_embeddings: bool = True) -> Gradients:
-    """Gradient of the mean margin loss with respect to every trainable tensor."""
-    return loss_and_grads(params, batch, train_embeddings)[1]
 
 
 def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> tuple[ModelParams, OptimizerState]:
@@ -360,10 +309,6 @@ class BatchSchedule:
                 self._cursor = (idx + 1) % n
                 return self._queues[idx].pop(0)
         return None
-
-
-def next_batch(schedule: BatchSchedule) -> TripletBatch | None:
-    return schedule.next_batch()
 
 
 def train(

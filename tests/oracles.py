@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: plain loops, linear scans, repeated
-work.  None of it shares code with the implementations under test beyond
+work, and the model's layers computed one at a time (project -> convert ->
+pool, the full (n_ctx, L, dim) tensor included) rather than folded.  None of it shares code with the implementations under test beyond
 fixed published constants (the byte alphabet, the pretoken split).
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from matcha.errors import EmptyInputError, ShapeError
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
 
 
@@ -97,6 +99,98 @@ def represent_loop(params, ids: list[int]) -> np.ndarray:
     emb = np.array([params.embedding[i] for i in ids])
     s = project_loop(emb, params.proj_weight, params.proj_bias, params.hyper.n_ctx)
     return pool_loop(convert_loop(s, params.conversion))
+
+
+def project(params, emb: np.ndarray) -> np.ndarray:
+    """Affine map of each token embedding into n_ctx context vectors: (n_ctx, L, dim).
+
+    Token j's output y = proj_weight @ e_j + proj_bias is split into n_ctx
+    blocks of length dim; block i becomes row [i, j, :].  No activation.
+    """
+    emb = np.asarray(emb, dtype=np.float64)
+    d, n_ctx = params.hyper.dim, params.hyper.n_ctx
+    if emb.ndim != 2 or emb.shape[1] != d:
+        raise ShapeError(f"embeddings must be (L, {d}), got {emb.shape}")
+    y = emb @ params.proj_weight.T + params.proj_bias  # (L, n_ctx*dim)
+    return y.reshape(emb.shape[0], n_ctx, d).transpose(1, 0, 2)
+
+
+def convert(context: np.ndarray, conversion: np.ndarray) -> np.ndarray:
+    """Apply the learned square map over the last axis: out[i, j, :] = context[i, j, :] @ conversion."""
+    context = np.asarray(context, dtype=np.float64)
+    conversion = np.asarray(conversion, dtype=np.float64)
+    if context.ndim != 3 or conversion.ndim != 2 or conversion.shape[0] != conversion.shape[1]:
+        raise ShapeError(
+            f"expected (n_ctx, L, dim) and (dim, dim), got {context.shape} and {conversion.shape}"
+        )
+    if context.shape[2] != conversion.shape[0]:
+        raise ShapeError(f"last axis {context.shape[2]} != conversion dim {conversion.shape[0]}")
+    return context @ conversion
+
+
+def pool(context: np.ndarray) -> np.ndarray:
+    """Mean over both the context and token axes; returns the document vector (dim,)."""
+    context = np.asarray(context, dtype=np.float64)
+    if context.ndim != 3:
+        raise ShapeError(f"expected (n_ctx, L, dim), got {context.shape}")
+    if context.shape[0] == 0 or context.shape[1] == 0:
+        raise EmptyInputError("cannot pool an empty context tensor")
+    return context.mean(axis=(0, 1))
+
+
+def represent_layered(params, ids: list[int]) -> np.ndarray:
+    """The paper's graph layer by layer: pool(convert(project(E[ids])))."""
+    emb = params.embedding[np.asarray(ids, dtype=np.intp)]
+    return pool(convert(project(params, emb), params.conversion))
+
+
+def _cosine(h1: np.ndarray, h2: np.ndarray) -> float:
+    return float(h1 @ h2) / (np.linalg.norm(h1) * np.linalg.norm(h2))
+
+
+def batch_loss(params, batch) -> float:
+    """Mean per-item hinge max(0, m + sim_incorrect - sim_correct) through the layered graph."""
+    if not batch.items:
+        raise ValueError("batch must be non-empty")
+    total = 0.0
+    for ref, cor, inc in batch.items:
+        h_r = represent_layered(params, ref)
+        sim_c = _cosine(h_r, represent_layered(params, cor))
+        sim_i = _cosine(h_r, represent_layered(params, inc))
+        total += max(0.0, params.hyper.margin + sim_i - sim_c)
+    return total / len(batch.items)
+
+
+def path_integral_attributions(grad_fn, inputs: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:
+    """Midpoint-rule integrated gradients of an arbitrary scalar function.
+
+    grad_fn maps a point shaped like `inputs` to the gradient at that point.
+    Exact for linear functions at any step count >= 1.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    baseline = np.asarray(baseline, dtype=np.float64)
+    if inputs.shape != baseline.shape:
+        raise ValueError(f"baseline shape {baseline.shape} != input shape {inputs.shape}")
+    delta = inputs - baseline
+    grad_sum = np.zeros_like(inputs)
+    for k in range(steps):
+        alpha = (k + 0.5) / steps
+        grad_sum += grad_fn(baseline + alpha * delta)
+    return delta * (grad_sum / steps)
+
+
+def score_grad_tiled(params, emb: np.ndarray, h_fixed: np.ndarray) -> np.ndarray:
+    """Gradient of cos(h_fixed, h(emb)) with respect to the whole (L, dim) embedding matrix."""
+    n_ctx, dim = params.hyper.n_ctx, params.hyper.dim
+    length = emb.shape[0]
+    y = params.proj_weight @ emb.mean(axis=0) + params.proj_bias
+    h = y.reshape(n_ctx, dim).mean(axis=0) @ params.conversion
+    n_f, n_h = np.linalg.norm(h_fixed), np.linalg.norm(h)
+    g_h = h_fixed / (n_f * n_h) - _cosine(h_fixed, h) * h / n_h**2
+    d_emb_row = params.proj_weight.T @ (np.tile(params.conversion @ g_h, n_ctx) / n_ctx) / length
+    return np.tile(d_emb_row, (length, 1))
 
 
 def finite_difference_gradients(loss_fn, params, names, step: float = 1e-4) -> dict[str, np.ndarray]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_utf8_text, write_bpe_files
-from matcha.attribution import integrated_gradients, path_integral_attributions
+from matcha.attribution import integrated_gradients
 from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.data import tokenize_records
 from matcha.errors import CheckpointFormatError, CheckpointIntegrityError
@@ -36,15 +36,16 @@ from matcha.training import (
     TrainConfig,
     TripletBatch,
     adam_step,
-    batch_loss,
     init_optimizer,
     loss_and_grads,
     train,
 )
 from oracles import (
+    batch_loss,
     bpe_encode_naive,
     ccc_direct,
     finite_difference_gradients,
+    path_integral_attributions,
     wasserstein_quantile_bruteforce,
 )
 from test_model import random_params

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from matcha.attribution import (
+    BASELINE_KINDS,
+    DIRECTIONS,
     AttributionResult,
     attribution_gap,
     integrated_gradients,
-    path_integral_attributions,
 )
 from matcha.errors import DegenerateRepresentationError
 from matcha.model import score
 from matcha.tokenizer import build_word_vocabulary
+from oracles import path_integral_attributions, represent_layered, score_grad_tiled
 from test_model import random_params
 
 
@@ -99,6 +101,22 @@ class TestIntegratedGradients:
         assert fine.completeness_residual <= coarse.completeness_residual + 1e-9
         delta = abs(fine.score - fine.baseline_score)
         assert fine.completeness_residual <= 1e-3 * delta + 1e-6
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    def test_matches_tiled_path_integral_oracle(self, small_model, direction, baseline_kind):
+        params, vocab = small_model
+        ref, cand = "the door is open", "not quite closed"
+        result = integrated_gradients(params, ref, cand, vocab, direction, 64, baseline_kind)
+        attributed, fixed = (cand, ref) if direction == "toward_candidate" else (ref, cand)
+        emb = params.embedding[vocab.encode(attributed, 16)]
+        baseline = emb.copy() if baseline_kind == "input" else np.zeros_like(emb)
+        h_fixed = represent_layered(params, vocab.encode(fixed, 16))
+        expected = path_integral_attributions(
+            lambda point: score_grad_tiled(params, point, h_fixed), emb, baseline, 64
+        ).sum(axis=1)
+        got = np.array([v for _, v in result.per_token])
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
 
     def test_score_matches_model(self, small_model):
         params, vocab = small_model

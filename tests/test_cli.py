@@ -137,6 +137,20 @@ class TestTrainCommand:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values",
+        [{"epochs": "5"}, {"batch_size": True}, {"lr": False}, {"epochs": 5.0},
+         {"train_embeddings": 1}, {"curriculum_order": "A,B"}, {"dim": "12"}],
+    )
+    def test_mistyped_config_value(self, tmp_path, capsys, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        code = main(["train", "--config", str(config), "--data", "x", "--out", "y"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(config) in err and repr(next(iter(values))) in err
+
 
 class TestEvaluateCommand:
     def test_six_row_fixture_matches_oracle(self, tmp_path):

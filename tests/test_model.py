@@ -10,17 +10,23 @@ from matcha.errors import (
 from matcha.model import (
     Hyper,
     ModelParams,
-    convert,
     cosine,
     embed,
     init_params,
-    pool,
-    project,
     represent,
     score,
 )
 from matcha.tokenizer import build_word_vocabulary
-from oracles import convert_loop, pool_loop, project_loop, represent_loop
+from oracles import (
+    convert,
+    convert_loop,
+    pool,
+    pool_loop,
+    project,
+    project_loop,
+    represent_layered,
+    represent_loop,
+)
 
 
 def manual_params(embedding, proj_weight, proj_bias, conversion, max_len=16, margin=1.0):
@@ -171,6 +177,24 @@ class TestRepresent:
         params = random_params(rng, 6, 4, 2)
         ids = [1, 5]
         assert np.allclose(represent(params, ids), represent_loop(params, ids), atol=1e-12)
+
+    def test_folded_matches_layered_oracle(self):
+        rng = np.random.default_rng(20)
+        for _ in range(30):
+            dim, n_ctx, length = (int(rng.integers(lo, hi)) for lo, hi in ((1, 33), (1, 17), (1, 65)))
+            params = random_params(rng, 50, dim, n_ctx)
+            ids = [int(i) for i in rng.integers(0, 50, length)]
+            layered = represent_layered(params, ids)
+            rel = np.abs(represent(params, ids) - layered).max() / np.abs(layered).max()
+            assert rel <= 1e-12, (dim, n_ctx, length, rel)
+
+    def test_folded_matches_layered_oracle_gpt2_shape(self):
+        rng = np.random.default_rng(21)
+        params = random_params(rng, 50257, 256, 16, scale=0.1)
+        ids = [int(i) for i in rng.integers(0, 50257, 40)]
+        layered = represent_layered(params, ids)
+        rel = np.abs(represent(params, ids) - layered).max() / np.abs(layered).max()
+        assert rel <= 1e-12, rel
 
     def test_shape_chain(self):
         rng = np.random.default_rng(16)

@@ -14,15 +14,12 @@ from matcha.training import (
     TrainConfig,
     TripletBatch,
     adam_step,
-    backward,
-    batch_loss,
     init_optimizer,
     loss_and_grads,
     margin_loss,
-    next_batch,
     train,
 )
-from oracles import finite_difference_gradients
+from oracles import batch_loss, finite_difference_gradients
 from test_model import manual_params, random_params
 
 
@@ -83,7 +80,7 @@ class TestBackward:
         emb = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
         params = manual_params(emb, np.eye(dim), np.zeros(dim), np.eye(dim))
         # sim_C = 1, sim_I = -1: gap 2 >= margin 1 -> inactive
-        grads = backward(params, TripletBatch(items=[([0], [1], [2])]))
+        grads = loss_and_grads(params, TripletBatch(items=[([0], [1], [2])]))[1]
         for name in TENSOR_NAMES:
             assert not np.any(getattr(grads, name))
 
@@ -92,15 +89,15 @@ class TestBackward:
         params = random_params(rng, 8, 4, 2)
         batch = random_batch(rng, 8, 3)
         doubled = TripletBatch(items=batch.items * 2)
-        g1 = backward(params, batch)
-        g2 = backward(params, doubled)
+        g1 = loss_and_grads(params, batch)[1]
+        g2 = loss_and_grads(params, doubled)[1]
         for name in TENSOR_NAMES:
             assert np.allclose(getattr(g1, name), getattr(g2, name), atol=1e-12)
 
     def test_frozen_embeddings(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, 8, 4, 2)
-        grads = backward(params, random_batch(rng, 8, 2), train_embeddings=False)
+        grads = loss_and_grads(params, random_batch(rng, 8, 2), train_embeddings=False)[1]
         assert grads.embedding is None
         assert np.any(grads.proj_weight)
 
@@ -112,8 +109,8 @@ class TestBackward:
         params = manual_params(emb, np.eye(dim), np.zeros(dim), np.eye(dim))
         active = ([0], [1], [2])
         inactive = ([3], [4], [5])  # gap ~2 >= margin, hinge off
-        g_single = backward(params, TripletBatch(items=[active]))
-        g_padded = backward(params, TripletBatch(items=[active, inactive]))
+        g_single = loss_and_grads(params, TripletBatch(items=[active]))[1]
+        g_padded = loss_and_grads(params, TripletBatch(items=[active, inactive]))[1]
         for name in TENSOR_NAMES:
             assert np.allclose(getattr(g_padded, name), getattr(g_single, name) / 2, atol=1e-15)
 
@@ -168,7 +165,7 @@ class TestAdamStep:
         params = random_params(np.random.default_rng(7), 4, 3, 1)
         before = params.embedding.copy()
         state = init_optimizer(params, lr=1e-2, weight_decay=0.1)
-        grads = backward(params, TripletBatch(items=[([0], [1], [2])]), train_embeddings=False)
+        grads = loss_and_grads(params, TripletBatch(items=[([0], [1], [2])]), train_embeddings=False)[1]
         adam_step(state, params, grads)
         assert np.array_equal(params.embedding, before)
 
@@ -191,9 +188,9 @@ class TestAccumulation:
         union = TripletBatch(items=[it for b in micro for it in b.items])
         acc = Gradients.zeros(params)
         for batch in micro:
-            acc.add_(backward(params, batch))
+            acc.add_(loss_and_grads(params, batch)[1])
         acc.scale_(1.0 / len(micro))
-        union_grads = backward(params, union)
+        union_grads = loss_and_grads(params, union)[1]
         for name in TENSOR_NAMES:
             assert np.allclose(getattr(acc, name), getattr(union_grads, name), atol=1e-9)
 
@@ -216,7 +213,7 @@ class TestSchedules:
         sched = BatchSchedule(datasets, 2, "interleaved", rng=np.random.default_rng(0))
         sched.start_epoch()
         sources = []
-        while (batch := next_batch(sched)) is not None:
+        while (batch := sched.next_batch()) is not None:
             sources.append(batch.source_dataset)
         assert len(sources) == 6
         for a, b in zip(sources, sources[1:]):
@@ -233,7 +230,7 @@ class TestSchedules:
         sched = BatchSchedule(datasets, 2, "interleaved", rng=np.random.default_rng(seed))
         sched.start_epoch()
         sources = []
-        while (batch := next_batch(sched)) is not None:
+        while (batch := sched.next_batch()) is not None:
             sources.append(batch.source_dataset)
         assert sources == ["A", "B", "C", "A"]
 
@@ -244,7 +241,7 @@ class TestSchedules:
             sched = BatchSchedule(datasets, 3, strategy, rng=np.random.default_rng(11))
             sched.start_epoch()
             stream = []
-            while (batch := next_batch(sched)) is not None:
+            while (batch := sched.next_batch()) is not None:
                 stream.append(batch.items)
             streams.append(stream)
         assert streams[0] == streams[1]
@@ -254,7 +251,7 @@ class TestSchedules:
         sched = BatchSchedule(datasets, 2, "sequential", rng=np.random.default_rng(12))
         sched.start_epoch()
         sources = []
-        while (batch := next_batch(sched)) is not None:
+        while (batch := sched.next_batch()) is not None:
             sources.append(batch.source_dataset)
         assert sources == ["A", "A", "B", "B", "C", "C"]
 
@@ -265,7 +262,7 @@ class TestSchedules:
         )
         sched.start_epoch()
         sources = []
-        while (batch := next_batch(sched)) is not None:
+        while (batch := sched.next_batch()) is not None:
             sources.append(batch.source_dataset)
         assert sources == ["C", "A", "B"]
 
@@ -290,7 +287,7 @@ class TestSchedules:
         sched = BatchSchedule(datasets, 3, "interleaved", rng=np.random.default_rng(16))
         for _ in range(2):
             sched.start_epoch()
-            while (batch := next_batch(sched)) is not None:
+            while (batch := sched.next_batch()) is not None:
                 assert len({batch.source_dataset}) == 1
 
     def test_unknown_strategy(self):
