@@ -84,7 +84,7 @@ def integrated_gradients(
     alphas = (np.arange(steps) + 0.5) / steps
     path = h_baseline + alphas[:, None] * (h_actual - h_baseline)
     try:
-        g_h = np.mean([cosine_with_grads(h_fixed, h)[2] for h in path], axis=0)
+        g_h = cosine_with_grads(h_fixed, path)[2].mean(axis=0)
     except DegenerateRepresentationError as exc:
         raise DegenerateRepresentationError(
             f"zero-norm representation along the interpolation path; "

@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_vocab_flags(p):
         p.add_argument("--vocab", help="token vocabulary: BPE JSON (with --merges) or word-level JSON")
         p.add_argument("--merges", help="BPE merges file (header line + 'left right' lines)")
-        p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN, help="sequence length cap (default: 512)")
+        p.add_argument("--max-len", type=int, default=None, help=f"sequence length cap (default: {DEFAULT_MAX_LEN})")
 
     p = sub.add_parser("tokenize", help="print token ids for a text")
     add_vocab_flags(p)
@@ -518,7 +518,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         scores=list(getattr(args, "scores", []) or []),
         metrics=list(getattr(args, "metrics", []) or []),
         rouge=bool(getattr(args, "rouge", False)),
-        max_len=getattr(args, "max_len", DEFAULT_MAX_LEN),
+        max_len=int(pick("max_len", DEFAULT_MAX_LEN)),
         dim=int(pick("dim", DEFAULT_DIM)),
         n_ctx=int(pick("n_ctx", DEFAULT_N_CTX)),
         train=train_cfg,

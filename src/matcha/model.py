@@ -123,8 +123,8 @@ def init_params(
     return params
 
 
-def embed(params: ModelParams, seq: list[int]) -> np.ndarray:
-    """Look token ids up in the embedding table; returns (L, dim)."""
+def check_ids(params: ModelParams, seq) -> np.ndarray:
+    """Token ids as an intp array; raises unless non-empty, 1-d and each in [0, vocab_size)."""
     ids = np.asarray(seq, dtype=np.intp)
     if ids.ndim != 1 or ids.size == 0:
         raise EmptyInputError("token sequence must be a non-empty 1-d list of ids")
@@ -132,19 +132,39 @@ def embed(params: ModelParams, seq: list[int]) -> np.ndarray:
         raise TokenRangeError(
             f"token id outside [0, {params.vocab_size}): {ids[(ids < 0) | (ids >= params.vocab_size)][0]}"
         )
-    return params.embedding[ids]
+    return ids
+
+
+def embed(params: ModelParams, seq: list[int]) -> np.ndarray:
+    """Look token ids up in the embedding table; returns (L, dim)."""
+    return params.embedding[check_ids(params, seq)]
+
+
+def block_means(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """W̄ (dim, dim) and b̄ (dim,): proj_weight's and proj_bias's n_ctx blocks averaged."""
+    n_ctx, dim = params.hyper.n_ctx, params.hyper.dim
+    w_bar = params.proj_weight.reshape(n_ctx, dim, dim).sum(axis=0) / n_ctx
+    b_bar = params.proj_bias.reshape(n_ctx, dim).sum(axis=0) / n_ctx
+    return w_bar, b_bar
 
 
 def forward(params: ModelParams, emb_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The model up to the cosine, from a document's mean token embedding (dim,).
+    """The model up to the cosine, from mean token embeddings: one per row of (..., dim).
 
-    Returns (ctx_mean, h): the projection averaged over the n_ctx blocks, and
-    the document representation h = ctx_mean @ conversion.  Equal to the
-    layer-by-layer graph (project every token into n_ctx context vectors,
-    convert each, pool over blocks and tokens) because each layer is affine.
+    Returns (ctx_mean, h), both shaped like emb_mean: the projection averaged
+    over the n_ctx blocks, W̄ē + b̄, and the document representation
+    h = ctx_mean @ conversion.  Equal to the layer-by-layer graph (project
+    every token into n_ctx context vectors, convert each, pool over blocks
+    and tokens) because each layer is affine.
     """
-    y = params.proj_weight @ emb_mean + params.proj_bias
-    ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
+    if emb_mean.ndim == 1:
+        # One document: projecting into all blocks and averaging after costs
+        # less than averaging the (n_ctx, dim, dim) blocks first.
+        y = params.proj_weight @ emb_mean + params.proj_bias
+        ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
+    else:
+        w_bar, b_bar = block_means(params)
+        ctx_mean = emb_mean @ w_bar.T + b_bar
     return ctx_mean, ctx_mean @ params.conversion
 
 
@@ -167,15 +187,20 @@ def cosine(h1: np.ndarray, h2: np.ndarray) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Unclamped cosine of h1 and h2 with its gradients with respect to h1 and to h2."""
-    n1 = float(np.linalg.norm(h1))
-    n2 = float(np.linalg.norm(h2))
-    if n1 == 0.0 or n2 == 0.0:
+def cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclamped cosine of h1 and h2 over the last axis, with its gradients with respect to each.
+
+    Leading axes broadcast, so (n, dim) inputs give n cosines in one call;
+    1-d inputs give a scalar cosine.
+    """
+    n1 = np.linalg.norm(h1, axis=-1)
+    n2 = np.linalg.norm(h2, axis=-1)
+    if np.any(n1 == 0.0) or np.any(n2 == 0.0):
         raise DegenerateRepresentationError("zero-norm document representation")
-    sim = float(h1 @ h2) / (n1 * n2)
-    g1 = h2 / (n1 * n2) - sim * h1 / n1**2
-    g2 = h1 / (n1 * n2) - sim * h2 / n2**2
+    n12 = n1 * n2
+    sim = np.einsum("...d,...d->...", h1, h2) / n12
+    g1 = h2 / n12[..., None] - (sim / n1**2)[..., None] * h1
+    g2 = h1 / n12[..., None] - (sim / n2**2)[..., None] * h2
     return sim, g1, g2
 
 

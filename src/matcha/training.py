@@ -2,19 +2,32 @@
 
 The forward graph is affine in every tensor (lookup, affine projection,
 linear conversion, mean pooling) followed by cosine similarity and a hinge,
-so reverse-mode gradients are computed in closed form.  Mean pooling makes
-every token position of a document share one upstream gradient vector,
-which keeps the backward pass O(params) instead of O(L * params).
+so reverse-mode gradients are computed in closed form.
+
+`loss_and_grads` handles a micro-batch of B triplets in one vectorised pass
+over its 3B documents.  Their token ids are flattened, and one bincount
+builds a (3B, U) matrix of how often each of the batch's U distinct ids
+occurs in each document.  The documents' embedding sums are then
+counts @ E[uniq], and all of them go through the one `model.forward`.  Mean
+pooling gives every token of a document the same upstream gradient, so the
+backward is a few D x D products, and the gradient of the U touched
+embedding rows is countsᵀ times the per-document row gradient.  No
+(tokens x D) array is built: a batch of ~400-token documents holds ~19k
+tokens, and at D=64 each such array would add ~10 MB of peak memory.  The
+count matrix has U <= min(tokens, vocabulary) columns instead.  `adam_step`
+updates moments and parameters in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateRepresentationError, NumericError, ShapeError
-from .model import ModelParams, cosine_with_grads, embed, forward
+from .errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
+from .model import ModelParams, block_means, check_ids, cosine_with_grads, forward
 
 TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
 
@@ -136,67 +149,84 @@ def margin_loss(sim_correct: float, sim_incorrect: float, margin: float) -> floa
     return max(0.0, margin + sim_incorrect - sim_correct)
 
 
-def _doc_backward(
-    params: ModelParams, ids: list[int], emb_sum: np.ndarray, ctx_mean: np.ndarray,
-    dh: np.ndarray, grads: Gradients,
-) -> None:
-    """Accumulate d(loss)/d(tensors) for one document given dh = d(loss)/d(h)."""
-    n_ctx = params.hyper.n_ctx
-    length = len(ids)
-    grads.conversion += np.outer(ctx_mean, dh)
-    d_ctx = params.conversion @ dh
-    # Every token row of the projected tensor carries the same upstream
-    # gradient tile(d_ctx, n_ctx) / (n_ctx * L); sums below fold L away.
-    u = np.tile(d_ctx, n_ctx) / (n_ctx * length)
-    grads.proj_weight += np.outer(u, emb_sum)
-    grads.proj_bias += u * length
-    if grads.embedding is not None:
-        d_emb = params.proj_weight.T @ u
-        np.add.at(grads.embedding, np.asarray(ids, dtype=np.intp), d_emb)
-
-
 def loss_and_grads(
     params: ModelParams, batch: TripletBatch, train_embeddings: bool = True
 ) -> tuple[float, Gradients]:
     """Batch loss plus exact gradients in one pass; inactive hinges contribute nothing."""
     if not batch.items:
         raise ValueError("batch must be non-empty")
+    n = len(batch.items)
+    n_ctx, dim = params.hyper.n_ctx, params.hyper.dim
+    # Rows 0..n-1 are the references, then the correct, then the incorrect candidates.
+    docs = [doc for side in zip(*batch.items) for doc in side]
+    lengths = np.fromiter(map(len, docs), dtype=np.intp, count=3 * n)
+    if not lengths.all():
+        item = int(np.flatnonzero(lengths == 0)[0]) % n
+        raise EmptyInputError(f"item {item} of batch from {batch.source_dataset!r}: empty token sequence")
+    ids = check_ids(params, np.fromiter(chain.from_iterable(docs), dtype=np.intp, count=int(lengths.sum())))
+    uniq, inv = np.unique(ids, return_inverse=True)
+    doc_of_token = np.repeat(np.arange(3 * n), lengths)
+    # counts[d, u]: occurrences of token uniq[u] in document d (unit weights give floats).
+    counts = np.bincount(
+        doc_of_token * uniq.size + inv, weights=np.ones(ids.size), minlength=3 * n * uniq.size
+    ).reshape(3 * n, uniq.size)
+    emb_mean = (counts @ params.embedding[uniq]) / lengths[:, None]
+    ctx, h = forward(params, emb_mean)
+    h_r, h_c, h_i = h[:n], h[n : 2 * n], h[2 * n :]
+    try:
+        sim_c, g_r_c, g_c = cosine_with_grads(h_r, h_c)
+        sim_i, g_r_i, g_i = cosine_with_grads(h_r, h_i)
+    except DegenerateRepresentationError as exc:
+        item = int(np.flatnonzero((np.linalg.norm(h, axis=1) == 0.0).reshape(3, n).any(axis=0))[0])
+        raise DegenerateRepresentationError(
+            f"item {item} of batch from {batch.source_dataset!r}: {exc}"
+        ) from exc
     m = params.hyper.margin
-    scale = 1.0 / len(batch.items)
-    grads = Gradients.zeros(params, train_embeddings)
-    total = 0.0
-    for idx, item in enumerate(batch.items):
-        emb_sums = [embed(params, ids).sum(axis=0) for ids in item]
-        ctx, (h_r, h_c, h_i) = zip(*(forward(params, s / len(ids)) for s, ids in zip(emb_sums, item)))
-        try:
-            sim_c, g_r_c, g_c = cosine_with_grads(h_r, h_c)
-            sim_i, g_r_i, g_i = cosine_with_grads(h_r, h_i)
-        except DegenerateRepresentationError as exc:
-            raise DegenerateRepresentationError(
-                f"item {idx} of batch from {batch.source_dataset!r}: {exc}"
-            ) from exc
-        loss = margin_loss(sim_c, sim_i, m)
-        total += loss
-        if loss <= 0.0:
-            continue
-        upstream = ((g_r_i - g_r_c) * scale, -g_c * scale, g_i * scale)
-        for ids, emb_sum, ctx_mean, dh in zip(item, emb_sums, ctx, upstream):
-            _doc_backward(params, ids, emb_sum, ctx_mean, dh, grads)
-    for name in TENSOR_NAMES:
-        g = getattr(grads, name)
-        if g is not None and not np.all(np.isfinite(g)):
+    losses = [margin_loss(c, i, m) for c, i in zip(sim_c.tolist(), sim_i.tolist())]
+    scale = 1.0 / n
+    active = np.flatnonzero(np.asarray(losses) > 0.0)
+    rows = np.concatenate([active, active + n, active + 2 * n])
+    dh = np.concatenate([g_r_i[active] - g_r_c[active], -g_c[active], g_i[active]]) * scale
+    d_ctx = dh @ params.conversion.T
+    # Every token of a document shares the upstream gradient of its mean
+    # embedding, so each block of proj_weight gets the same (dim, dim)
+    # gradient and a token's embedding gradient is its document's row.
+    block = d_ctx.T @ emb_mean[rows] / n_ctx
+    grads = Gradients(
+        embedding=None,
+        proj_weight=np.tile(block, (n_ctx, 1)),
+        proj_bias=np.tile(d_ctx.sum(axis=0) / n_ctx, n_ctx),
+        conversion=ctx[rows].T @ dh,
+    )
+    touched = {"proj_weight": block, "proj_bias": grads.proj_bias, "conversion": grads.conversion}
+    if train_embeddings:
+        w_bar = block_means(params)[0]
+        d_emb = np.zeros((3 * n, dim))
+        d_emb[rows] = (d_ctx / lengths[rows, None]) @ w_bar
+        touched["embedding"] = counts.T @ d_emb
+        grads.embedding = np.zeros(params.embedding.shape)
+        grads.embedding[uniq] = touched["embedding"]
+    for name, g in touched.items():
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
-    return total * scale, grads
+    return sum(losses) * scale, grads
 
 
 def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> tuple[ModelParams, OptimizerState]:
     """One Adam update with bias correction and decoupled weight decay, in place.
 
-    Tensors with no gradient (frozen) are neither moved nor decayed.
+    Moments and parameters are updated by in-place ufuncs through one scratch
+    array per tensor.  Tensors with no gradient (frozen) are neither moved
+    nor decayed.
     """
     state.step_count += 1
     t = state.step_count
     lr = state.effective_lr
+    b1, b2 = state.beta1, state.beta2
+    # lr * m_hat / (sqrt(v_hat) + eps) == step * m / (sqrt(v) + eps_hat): the
+    # bias corrections folded into two scalars (Kingma & Ba, end of section 2).
+    step = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    eps_hat = state.epsilon * math.sqrt(1.0 - b2**t)
     for name in TENSOR_NAMES:
         g = getattr(grads, name)
         if g is None:
@@ -206,13 +236,18 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
             raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + state.epsilon) + state.weight_decay * theta)
+        scratch = np.empty_like(theta)
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=scratch)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=scratch)
+        v += np.multiply(scratch, g, out=scratch)
+        np.sqrt(v, out=scratch)
+        scratch += eps_hat
+        np.divide(m, scratch, out=scratch)
+        scratch *= step
+        theta *= 1.0 - lr * state.weight_decay
+        theta -= scratch
     return params, state
 
 

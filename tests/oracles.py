@@ -1,17 +1,20 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: plain loops, linear scans, repeated
-work, and the model's layers computed one at a time (project -> convert ->
-pool, the full (n_ctx, L, dim) tensor included) rather than folded.  None of it shares code with the implementations under test beyond
-fixed published constants (the byte alphabet, the pretoken split).
+work, the model's layers computed one at a time (project -> convert ->
+pool, the full (n_ctx, L, dim) tensor included) rather than folded, and the
+trainer one triplet and one document at a time.  None of it shares code with
+the implementations under test beyond fixed published constants (the byte
+alphabet, the pretoken split) and the gradient container it returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from matcha.errors import EmptyInputError, ShapeError
+from matcha.errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
+from matcha.training import TENSOR_NAMES, Gradients
 
 
 def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
@@ -159,6 +162,94 @@ def batch_loss(params, batch) -> float:
         sim_i = _cosine(h_r, represent_layered(params, inc))
         total += max(0.0, params.hyper.margin + sim_i - sim_c)
     return total / len(batch.items)
+
+
+def _forward_one(params, emb_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    y = params.proj_weight @ emb_mean + params.proj_bias
+    ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
+    return ctx_mean, ctx_mean @ params.conversion
+
+
+def _cosine_with_grads_one(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    n1 = float(np.linalg.norm(h1))
+    n2 = float(np.linalg.norm(h2))
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateRepresentationError("zero-norm document representation")
+    sim = float(h1 @ h2) / (n1 * n2)
+    g1 = h2 / (n1 * n2) - sim * h1 / n1**2
+    g2 = h1 / (n1 * n2) - sim * h2 / n2**2
+    return sim, g1, g2
+
+
+def _doc_backward(params, ids: list[int], emb_sum: np.ndarray, ctx_mean: np.ndarray,
+                  dh: np.ndarray, grads) -> None:
+    """Accumulate d(loss)/d(tensors) for one document given dh = d(loss)/d(h)."""
+    n_ctx = params.hyper.n_ctx
+    length = len(ids)
+    grads.conversion += np.outer(ctx_mean, dh)
+    d_ctx = params.conversion @ dh
+    u = np.tile(d_ctx, n_ctx) / (n_ctx * length)
+    grads.proj_weight += np.outer(u, emb_sum)
+    grads.proj_bias += u * length
+    if grads.embedding is not None:
+        d_emb = params.proj_weight.T @ u
+        np.add.at(grads.embedding, np.asarray(ids, dtype=np.intp), d_emb)
+
+
+def loss_and_grads_loop(params, batch, train_embeddings: bool = True):
+    """The per-item trainer: each triplet's three documents forwarded and back-propagated one at a time."""
+    if not batch.items:
+        raise ValueError("batch must be non-empty")
+    m = params.hyper.margin
+    scale = 1.0 / len(batch.items)
+    grads = Gradients.zeros(params, train_embeddings)
+    total = 0.0
+    for idx, item in enumerate(batch.items):
+        emb_sums = [params.embedding[np.asarray(ids, dtype=np.intp)].sum(axis=0) for ids in item]
+        ctx, (h_r, h_c, h_i) = zip(*(_forward_one(params, s / len(ids)) for s, ids in zip(emb_sums, item)))
+        try:
+            sim_c, g_r_c, g_c = _cosine_with_grads_one(h_r, h_c)
+            sim_i, g_r_i, g_i = _cosine_with_grads_one(h_r, h_i)
+        except DegenerateRepresentationError as exc:
+            raise DegenerateRepresentationError(
+                f"item {idx} of batch from {batch.source_dataset!r}: {exc}"
+            ) from exc
+        loss = max(0.0, m + sim_i - sim_c)
+        total += loss
+        if loss <= 0.0:
+            continue
+        upstream = ((g_r_i - g_r_c) * scale, -g_c * scale, g_i * scale)
+        for ids, emb_sum, ctx_mean, dh in zip(item, emb_sums, ctx, upstream):
+            _doc_backward(params, ids, emb_sum, ctx_mean, dh, grads)
+    for name in TENSOR_NAMES:
+        g = getattr(grads, name)
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient in {name}")
+    return total * scale, grads
+
+
+def adam_step_loop(state, params, grads):
+    """Adam with bias correction and decoupled weight decay, written out with whole-tensor temporaries."""
+    state.step_count += 1
+    t = state.step_count
+    lr = state.effective_lr
+    for name in TENSOR_NAMES:
+        g = getattr(grads, name)
+        if g is None:
+            continue
+        theta = getattr(params, name)
+        if g.shape != theta.shape:
+            raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}")
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        theta -= lr * (m_hat / (np.sqrt(v_hat) + state.epsilon) + state.weight_decay * theta)
+    return params, state
 
 
 def path_integral_attributions(grad_fn, inputs: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:

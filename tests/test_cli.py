@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matcha import __version__
-from matcha.checkpoint import save_checkpoint
+from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.cli import main
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
@@ -129,6 +129,16 @@ class TestTrainCommand:
         lines = open(out + ".train.jsonl", encoding="utf-8").read().splitlines()
         assert json.loads(lines[0])["seed"] == 9  # from file
         assert len(lines) == 1 + 1  # provenance + one epoch (flag beat file)
+
+    @pytest.mark.parametrize("flags, expected", [([], 4), (["--max-len", "6"], 6)])
+    def test_config_file_max_len_reaches_checkpoint(self, tmp_path, flags, expected):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", make_synthetic_corpus(16, seed=5))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_len": 4, "dim": 8, "n_ctx": 2, "epochs": 1, "batch_size": 8}))
+        out = str(tmp_path / "model.ckpt")
+        code = main(["train", "--config", str(config), "--data", corpus, "--out", out, *flags])
+        assert code == 0
+        assert load_checkpoint(out).hyper.max_len == expected
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -11,7 +11,9 @@ from matcha.model import (
     Hyper,
     ModelParams,
     cosine,
+    cosine_with_grads,
     embed,
+    forward,
     init_params,
     represent,
     score,
@@ -188,6 +190,19 @@ class TestRepresent:
             rel = np.abs(represent(params, ids) - layered).max() / np.abs(layered).max()
             assert rel <= 1e-12, (dim, n_ctx, length, rel)
 
+    def test_row_wise_forward_matches_layered_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            dim, n_ctx, n_docs = (int(rng.integers(lo, hi)) for lo, hi in ((1, 33), (1, 17), (2, 9)))
+            params = random_params(rng, 50, dim, n_ctx)
+            docs = [[int(i) for i in rng.integers(0, 50, int(rng.integers(1, 20)))] for _ in range(n_docs)]
+            ctx, h = forward(params, np.stack([embed(params, ids).mean(axis=0) for ids in docs]))
+            assert ctx.shape == h.shape == (n_docs, dim)
+            for row, ids in zip(h, docs):
+                layered = represent_layered(params, ids)
+                rel = np.abs(row - layered).max() / np.abs(layered).max()
+                assert rel <= 1e-12, (dim, n_ctx, rel)
+
     def test_folded_matches_layered_oracle_gpt2_shape(self):
         rng = np.random.default_rng(21)
         params = random_params(rng, 50257, 256, 16, scale=0.1)
@@ -231,6 +246,24 @@ class TestCosine:
     def test_zero_norm(self):
         with pytest.raises(DegenerateRepresentationError):
             cosine(np.zeros(3), np.ones(3))
+
+    def test_row_wise_grads_match_single_rows(self):
+        rng = np.random.default_rng(18)
+        h1, h2 = rng.normal(0, 1, (5, 7)), rng.normal(0, 1, (5, 7))
+        for a, b in ((h1, h2), (h1[0], h2)):  # row by row, and one vector against many rows
+            sim, g1, g2 = cosine_with_grads(a, b)
+            for k in range(5):
+                a_k = a[k] if a.ndim == 2 else a
+                sim_k, g1_k, g2_k = cosine_with_grads(a_k, b[k])
+                assert abs(sim[k] - sim_k) <= 1e-15 and abs(sim_k - cosine(a_k, b[k])) <= 1e-15
+                assert np.allclose(g1[k], g1_k, rtol=0, atol=1e-15)
+                assert np.allclose(g2[k], g2_k, rtol=0, atol=1e-15)
+
+    def test_row_wise_zero_norm(self):
+        h = np.ones((3, 4))
+        h[1] = 0.0
+        with pytest.raises(DegenerateRepresentationError):
+            cosine_with_grads(np.ones(4), h)
 
     def test_clamped(self):
         h = np.array([1e-8, 1.0])

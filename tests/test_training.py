@@ -1,7 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
+import matcha.training
 from matcha.data import tokenize_records
+from matcha.errors import (
+    DegenerateRepresentationError,
+    EmptyInputError,
+    NumericError,
+    ShapeError,
+    TokenRangeError,
+)
 from matcha.model import cosine, init_params, represent
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
@@ -19,7 +29,7 @@ from matcha.training import (
     margin_loss,
     train,
 )
-from oracles import batch_loss, finite_difference_gradients
+from oracles import adam_step_loop, batch_loss, finite_difference_gradients, loss_and_grads_loop
 from test_model import manual_params, random_params
 
 
@@ -133,6 +143,119 @@ class TestBackward:
             assert rel.max() <= 1e-4, f"{name}: worst rel err {rel.max()}"
 
 
+def assert_rel_close(got, want, tol, label=""):
+    """max |got - want| <= tol * max |want|; an all-zero reference must be matched exactly."""
+    assert got.shape == want.shape, label
+    err = float(np.max(np.abs(got - want), initial=0.0))
+    assert err <= tol * float(np.max(np.abs(want), initial=0.0)), f"{label}: abs err {err}"
+
+
+def assert_matches_loop(params, batch, train_embeddings=True, tol=1e-10):
+    loss, grads = loss_and_grads(params, batch, train_embeddings)
+    loss_ref, grads_ref = loss_and_grads_loop(params, batch, train_embeddings)
+    assert abs(loss - loss_ref) <= tol * abs(loss_ref)
+    for name in TENSOR_NAMES:
+        got, want = getattr(grads, name), getattr(grads_ref, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert_rel_close(got, want, tol, name)
+    return loss_ref
+
+
+class TestBatchedMatchesLoop:
+    """The batched pass against the per-item, per-document loop it replaced."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_active_and_inactive_hinges(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        dim, n_ctx, vocab_size = int(rng.integers(2, 9)), int(rng.integers(1, 5)), 12
+        params = random_params(rng, vocab_size, dim, n_ctx)
+        batch = random_batch(rng, vocab_size, 16)
+        gaps = np.array([
+            cosine(represent(params, r), represent(params, c)) - cosine(represent(params, r), represent(params, i))
+            for r, c, i in batch.items
+        ])
+        # A margin halfway up the positive gaps: hinges below it are active, the rest not.
+        params.hyper.margin = 0.5 * gaps.max()
+        active = gaps < params.hyper.margin
+        assert 0 < sum(active) < len(active)
+        assert_matches_loop(params, batch)
+
+    def test_frozen_embeddings(self):
+        rng = np.random.default_rng(210)
+        params = random_params(rng, 10, 6, 3)
+        assert_matches_loop(params, random_batch(rng, 10, 9), train_embeddings=False)
+
+    def test_ids_repeated_within_and_across_documents(self):
+        rng = np.random.default_rng(211)
+        params = random_params(rng, 4, 5, 2)
+        batch = random_batch(rng, 4, 7, max_len=12)
+        assert any(len(set(doc)) < len(doc) for item in batch.items for doc in item)
+        assert_matches_loop(params, batch)
+
+    def test_single_token_documents(self):
+        rng = np.random.default_rng(212)
+        params = random_params(rng, 9, 4, 3)
+        assert_matches_loop(params, random_batch(rng, 9, 6, max_len=1))
+
+    def test_batch_of_one(self):
+        rng = np.random.default_rng(213)
+        params = random_params(rng, 7, 3, 2)
+        assert_matches_loop(params, random_batch(rng, 7, 1)) > 0.0
+
+    def test_gpt2_shape(self):
+        rng = np.random.default_rng(214)
+        vocab_size, dim, n_ctx = 50257, 256, 16
+        params = manual_params(
+            rng.normal(0, 0.1, (vocab_size, dim)),
+            rng.normal(0, 0.1, (n_ctx * dim, dim)),
+            rng.normal(0, 0.1, n_ctx * dim),
+            rng.normal(0, 0.1, (dim, dim)),
+        )
+        assert_matches_loop(params, random_batch(rng, vocab_size, 4, max_len=64))
+
+
+class TestTrainerErrors:
+    def setup_method(self):
+        self.params = random_params(np.random.default_rng(220), 6, 3, 2)
+
+    @pytest.mark.parametrize("bad_id", [6, 100, -1])
+    def test_token_out_of_range(self, bad_id):
+        batch = TripletBatch(items=[([0], [1], [2]), ([3], [bad_id, 4], [5])], source_dataset="d")
+        with pytest.raises(TokenRangeError):
+            loss_and_grads(self.params, batch)
+
+    def test_empty_document(self):
+        batch = TripletBatch(items=[([0], [1], [2]), ([3], [4], [])], source_dataset="d")
+        with pytest.raises(EmptyInputError, match="item 1 of batch from 'd'"):
+            loss_and_grads(self.params, batch)
+
+    def test_zero_norm_document_names_item_and_dataset(self):
+        # Token 2 embeds to zero and the bias is zero, so its documents have h = 0.
+        emb = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        params = manual_params(emb, np.eye(2), np.zeros(2), np.eye(2))
+        batch = TripletBatch(items=[([0], [1], [0, 1]), ([0], [1], [2, 2])], source_dataset="news")
+        with pytest.raises(DegenerateRepresentationError, match="item 1 of batch from 'news'"):
+            loss_and_grads(params, batch)
+
+    def test_non_finite_gradient(self):
+        # Huge embeddings through a subnormal conversion keep h finite, but the
+        # conversion gradient ctx (x) dh overflows.
+        emb = 1e200 * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1]])
+        params = manual_params(emb, np.eye(2), np.zeros(2), 1e-310 * np.eye(2))
+        batch = TripletBatch(items=[([0], [1], [2])])
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="conversion"):
+            loss_and_grads(params, batch)
+
+    def test_adam_rejects_misshaped_gradient(self):
+        state = init_optimizer(self.params)
+        grads = Gradients.zeros(self.params)
+        grads.proj_bias = np.zeros(self.params.proj_bias.size + 1)
+        with pytest.raises(ShapeError, match="proj_bias"):
+            adam_step(state, self.params, grads)
+
+
 class TestAdamStep:
     def test_zero_gradients_no_decay_unchanged(self):
         params = random_params(np.random.default_rng(4), 6, 4, 2)
@@ -168,6 +291,27 @@ class TestAdamStep:
         grads = loss_and_grads(params, TripletBatch(items=[([0], [1], [2])]), train_embeddings=False)[1]
         adam_step(state, params, grads)
         assert np.array_equal(params.embedding, before)
+
+    @pytest.mark.parametrize("train_embeddings", [True, False])
+    def test_matches_loop_over_ten_steps(self, train_embeddings):
+        rng = np.random.default_rng(230)
+        params = random_params(rng, 11, 5, 3)
+        state = init_optimizer(params, lr=1e-2, weight_decay=0.05)
+        params_ref, state_ref = params.copy(), copy.deepcopy(state)
+        for epoch in range(10):
+            state.epoch_index = state_ref.epoch_index = epoch // 4
+            grads = Gradients.zeros(params, train_embeddings)
+            for name in TENSOR_NAMES:
+                g = getattr(grads, name)
+                if g is not None:
+                    g[...] = rng.normal(0, 10.0 ** rng.integers(-6, 2), g.shape)
+            adam_step(state, params, grads)
+            adam_step_loop(state_ref, params_ref, grads)
+            assert state.step_count == state_ref.step_count
+            for name in TENSOR_NAMES:
+                assert_rel_close(getattr(params, name), getattr(params_ref, name), 1e-12, name)
+                assert_rel_close(state.first_moment[name], state_ref.first_moment[name], 1e-12, name)
+                assert_rel_close(state.second_moment[name], state_ref.second_moment[name], 1e-12, name)
 
     def test_effective_lr_schedule(self):
         state = OptimizerState(first_moment={}, second_moment={}, base_lr=1e-4, decay_rate=0.9)
@@ -343,6 +487,18 @@ class TestTrain:
         config = TrainConfig(epochs=4, batch_size=16, grad_accum_steps=1, seed=3)
         _, report = train(config, datasets, params)
         assert report[-1]["mean_loss"] < report[0]["mean_loss"]
+
+    def test_desk_trajectory_matches_loop(self, monkeypatch):
+        params, datasets = desk_setup(n_records=96)
+        config = TrainConfig(epochs=5, batch_size=16, grad_accum_steps=2, lr=1e-2, seed=4)
+        trained, report = train(config, datasets, params)
+        monkeypatch.setattr(matcha.training, "loss_and_grads", loss_and_grads_loop)
+        monkeypatch.setattr(matcha.training, "adam_step", adam_step_loop)
+        trained_ref, report_ref = train(config, datasets, params)
+        for row, row_ref in zip(report, report_ref, strict=True):
+            assert abs(row["mean_loss"] - row_ref["mean_loss"]) <= 1e-8 * abs(row_ref["mean_loss"])
+        for name in TENSOR_NAMES:
+            assert_rel_close(getattr(trained, name), getattr(trained_ref, name), 1e-8, name)
 
     def test_frozen_embeddings_flag(self):
         params, datasets = desk_setup()
