@@ -11,6 +11,7 @@ checkpoints.  Writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,6 +24,7 @@ from .model import Hyper, ModelParams
 MAGIC = b"MTCH"
 VERSION = 1
 TENSOR_ORDER = ("embedding", "proj_weight", "proj_bias", "conversion")
+MAX_RANK = 64  # the most dimensions a NumPy array can have
 
 
 def _manifest_bytes(params: ModelParams) -> bytes:
@@ -81,11 +83,31 @@ class _Reader:
         self.offset += count
         return chunk
 
+    def remaining(self) -> int:
+        return len(self.data) - self.offset
+
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
+
+
+def _check_manifest(manifest: object, path: str) -> None:
+    """The manifest is an object with int sizes (no bools) and a finite numeric margin."""
+    if not isinstance(manifest, dict):
+        raise CheckpointIntegrityError(f"{path}: manifest is {type(manifest).__name__}, not a JSON object")
+    for key in ("D", "N_c", "vocab_size", "max_len", "margin"):
+        if key not in manifest:
+            raise CheckpointIntegrityError(f"{path}: manifest missing {key!r}")
+        value = manifest[key]
+        if key == "margin":
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        else:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        if not ok:
+            kind = "a finite number" if key == "margin" else "an integer"
+            raise CheckpointIntegrityError(f"{path}: manifest {key!r} is {value!r}, not {kind}")
 
 
 def load_checkpoint(path: str) -> ModelParams:
@@ -102,19 +124,33 @@ def load_checkpoint(path: str) -> ModelParams:
         manifest = json.loads(reader.take(manifest_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
-    for key in ("D", "N_c", "vocab_size", "max_len", "margin"):
-        if key not in manifest:
-            raise CheckpointIntegrityError(f"{path}: manifest missing {key!r}")
+    _check_manifest(manifest, path)
 
     tensors: dict[str, np.ndarray] = {}
     while reader.offset < len(reader.data):
-        name = reader.take(reader.u32()).decode("utf-8")
+        start = reader.offset
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
         if name in tensors:
             raise CheckpointIntegrityError(f"{path}: duplicate tensor {name!r}")
+        # Rank and dims are bounded by the bytes left before anything is allocated.
+        rank_at = reader.offset
         rank = reader.u32()
+        if rank > MAX_RANK or 8 * rank > reader.remaining():
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} at byte {rank_at} has rank {rank}, "
+                f"above {MAX_RANK} or more dims than the {reader.remaining()} bytes left hold"
+            )
         dims = tuple(reader.u64() for _ in range(rank))
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        raw = reader.take(count * 4)
+        nbytes = 4 * math.prod(dims)
+        if nbytes > reader.remaining():
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
+                f"but only {reader.remaining()} bytes remain"
+            )
+        raw = reader.take(nbytes)
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
     missing = [n for n in TENSOR_ORDER if n not in tensors]
     if missing:
@@ -141,9 +177,9 @@ def load_checkpoint(path: str) -> ModelParams:
         proj_bias=tensors["proj_bias"],
         conversion=tensors["conversion"],
         hyper=Hyper(
-            dim=int(d),
-            n_ctx=int(n_ctx),
-            max_len=int(manifest["max_len"]),
+            dim=d,
+            n_ctx=n_ctx,
+            max_len=manifest["max_len"],
             margin=float(manifest["margin"]),
         ),
     )

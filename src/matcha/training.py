@@ -14,8 +14,14 @@ backward is a few D x D products, and the gradient of the U touched
 embedding rows is countsᵀ times the per-document row gradient.  No
 (tokens x D) array is built: a batch of ~400-token documents holds ~19k
 tokens, and at D=64 each such array would add ~10 MB of peak memory.  The
-count matrix has U <= min(tokens, vocabulary) columns instead.  `adam_step`
-updates moments and parameters in place.
+count matrix has U <= min(tokens, vocabulary) columns instead.
+
+Gradients hold only what the loss can make non-zero.  The embedding
+gradient lists the batch's touched rows, not the (V, D) table: a GPT-2
+batch of 16 touches about 2k of 50,257 rows.  The N_c projection blocks
+reach the loss only through their mean, so they always share one gradient,
+and `proj_weight`/`proj_bias` carry that one (D, D)/(D,) block.  `adam_step`
+keeps its moments in the same shapes and updates them in place.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
 from .model import ModelParams, block_means, check_ids, cosine_with_grads, forward
 
 TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
@@ -42,27 +48,43 @@ class TripletBatch:
 
 @dataclass
 class Gradients:
-    """Loss gradients per parameter tensor; embedding is None when the table is frozen."""
+    """Loss gradients per parameter tensor, in the shapes the loss gives them.
+
+    embedding holds the gradient of the rows listed in embedding_rows
+    (sorted, distinct ids), shape (len(embedding_rows), D); both are None
+    when the table is frozen.  proj_weight (D, D) and proj_bias (D,) are the
+    one gradient that every one of the N_c projection blocks shares.
+    """
 
     embedding: np.ndarray | None
+    embedding_rows: np.ndarray | None
     proj_weight: np.ndarray
     proj_bias: np.ndarray
     conversion: np.ndarray
 
     @classmethod
     def zeros(cls, params: ModelParams, train_embeddings: bool = True) -> "Gradients":
+        """All rows of the table, every value zero."""
+        dim = params.hyper.dim
         return cls(
             embedding=np.zeros_like(params.embedding) if train_embeddings else None,
-            proj_weight=np.zeros_like(params.proj_weight),
-            proj_bias=np.zeros_like(params.proj_bias),
-            conversion=np.zeros_like(params.conversion),
+            embedding_rows=np.arange(params.vocab_size) if train_embeddings else None,
+            proj_weight=np.zeros((dim, dim)),
+            proj_bias=np.zeros(dim),
+            conversion=np.zeros((dim, dim)),
         )
 
     def add_(self, other: "Gradients") -> None:
-        for name in TENSOR_NAMES:
-            g = getattr(other, name)
-            if g is not None and getattr(self, name) is not None:
-                getattr(self, name).__iadd__(g)
+        """Sum in place; the embedding gradient then covers the union of both row sets."""
+        if self.embedding is not None and other.embedding is not None:
+            rows = np.union1d(self.embedding_rows, other.embedding_rows)
+            merged = np.zeros((rows.size, self.embedding.shape[1]))
+            # Assigned, then added: the same sums as accumulating dense tables.
+            merged[np.searchsorted(rows, self.embedding_rows)] = self.embedding
+            merged[np.searchsorted(rows, other.embedding_rows)] += other.embedding
+            self.embedding, self.embedding_rows = merged, rows
+        for name in ("proj_weight", "proj_bias", "conversion"):
+            getattr(self, name).__iadd__(getattr(other, name))
 
     def scale_(self, factor: float) -> None:
         for name in TENSOR_NAMES:
@@ -106,8 +128,15 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    """Adam moments in the gradients' shapes, plus the schedule.
+
+    The embedding moments span the whole table; live_rows marks the rows
+    whose moments may be non-zero, i.e. those some step has had a gradient for.
+    """
+
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
+    live_rows: np.ndarray | None = None
     step_count: int = 0
     base_lr: float = 1e-4
     decay_rate: float = 0.9
@@ -132,9 +161,22 @@ def init_optimizer(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> OptimizerState:
+    # adam_step skips rows with m = v = g = 0, whose step m / (sqrt(v) + eps)
+    # is exactly 0 only when eps > 0 (with eps = 0 it is 0/0 = NaN).
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    dim = params.hyper.dim
+    # np.zeros maps zero pages lazily: rows never touched cost no memory.
+    shapes = {
+        "embedding": params.embedding.shape,
+        "proj_weight": (dim, dim),
+        "proj_bias": (dim,),
+        "conversion": (dim, dim),
+    }
     return OptimizerState(
-        first_moment={n: np.zeros_like(getattr(params, n)) for n in TENSOR_NAMES},
-        second_moment={n: np.zeros_like(getattr(params, n)) for n in TENSOR_NAMES},
+        first_moment={n: np.zeros(shape) for n, shape in shapes.items()},
+        second_moment={n: np.zeros(shape) for n, shape in shapes.items()},
+        live_rows=np.zeros(params.vocab_size, dtype=bool),
         base_lr=lr,
         weight_decay=weight_decay,
         decay_rate=decay_rate,
@@ -189,65 +231,93 @@ def loss_and_grads(
     dh = np.concatenate([g_r_i[active] - g_r_c[active], -g_c[active], g_i[active]]) * scale
     d_ctx = dh @ params.conversion.T
     # Every token of a document shares the upstream gradient of its mean
-    # embedding, so each block of proj_weight gets the same (dim, dim)
+    # embedding, so all N_c blocks of proj_weight share one (dim, dim)
     # gradient and a token's embedding gradient is its document's row.
-    block = d_ctx.T @ emb_mean[rows] / n_ctx
     grads = Gradients(
         embedding=None,
-        proj_weight=np.tile(block, (n_ctx, 1)),
-        proj_bias=np.tile(d_ctx.sum(axis=0) / n_ctx, n_ctx),
+        embedding_rows=None,
+        proj_weight=d_ctx.T @ emb_mean[rows] / n_ctx,
+        proj_bias=d_ctx.sum(axis=0) / n_ctx,
         conversion=ctx[rows].T @ dh,
     )
-    touched = {"proj_weight": block, "proj_bias": grads.proj_bias, "conversion": grads.conversion}
     if train_embeddings:
         w_bar = block_means(params)[0]
         d_emb = np.zeros((3 * n, dim))
         d_emb[rows] = (d_ctx / lengths[rows, None]) @ w_bar
-        touched["embedding"] = counts.T @ d_emb
-        grads.embedding = np.zeros(params.embedding.shape)
-        grads.embedding[uniq] = touched["embedding"]
-    for name, g in touched.items():
-        if not np.all(np.isfinite(g)):
+        grads.embedding, grads.embedding_rows = counts.T @ d_emb, uniq
+    for name in TENSOR_NAMES:
+        g = getattr(grads, name)
+        if g is not None and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
     return sum(losses) * scale, grads
+
+
+def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, state: OptimizerState,
+                 step: float, eps_hat: float) -> np.ndarray:
+    """Advance the moments m and v in place by g; returns step * m / (sqrt(v) + eps_hat)."""
+    b1, b2 = state.beta1, state.beta2
+    scratch = np.empty_like(m)
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=scratch)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=scratch)
+    v += np.multiply(scratch, g, out=scratch)
+    np.sqrt(v, out=scratch)
+    scratch += eps_hat
+    np.divide(m, scratch, out=scratch)
+    scratch *= step
+    return scratch
 
 
 def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> tuple[ModelParams, OptimizerState]:
     """One Adam update with bias correction and decoupled weight decay, in place.
 
-    Moments and parameters are updated by in-place ufuncs through one scratch
-    array per tensor.  Tensors with no gradient (frozen) are neither moved
-    nor decayed.
+    Gives the same bits as dense Adam over the whole tensors, with less work:
+    - a projection block's moments and step are computed once and the step
+      is applied to all N_c blocks, which the dense update would give the
+      same gradient, moments and step;
+    - decay reaches every embedding row, but moments and steps are computed
+      only on the live rows.  Any other row has m = v = g = 0, where the
+      dense step 0 / (0 + eps_hat) is exactly 0.
+    Tensors with no gradient (frozen) are neither moved nor decayed.
     """
     state.step_count += 1
     t = state.step_count
     lr = state.effective_lr
-    b1, b2 = state.beta1, state.beta2
     # lr * m_hat / (sqrt(v_hat) + eps) == step * m / (sqrt(v) + eps_hat): the
     # bias corrections folded into two scalars (Kingma & Ba, end of section 2).
-    step = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-    eps_hat = state.epsilon * math.sqrt(1.0 - b2**t)
+    step = lr * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
+    eps_hat = state.epsilon * math.sqrt(1.0 - state.beta2**t)
+    decay = 1.0 - lr * state.weight_decay
     for name in TENSOR_NAMES:
         g = getattr(grads, name)
         if g is None:
             continue
         theta = getattr(params, name)
-        if g.shape != theta.shape:
-            raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        scratch = np.empty_like(theta)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=scratch)
-        v *= b2
-        np.multiply(g, 1.0 - b2, out=scratch)
-        v += np.multiply(scratch, g, out=scratch)
-        np.sqrt(v, out=scratch)
-        scratch += eps_hat
-        np.divide(m, scratch, out=scratch)
-        scratch *= step
-        theta *= 1.0 - lr * state.weight_decay
-        theta -= scratch
+        if name == "embedding":
+            rows = grads.embedding_rows
+            if g.shape != (rows.size, theta.shape[1]):
+                raise ShapeError(f"{name}: gradient shape {g.shape} for {rows.size} rows of width {theta.shape[1]}")
+            state.live_rows[rows] = True
+            live = np.flatnonzero(state.live_rows)
+            g_live = np.zeros((live.size, theta.shape[1]))
+            g_live[np.searchsorted(live, rows)] = g
+            m_live, v_live = m[live], v[live]
+            delta = _adam_update(m_live, v_live, g_live, state, step, eps_hat)
+            m[live], v[live] = m_live, v_live
+            theta *= decay
+            theta[live] -= delta
+        else:
+            if g.shape != m.shape:
+                raise ShapeError(f"{name}: gradient shape {g.shape} != block shape {m.shape}")
+            delta = _adam_update(m, v, g, state, step, eps_hat)
+            theta *= decay
+            # The N_c projection blocks are consecutive rows (entries for the
+            # bias); conversion is a single block.
+            for start in range(0, theta.shape[0], m.shape[0]):
+                theta[start : start + m.shape[0]] -= delta
     return params, state
 
 

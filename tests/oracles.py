@@ -10,6 +10,8 @@ alphabet, the pretoken split) and the gradient container it returns.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from matcha.errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
@@ -181,28 +183,66 @@ def _cosine_with_grads_one(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.nd
     return sim, g1, g2
 
 
+def dense_tensor(params, name: str, value: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """`value` in the shape of parameter `name`: the listed rows scattered into
+    zeros, or a shared projection block tiled N_c times; anything else as is."""
+    shape = getattr(params, name).shape
+    if rows is not None:
+        out = np.zeros(shape)
+        out[rows] = value
+        return out
+    if name in ("proj_weight", "proj_bias") and value.shape != shape:
+        return np.tile(value, (params.hyper.n_ctx,) + (1,) * (value.ndim - 1))
+    return value
+
+
+def densify(params, grads) -> dict[str, np.ndarray | None]:
+    """Gradients in the parameters' own shapes: rows scattered, blocks tiled, None kept for a frozen table."""
+    dense = {name: dense_tensor(params, name, getattr(grads, name)) for name in TENSOR_NAMES[1:]}
+    dense["embedding"] = (
+        None if grads.embedding is None
+        else dense_tensor(params, "embedding", grads.embedding, grads.embedding_rows)
+    )
+    return dense
+
+
+def _shared_block(tensor: np.ndarray, n_ctx: int) -> np.ndarray:
+    """The one block that all n_ctx stacked blocks of a dense projection gradient must equal."""
+    blocks = tensor.reshape(n_ctx, tensor.shape[0] // n_ctx, *tensor.shape[1:])
+    if not (blocks == blocks[0]).all():
+        raise AssertionError("projection blocks received different gradients")
+    return blocks[0].copy()
+
+
 def _doc_backward(params, ids: list[int], emb_sum: np.ndarray, ctx_mean: np.ndarray,
-                  dh: np.ndarray, grads) -> None:
+                  dh: np.ndarray, grads: dict) -> None:
     """Accumulate d(loss)/d(tensors) for one document given dh = d(loss)/d(h)."""
     n_ctx = params.hyper.n_ctx
     length = len(ids)
-    grads.conversion += np.outer(ctx_mean, dh)
+    grads["conversion"] += np.outer(ctx_mean, dh)
     d_ctx = params.conversion @ dh
     u = np.tile(d_ctx, n_ctx) / (n_ctx * length)
-    grads.proj_weight += np.outer(u, emb_sum)
-    grads.proj_bias += u * length
-    if grads.embedding is not None:
+    grads["proj_weight"] += np.outer(u, emb_sum)
+    grads["proj_bias"] += u * length
+    if grads["embedding"] is not None:
         d_emb = params.proj_weight.T @ u
-        np.add.at(grads.embedding, np.asarray(ids, dtype=np.intp), d_emb)
+        np.add.at(grads["embedding"], np.asarray(ids, dtype=np.intp), d_emb)
 
 
 def loss_and_grads_loop(params, batch, train_embeddings: bool = True):
-    """The per-item trainer: each triplet's three documents forwarded and back-propagated one at a time."""
+    """The per-item trainer: each triplet's three documents forwarded and back-propagated one at a time.
+
+    Accumulates dense gradients of the parameters' own shapes, then returns
+    them as `Gradients`: the batch's distinct rows of the table and the one
+    projection block that every block received.
+    """
     if not batch.items:
         raise ValueError("batch must be non-empty")
     m = params.hyper.margin
     scale = 1.0 / len(batch.items)
-    grads = Gradients.zeros(params, train_embeddings)
+    grads = {name: np.zeros_like(getattr(params, name)) for name in TENSOR_NAMES}
+    if not train_embeddings:
+        grads["embedding"] = None
     total = 0.0
     for idx, item in enumerate(batch.items):
         emb_sums = [params.embedding[np.asarray(ids, dtype=np.intp)].sum(axis=0) for ids in item]
@@ -221,27 +261,44 @@ def loss_and_grads_loop(params, batch, train_embeddings: bool = True):
         upstream = ((g_r_i - g_r_c) * scale, -g_c * scale, g_i * scale)
         for ids, emb_sum, ctx_mean, dh in zip(item, emb_sums, ctx, upstream):
             _doc_backward(params, ids, emb_sum, ctx_mean, dh, grads)
-    for name in TENSOR_NAMES:
-        g = getattr(grads, name)
+    for name, g in grads.items():
         if g is not None and not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name}")
-    return total * scale, grads
+    rows = np.unique([i for item in batch.items for ids in item for i in ids]) if train_embeddings else None
+    return total * scale, Gradients(
+        embedding=None if rows is None else grads["embedding"][rows],
+        embedding_rows=rows,
+        proj_weight=_shared_block(grads["proj_weight"], params.hyper.n_ctx),
+        proj_bias=_shared_block(grads["proj_bias"], params.hyper.n_ctx),
+        conversion=grads["conversion"],
+    )
+
+
+def _dense_moments(state, params, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The state's moments of `name` in the parameter's shape; block moments are tiled once and kept."""
+    for moments in (state.first_moment, state.second_moment):
+        moments[name] = dense_tensor(params, name, moments[name])
+    return state.first_moment[name], state.second_moment[name]
 
 
 def adam_step_loop(state, params, grads):
-    """Adam with bias correction and decoupled weight decay, written out with whole-tensor temporaries."""
+    """Adam with bias correction and decoupled weight decay, written out with whole-tensor temporaries.
+
+    Works on every entry of every tensor: the gradients are densified and
+    the moments tiled to the parameters' shapes on the way in.
+    """
+    grads = densify(params, grads)
     state.step_count += 1
     t = state.step_count
     lr = state.effective_lr
     for name in TENSOR_NAMES:
-        g = getattr(grads, name)
+        g = grads[name]
         if g is None:
             continue
         theta = getattr(params, name)
         if g.shape != theta.shape:
             raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}")
-        m = state.first_moment[name]
-        v = state.second_moment[name]
+        m, v = _dense_moments(state, params, name)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
@@ -249,6 +306,36 @@ def adam_step_loop(state, params, grads):
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
         theta -= lr * (m_hat / (np.sqrt(v_hat) + state.epsilon) + state.weight_decay * theta)
+    return params, state
+
+
+def adam_step_dense(state, params, grads):
+    """The dense in-place Adam that the row-lazy, block-shared `adam_step` replaced.
+
+    Every entry of every tensor, in the same arithmetic and order as
+    `adam_step` (bias corrections folded into two scalars, decay as
+    theta *= 1 - lr * wd), so the two must agree bit for bit.  `adam_step_loop`
+    rounds differently and is matched to a tolerance instead.
+    """
+    grads = densify(params, grads)
+    state.step_count += 1
+    t = state.step_count
+    lr = state.effective_lr
+    b1, b2 = state.beta1, state.beta2
+    step = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+    eps_hat = state.epsilon * math.sqrt(1.0 - b2**t)
+    for name in TENSOR_NAMES:
+        g = grads[name]
+        if g is None:
+            continue
+        theta = getattr(params, name)
+        m, v = _dense_moments(state, params, name)
+        m *= b1
+        m += g * (1.0 - b1)
+        v *= b2
+        v += g * (1.0 - b2) * g
+        theta *= 1.0 - lr * state.weight_decay
+        theta -= m / (np.sqrt(v) + eps_hat) * step
     return params, state
 
 

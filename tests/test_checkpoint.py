@@ -10,6 +10,18 @@ from matcha.model import init_params
 from matcha.training import TENSOR_NAMES
 
 
+def first_tensor_offset(data):
+    """Byte offset of the first tensor record (its u32 name length)."""
+    return 16 + struct.unpack("<Q", data[8:16])[0]
+
+
+def rewrite_manifest(path, manifest):
+    data = open(path, "rb").read()
+    new_manifest = json.dumps(manifest).encode()
+    open(path, "wb").write(data[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest
+                           + data[first_tensor_offset(data):])
+
+
 def roundtrip(tmp_path, params, name="p.ckpt"):
     path = str(tmp_path / name)
     save_checkpoint(params, path)
@@ -117,4 +129,57 @@ class TestCorruption:
         idx = data.rindex(struct.pack("<I", len(name)) + name)
         open(path, "wb").write(data[:idx])
         with pytest.raises(CheckpointIntegrityError, match="missing"):
+            load_checkpoint(path)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
+        rewrite_manifest(path, 7)
+        with pytest.raises(CheckpointIntegrityError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("margin", "x"),
+        ("margin", float("nan")),
+        ("margin", True),
+        ("max_len", 3.7),
+        ("D", True),
+        ("N_c", "2"),
+        ("vocab_size", None),
+    ])
+    def test_manifest_field_type(self, tmp_path, key, value):
+        params = init_params(4, 2, 1, seed=0)
+        path, _ = roundtrip(tmp_path, params)
+        manifest = {"D": 2, "N_c": 1, "vocab_size": 4, "max_len": params.hyper.max_len, "margin": 1.0}
+        manifest[key] = value
+        rewrite_manifest(path, manifest)
+        with pytest.raises(CheckpointIntegrityError, match=f"manifest '{key}'"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
+        data = bytearray(open(path, "rb").read())
+        start = first_tensor_offset(data)
+        data[start + 4] = 0xFF
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(CheckpointFormatError, match=f"p.ckpt: tensor name at byte {start} is not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("rank", [65, 1000, 2**32 - 1])
+    def test_rank_beyond_remaining_bytes(self, tmp_path, rank):
+        # 64 x 8 float32 entries follow, so even rank 65's 520 bytes of dims fit.
+        path, _ = roundtrip(tmp_path, init_params(64, 8, 1, seed=0))
+        data = bytearray(open(path, "rb").read())
+        rank_at = first_tensor_offset(data) + 4 + len(b"embedding")
+        data[rank_at : rank_at + 4] = struct.pack("<I", rank)
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(CheckpointFormatError, match=f"p.ckpt: tensor 'embedding' at byte {rank_at} has rank {rank}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [(2**62, 4), (2**40, 2**40), (1, 2**61)])
+    def test_dims_beyond_remaining_bytes(self, tmp_path, dims):
+        path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
+        data = bytearray(open(path, "rb").read())
+        rank_at = first_tensor_offset(data) + 4 + len(b"embedding")
+        open(path, "wb").write(bytes(data[: rank_at + 4]) + struct.pack("<QQ", *dims) + bytes(data[rank_at + 20 :]))
+        with pytest.raises(CheckpointFormatError, match=rf"p.ckpt: tensor 'embedding' at byte {rank_at} has dims"):
             load_checkpoint(path)

@@ -6,6 +6,7 @@ import pytest
 import matcha.training
 from matcha.data import tokenize_records
 from matcha.errors import (
+    ConfigError,
     DegenerateRepresentationError,
     EmptyInputError,
     NumericError,
@@ -29,7 +30,15 @@ from matcha.training import (
     margin_loss,
     train,
 )
-from oracles import adam_step_loop, batch_loss, finite_difference_gradients, loss_and_grads_loop
+from oracles import (
+    adam_step_dense,
+    adam_step_loop,
+    batch_loss,
+    dense_tensor,
+    densify,
+    finite_difference_gradients,
+    loss_and_grads_loop,
+)
 from test_model import manual_params, random_params
 
 
@@ -119,10 +128,10 @@ class TestBackward:
         params = manual_params(emb, np.eye(dim), np.zeros(dim), np.eye(dim))
         active = ([0], [1], [2])
         inactive = ([3], [4], [5])  # gap ~2 >= margin, hinge off
-        g_single = loss_and_grads(params, TripletBatch(items=[active]))[1]
-        g_padded = loss_and_grads(params, TripletBatch(items=[active, inactive]))[1]
+        g_single = densify(params, loss_and_grads(params, TripletBatch(items=[active]))[1])
+        g_padded = densify(params, loss_and_grads(params, TripletBatch(items=[active, inactive]))[1])
         for name in TENSOR_NAMES:
-            assert np.allclose(getattr(g_padded, name), getattr(g_single, name) / 2, atol=1e-15)
+            assert np.allclose(g_padded[name], g_single[name] / 2, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_finite_differences(self, seed):
@@ -132,12 +141,12 @@ class TestBackward:
         vocab_size = int(rng.integers(4, 12))
         params = random_params(rng, vocab_size, dim, n_ctx)
         batch = random_batch(rng, vocab_size, int(rng.integers(1, 5)))
-        _, grads = loss_and_grads(params, batch)
+        grads = densify(params, loss_and_grads(params, batch)[1])
         fd = finite_difference_gradients(
             lambda p: batch_loss(p, batch), params, TENSOR_NAMES
         )
         for name in TENSOR_NAMES:
-            analytic = getattr(grads, name)
+            analytic = grads[name]
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd[name])), 1e-6)
             rel = np.abs(analytic - fd[name]) / denom
             assert rel.max() <= 1e-4, f"{name}: worst rel err {rel.max()}"
@@ -154,8 +163,9 @@ def assert_matches_loop(params, batch, train_embeddings=True, tol=1e-10):
     loss, grads = loss_and_grads(params, batch, train_embeddings)
     loss_ref, grads_ref = loss_and_grads_loop(params, batch, train_embeddings)
     assert abs(loss - loss_ref) <= tol * abs(loss_ref)
+    grads, grads_ref = densify(params, grads), densify(params, grads_ref)
     for name in TENSOR_NAMES:
-        got, want = getattr(grads, name), getattr(grads_ref, name)
+        got, want = grads[name], grads_ref[name]
         if want is None:
             assert got is None, name
         else:
@@ -310,8 +320,48 @@ class TestAdamStep:
             assert state.step_count == state_ref.step_count
             for name in TENSOR_NAMES:
                 assert_rel_close(getattr(params, name), getattr(params_ref, name), 1e-12, name)
-                assert_rel_close(state.first_moment[name], state_ref.first_moment[name], 1e-12, name)
-                assert_rel_close(state.second_moment[name], state_ref.second_moment[name], 1e-12, name)
+                for moments, moments_ref in ((state.first_moment, state_ref.first_moment),
+                                             (state.second_moment, state_ref.second_moment)):
+                    assert_rel_close(dense_tensor(params, name, moments[name]), moments_ref[name], 1e-12, name)
+
+    # Rows go live at different steps; row 3 then rests for 6 steps and row 8
+    # for 7, step 3 touches no row, and row 11 is never touched.
+    LAZY_ROWS = [[3], [3, 8], [0, 8], [], [5], [0, 5], [0, 5, 10], [5], [3], [1, 2, 3],
+                 [8], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [4], [9]]
+
+    @pytest.mark.parametrize("train_embeddings", [True, False])
+    def test_row_lazy_block_shared_matches_dense_oracle_exactly(self, train_embeddings):
+        rng = np.random.default_rng(231)
+        params = random_params(rng, 12, 5, 3)
+        state = init_optimizer(params, lr=1e-2, weight_decay=0.05)
+        params_ref, state_ref = params.copy(), copy.deepcopy(state)
+        dim = params.hyper.dim
+        touched = np.zeros(params.vocab_size, dtype=bool)
+        for k, rows in enumerate(self.LAZY_ROWS):
+            state.epoch_index = state_ref.epoch_index = k // 4
+            draw = lambda *shape: rng.normal(0, 10.0 ** rng.integers(-6, 2), shape)
+            rows = np.array(rows, dtype=np.intp)
+            grads = Gradients(
+                embedding=draw(rows.size, dim) if train_embeddings else None,
+                embedding_rows=rows if train_embeddings else None,
+                proj_weight=draw(dim, dim),
+                proj_bias=draw(dim),
+                conversion=draw(dim, dim),
+            )
+            adam_step(state, params, grads)
+            adam_step_dense(state_ref, params_ref, grads)
+            touched[rows] = train_embeddings
+            assert np.array_equal(state.live_rows, touched)
+            for name in TENSOR_NAMES:
+                assert np.array_equal(getattr(params, name), getattr(params_ref, name)), (k, name)
+                for moments, moments_ref in ((state.first_moment, state_ref.first_moment),
+                                             (state.second_moment, state_ref.second_moment)):
+                    assert np.array_equal(dense_tensor(params, name, moments[name]), moments_ref[name]), (k, name)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, float("nan")])
+    def test_rejects_non_positive_epsilon(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            init_optimizer(random_params(np.random.default_rng(232), 4, 3, 1), epsilon=epsilon)
 
     def test_effective_lr_schedule(self):
         state = OptimizerState(first_moment={}, second_moment={}, base_lr=1e-4, decay_rate=0.9)
@@ -334,9 +384,30 @@ class TestAccumulation:
         for batch in micro:
             acc.add_(loss_and_grads(params, batch)[1])
         acc.scale_(1.0 / len(micro))
-        union_grads = loss_and_grads(params, union)[1]
+        acc, union_grads = densify(params, acc), densify(params, loss_and_grads(params, union)[1])
         for name in TENSOR_NAMES:
-            assert np.allclose(getattr(acc, name), getattr(union_grads, name), atol=1e-9)
+            assert np.allclose(acc[name], union_grads[name], atol=1e-9)
+
+
+    def test_row_union_equals_dense_sum(self):
+        rng = np.random.default_rng(233)
+        params = random_params(rng, 10, 4, 2)
+        # Overlapping row sets that leave rows 7 and 9 untouched.
+        pools = ([0, 1, 2, 3, 4], [3, 4, 5, 6], [1, 6, 8])
+        micro = []
+        for pool in pools:
+            doc = lambda: [int(x) for x in rng.choice(pool, int(rng.integers(1, 5)))]
+            micro.append(TripletBatch(items=[(doc(), doc(), doc()) for _ in range(4)]))
+        grads = [loss_and_grads(params, batch)[1] for batch in micro]
+        dense = [densify(params, g) for g in grads]
+        acc = copy.deepcopy(grads[0])
+        acc.add_(grads[1])
+        acc.add_(grads[2])
+        assert acc.embedding_rows.tolist() == [0, 1, 2, 3, 4, 5, 6, 8]
+        got = densify(params, acc)
+        for name in TENSOR_NAMES:
+            assert np.any(dense[1][name]), name
+            assert np.array_equal(got[name], dense[0][name] + dense[1][name] + dense[2][name]), name
 
 
 def make_datasets(sizes, batch_size, vocab_size=6, has_contrastive=True):
@@ -499,6 +570,18 @@ class TestTrain:
             assert abs(row["mean_loss"] - row_ref["mean_loss"]) <= 1e-8 * abs(row_ref["mean_loss"])
         for name in TENSOR_NAMES:
             assert_rel_close(getattr(trained, name), getattr(trained_ref, name), 1e-8, name)
+
+    @pytest.mark.parametrize("train_embeddings", [True, False])
+    def test_row_lazy_adam_matches_dense_oracle_in_training(self, monkeypatch, train_embeddings):
+        params, datasets = desk_setup(n_records=96)
+        config = TrainConfig(epochs=3, batch_size=8, grad_accum_steps=5, lr=1e-2, seed=5,
+                             train_embeddings=train_embeddings)
+        trained, report = train(config, datasets, params)
+        monkeypatch.setattr(matcha.training, "adam_step", adam_step_dense)
+        trained_ref, report_ref = train(config, datasets, params)
+        assert report == report_ref
+        for name in TENSOR_NAMES:
+            assert np.array_equal(getattr(trained, name), getattr(trained_ref, name)), name
 
     def test_frozen_embeddings_flag(self):
         params, datasets = desk_setup()
