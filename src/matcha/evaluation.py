@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -98,24 +99,38 @@ class ScoreTable:
         """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset")."""
         index = {(r.dataset, r.id, r.label): r for r in self.rows}
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
-                    raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
-                label = obj.get("label", "correct")
-                dataset = obj.get("dataset", "")
-                key = (dataset, str(obj["id"]), label)
-                row = index.get(key)
-                if row is None:
-                    row = ScoreRow(id=str(obj["id"]), label=label, dataset=dataset)
-                    self.rows.append(row)
-                    index[key] = row
-                row.scores[str(obj["metric"])] = float(obj["score"])
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}") from None
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
+                raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
+            score = obj["score"]
+            # NaN fails the comparison; an int beyond the float range would overflow float().
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not abs(score) <= sys.float_info.max:
+                raise SchemaError(f"{path}: line {lineno}: 'score' must be a finite number, got {json.dumps(score)}")
+            label = obj.get("label", "correct")
+            if label not in ("correct", "incorrect"):
+                raise SchemaError(
+                    f"{path}: line {lineno}: 'label' must be 'correct' or 'incorrect', got {json.dumps(label)}"
+                )
+            dataset = obj.get("dataset", "")
+            if not isinstance(dataset, str):
+                raise SchemaError(f"{path}: line {lineno}: 'dataset' must be a string, got {json.dumps(dataset)}")
+            key = (dataset, str(obj["id"]), label)
+            row = index.get(key)
+            if row is None:
+                row = ScoreRow(id=str(obj["id"]), label=label, dataset=dataset)
+                self.rows.append(row)
+                index[key] = row
+            row.scores[str(obj["metric"])] = float(score)
 
 
 def n_delta(correct, incorrect, metric_range: MetricRange) -> float:
@@ -270,19 +285,31 @@ def rouge_n_f1(reference: str, candidate: str, n: int) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def _lcs_length(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by the bit-parallel recurrence of
+    Allison-Dix and Hyyro: one big-int step per token of b.
+
+    Bit i of `row` is clear where the LCS of a[:i+1] and the prefix of b seen
+    so far grows over that of a[:i]; the clear bits count the LCS.
+    """
+    positions: dict[str, int] = {}
+    for i, token in enumerate(a):
+        positions[token] = positions.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    row = full
+    for token in b:
+        match = row & positions.get(token, 0)
+        row = ((row + match) | (row - match)) & full
+    return len(a) - row.bit_count()
+
+
 def rouge_l_f1(reference: str, candidate: str) -> float:
     """Longest-common-subsequence F1 over lexical tokens, in [0, 1]."""
     ref = _lex_tokens(reference)
     cand = _lex_tokens(candidate)
     if not ref or not cand:
         return 0.0
-    prev = [0] * (len(cand) + 1)
-    for r_tok in ref:
-        cur = [0] * (len(cand) + 1)
-        for j, c_tok in enumerate(cand, start=1):
-            cur[j] = prev[j - 1] + 1 if r_tok == c_tok else max(prev[j], cur[j - 1])
-        prev = cur
-    lcs = prev[-1]
+    lcs = _lcs_length(ref, cand)
     if lcs == 0:
         return 0.0
     precision = lcs / len(cand)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -20,6 +21,10 @@ from .errors import (
 )
 
 DEFAULT_MAX_LEN = 512
+
+# Distinct pretokens whose ids one Vocabulary remembers; the memo is cleared
+# when it holds this many, so a stream of novel text cannot grow it unboundedly.
+PRETOKEN_MEMO_SIZE = 1 << 16
 
 # GPT-2 style pretokenization: contractions, words with an optional leading
 # space, digit runs, punctuation runs, whitespace runs.  Merges never cross
@@ -67,6 +72,9 @@ class Vocabulary:
         self.id_to_token = {i: t for t, i in self.token_to_id.items()}
         self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         self.byte_decoder = {c: b for b, c in self.byte_encoder.items()}
+        # pretoken -> its ids.  Sound because the table and merges never change
+        # after load; a plain attribute, so == and repr see only the fields.
+        self._pretoken_ids: dict[str, tuple[int, ...]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -79,36 +87,49 @@ class Vocabulary:
         return decode(self, ids)
 
 
+def _read_text(path: str) -> str:
+    """The whole file as UTF-8 text; an undecodable byte is reported at its offset."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise VocabularyFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise VocabularyFormatError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+
+
+def _token_ids(path: str, raw) -> dict[str, int]:
+    """Check a JSON token -> id object: integer ids covering [0, n) once each."""
+    if not isinstance(raw, dict):
+        raise VocabularyFormatError(f"{path}: expected a JSON object of token -> id")
+    for token, token_id in raw.items():
+        if type(token_id) is not int:  # excludes bool, which JSON true/false decode to
+            raise VocabularyFormatError(f"{path}: id for token {token!r} is not an integer")
+    ids = set(raw.values())
+    n = len(raw)
+    if len(ids) != n:
+        duplicate = next(i for i, count in Counter(raw.values()).items() if count > 1)
+        raise VocabularyIntegrityError(f"{path}: duplicate id {duplicate}")
+    if ids and (min(ids) != 0 or max(ids) != n - 1):
+        raise VocabularyIntegrityError(
+            f"{path}: ids must cover [0, {n}) exactly, got [{min(ids)}, {max(ids)}]"
+        )
+    return raw
+
+
 def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
     """Load a token->id JSON object and a merges text file (header + "left right" lines)."""
-    with open(vocab_file, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise VocabularyFormatError(
-                f"{vocab_file}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
-    if not isinstance(raw, dict):
-        raise VocabularyFormatError(f"{vocab_file}: expected a JSON object of token -> id")
-
-    token_to_id: dict[str, int] = {}
-    seen_ids: set[int] = set()
-    for token, token_id in raw.items():
-        if not isinstance(token_id, int) or isinstance(token_id, bool):
-            raise VocabularyFormatError(f"{vocab_file}: id for token {token!r} is not an integer")
-        if token_id in seen_ids:
-            raise VocabularyIntegrityError(f"{vocab_file}: duplicate id {token_id}")
-        seen_ids.add(token_id)
-        token_to_id[token] = token_id
-    n = len(token_to_id)
-    if seen_ids and (min(seen_ids) != 0 or max(seen_ids) != n - 1):
-        raise VocabularyIntegrityError(
-            f"{vocab_file}: ids must cover [0, {n}) exactly, got [{min(seen_ids)}, {max(seen_ids)}]"
-        )
+    token_to_id = _token_ids(vocab_file, _read_json(vocab_file))
 
     merges: list[tuple[str, str]] = []
-    with open(merges_file, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(merges_file).split("\n")
     for lineno, line in enumerate(lines[1:], start=2):  # first line is a header
         if not line.strip():
             continue
@@ -155,22 +176,31 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list
 
     Deterministic: pretokenize, map each pretoken's bytes to the unicode
     stand-ins, apply lowest-rank-first merges within the pretoken, look the
-    resulting symbols up in the token table.
+    resulting symbols up in the token table.  Each distinct pretoken is
+    merged once per vocabulary; later occurrences reuse its memoized ids.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     if not text:
         raise EmptyInputError("cannot encode an empty text")
+    memo = vocab._pretoken_ids
     ids: list[int] = []
     for pretoken in _PRETOKEN.findall(text):
-        symbols = [vocab.byte_encoder[b] for b in pretoken.encode("utf-8")]
-        for symbol in _apply_merges(vocab, symbols):
-            try:
-                ids.append(vocab.token_to_id[symbol])
-            except KeyError:
-                raise VocabularyIntegrityError(
-                    f"symbol {symbol!r} not covered by the vocabulary"
-                ) from None
+        pretoken_ids = memo.get(pretoken)
+        if pretoken_ids is None:
+            symbols = [vocab.byte_encoder[b] for b in pretoken.encode("utf-8")]
+            merged: list[int] = []
+            for symbol in _apply_merges(vocab, symbols):
+                try:
+                    merged.append(vocab.token_to_id[symbol])
+                except KeyError:
+                    raise VocabularyIntegrityError(
+                        f"symbol {symbol!r} not covered by the vocabulary"
+                    ) from None
+            if len(memo) >= PRETOKEN_MEMO_SIZE:
+                memo.clear()
+            pretoken_ids = memo[pretoken] = tuple(merged)
+        ids.extend(pretoken_ids)
         if len(ids) >= max_len:
             break
     return ids[:max_len]
@@ -231,11 +261,15 @@ class WordVocabulary:
 
     @classmethod
     def load(cls, path: str) -> "WordVocabulary":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _read_json(path)
         if not isinstance(raw, dict) or raw.get("kind") != "word":
             raise VocabularyFormatError(f"{path}: not a word-level vocabulary file")
-        return cls(token_to_id={str(k): int(v) for k, v in raw["token_to_id"].items()})
+        if "token_to_id" not in raw:
+            raise VocabularyFormatError(f"{path}: no 'token_to_id' table")
+        token_to_id = _token_ids(path, raw["token_to_id"])
+        if cls.UNK not in token_to_id:
+            raise VocabularyIntegrityError(f"{path}: no {cls.UNK!r} entry")
+        return cls(token_to_id=token_to_id)
 
 
 def build_word_vocabulary(texts) -> WordVocabulary:

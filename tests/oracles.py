@@ -5,7 +5,8 @@ work, the model's layers computed one at a time (project -> convert ->
 pool, the full (n_ctx, L, dim) tensor included) rather than folded, and the
 trainer one triplet and one document at a time.  None of it shares code with
 the implementations under test beyond fixed published constants (the byte
-alphabet, the pretoken split) and the gradient container it returns.
+alphabet, the pretoken split, the ROUGE word pattern) and the gradient
+container it returns.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from matcha.errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
+from matcha.evaluation import _WORD
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
 from matcha.training import TENSOR_NAMES, Gradients
 
@@ -431,3 +433,28 @@ def ccc_direct(x, y) -> float:
     vy = sum((v - my) ** 2 for v in y) / n
     cov = sum((u - mx) * (v - my) for u, v in zip(x, y)) / n
     return 2.0 * cov / (vx + vy + (mx - my) ** 2)
+
+
+def lcs_length_dp(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by the O(len(a) * len(b)) row DP."""
+    prev = [0] * (len(b) + 1)
+    for a_tok in a:
+        cur = [0] * (len(b) + 1)
+        for j, b_tok in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if a_tok == b_tok else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def rouge_l_f1_dp(reference: str, candidate: str) -> float:
+    """ROUGE-L F1 with the LCS taken from the DP above."""
+    ref = _WORD.findall(reference.lower())
+    cand = _WORD.findall(candidate.lower())
+    if not ref or not cand:
+        return 0.0
+    lcs = lcs_length_dp(ref, cand)
+    if lcs == 0:
+        return 0.0
+    precision = lcs / len(cand)
+    recall = lcs / len(ref)
+    return 2 * precision * recall / (precision + recall)

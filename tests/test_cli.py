@@ -228,6 +228,24 @@ class TestEvaluateCommand:
         # rouge1 scores (1.0, 0.0) match the rescaled humans exactly
         assert agreement["ccc"]["rouge1"] == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("row", [
+        {"id": "line1", "metric": "toy", "score": [1]},
+        {"id": "line1", "metric": "toy", "score": "x"},
+        {"id": "line1", "metric": "toy", "score": True},
+        {"id": "line1", "metric": "toy", "score": float("nan")},
+        {"id": "line1", "metric": "toy", "score": 0.5, "label": "maybe"},
+    ])
+    def test_bad_scores_row_exits_1_naming_line(self, tmp_path, capsys, row):
+        corpus = write_corpus(tmp_path / "eval.jsonl", make_synthetic_corpus(2, seed=1))
+        scores = tmp_path / "scores.jsonl"
+        good = {"id": "line1", "metric": "toy", "score": 0.9, "dataset": "eval"}
+        scores.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+        code = main(["evaluate", "--data", corpus, "--scores", str(scores), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{scores}: line 2:" in err
+
 
 class TestAttributeCommand:
     def test_both_directions_json(self, tmp_path, word_vocab_file, capsys):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
-from matcha.errors import MatchaError
+from matcha.errors import MatchaError, SchemaError
 from matcha.evaluation import (
     MetricRange,
+    _lcs_length,
     ScoreRow,
     ScoreTable,
     ccc,
@@ -19,7 +20,13 @@ from matcha.evaluation import (
     threshold_curve,
     wasserstein_1d,
 )
-from oracles import ccc_direct, macro_f1_confusion, wasserstein_quantile_bruteforce
+from oracles import (
+    ccc_direct,
+    lcs_length_dp,
+    macro_f1_confusion,
+    rouge_l_f1_dp,
+    wasserstein_quantile_bruteforce,
+)
 
 COSINE = MetricRange("m", "cosine_like")
 UNIT = MetricRange("m", "unit")
@@ -338,6 +345,39 @@ class TestRouge:
         assert rouge_n_f1("word", "word word", 2) == 0.0
 
 
+def _random_tokens(rng, n: int, alphabet: list[str]) -> list[str]:
+    return [alphabet[int(i)] for i in rng.integers(0, len(alphabet), n)]
+
+
+class TestBitParallelLcs:
+    """The bit-vector LCS must equal the DP exactly, so ROUGE-L scores do too."""
+
+    ALPHABETS = {
+        "repeats": ["a", "b"],
+        "words": [f"w{i}" for i in range(40)],
+        "non_ascii": ["über", "日本", "ça", "🙂x", "ß", "a"],
+    }
+
+    @pytest.mark.parametrize("alphabet", sorted(ALPHABETS))
+    @pytest.mark.parametrize("sizes", [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (7, 1), (10, 12),
+                                       (63, 64), (64, 65), (65, 130), (200, 90), (1100, 1030)])
+    def test_matches_dp(self, alphabet, sizes):
+        rng = np.random.default_rng(sum(sizes) + len(alphabet))
+        tokens = self.ALPHABETS[alphabet]
+        for _ in range(1 if max(sizes) > 1000 else 20):
+            a = _random_tokens(rng, sizes[0], tokens)
+            b = _random_tokens(rng, sizes[1], tokens)
+            assert _lcs_length(a, b) == lcs_length_dp(a, b)
+
+    def test_rouge_l_equals_dp_on_random_texts(self):
+        rng = np.random.default_rng(3)
+        words = ["The", "cat", "sat", "on", "mat", "Über", "café", "日本語", "x1", "a", "a", "a"]
+        for _ in range(300):
+            ref = " ".join(_random_tokens(rng, int(rng.integers(0, 90)), words))
+            cand = ", ".join(_random_tokens(rng, int(rng.integers(0, 90)), words))
+            assert rouge_l_f1(ref, cand) == rouge_l_f1_dp(ref, cand), (ref, cand)
+
+
 def build_pair_table(correct_scores, incorrect_scores, metric="m"):
     rows = []
     for i, (c, inc) in enumerate(zip(correct_scores, incorrect_scores)):
@@ -415,3 +455,32 @@ class TestMergeExternal:
         table.merge_external(str(path))
         assert len(table.rows) == 1
         assert table.rows[0].scores == {"x": 0.5}
+
+    def test_integer_score_accepted(self, tmp_path):
+        table = ScoreTable()
+        path = tmp_path / "ext.jsonl"
+        path.write_text('{"id": "z", "metric": "x", "score": 1, "label": "incorrect"}\n', encoding="utf-8")
+        table.merge_external(str(path))
+        assert table.rows[0].scores == {"x": 1.0} and table.rows[0].label == "incorrect"
+
+    @pytest.mark.parametrize("field, value", [
+        ("score", "[1]"), ("score", '"x"'), ("score", "NaN"), ("score", "Infinity"),
+        ("score", "1e400"), ("score", "1" + "0" * 400), ("score", "true"), ("score", "null"),
+        ("label", '"maybe"'), ("label", "1"), ("dataset", "[1]"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, field, value):
+        row = {"id": '"z"', "metric": '"x"', "score": "0.5", field: value}
+        path = tmp_path / "ext.jsonl"
+        path.write_text(
+            '{"id": "y", "metric": "x", "score": 0.1}\n'
+            + "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=rf"ext\.jsonl: line 2: '{field}'"):
+            ScoreTable().merge_external(str(path))
+
+    def test_non_utf8_names_byte_offset(self, tmp_path):
+        path = tmp_path / "ext.jsonl"
+        path.write_bytes(b'{"id": "y", "metric": "x", "score": 0.1}\n{"id": "\xff"}\n')
+        with pytest.raises(SchemaError, match=r"ext\.jsonl: not UTF-8 at byte 49"):
+            ScoreTable().merge_external(str(path))

@@ -10,7 +10,9 @@ from matcha.errors import (
     VocabularyFormatError,
     VocabularyIntegrityError,
 )
+from matcha import tokenizer
 from matcha.tokenizer import (
+    Vocabulary,
     WordVocabulary,
     build_word_vocabulary,
     byte_to_unicode,
@@ -67,6 +69,20 @@ class TestLoadVocabulary:
     def test_full_fixture_loads(self, bpe_vocab):
         assert bpe_vocab.vocab_size == 256 + len(bpe_vocab.merges)
 
+    def test_non_utf8_vocab_names_byte_offset(self, tmp_path):
+        vocab_path = tmp_path / "v.json"
+        vocab_path.write_bytes(b'{"a": 0, "\xe9": 1}')
+        merges_path = _write(tmp_path / "m.txt", "#header\n")
+        with pytest.raises(VocabularyFormatError, match=r"v\.json: not UTF-8 at byte 10"):
+            load_vocabulary(str(vocab_path), merges_path)
+
+    def test_non_utf8_merges_names_byte_offset(self, tmp_path):
+        vocab_path = _write(tmp_path / "v.json", json.dumps({"a": 0, "b": 1, "ab": 2}))
+        merges_path = tmp_path / "m.txt"
+        merges_path.write_bytes(b"#header\na b\n\xc3(\n")
+        with pytest.raises(VocabularyFormatError, match=r"m\.txt: not UTF-8 at byte 12"):
+            load_vocabulary(vocab_path, str(merges_path))
+
 
 class TestEncode:
     def test_empty_text(self, bpe_vocab):
@@ -112,6 +128,58 @@ class TestEncode:
     def test_bad_max_len(self, bpe_vocab):
         with pytest.raises(ValueError):
             encode(bpe_vocab, "a", max_len=0)
+
+
+def _repeating_texts(rng, n_texts: int = 40) -> list[str]:
+    """Texts drawn from a small pool of words and marks, so pretokens repeat."""
+    pool = ["the", "cat", "sat", "on", "mat", "hello", "world", "and", "is",
+            "12", "345", ",", "!", "don't", "ünï", "日本", "🙂", "\t", "\n"]
+    texts = []
+    for _ in range(n_texts):
+        words = [pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 30)))]
+        texts.append(" ".join(words))
+    return texts
+
+
+class TestPretokenMemo:
+    """Encoding memoizes each pretoken's ids on its vocabulary; ids never change."""
+
+    @pytest.fixture()
+    def fresh_vocab(self, bpe_files):
+        return load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 5, 17, 512])
+    def test_cold_and_warm_match_naive(self, bpe_files, fresh_vocab, max_len):
+        texts = _repeating_texts(np.random.default_rng(max_len))
+        expected = [bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, t, max_len) for t in texts]
+        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        assert fresh_vocab._pretoken_ids
+        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+
+    def test_instances_do_not_share(self, bpe_files, fresh_vocab):
+        other = load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path)
+        encode(fresh_vocab, "the cat sat on the mat")
+        assert fresh_vocab._pretoken_ids and not other._pretoken_ids
+        assert fresh_vocab == other
+        assert repr(fresh_vocab) == repr(other)
+
+    def test_results_survive_clearing(self, bpe_files, fresh_vocab, monkeypatch):
+        monkeypatch.setattr(tokenizer, "PRETOKEN_MEMO_SIZE", 3)
+        texts = _repeating_texts(np.random.default_rng(9))
+        for _ in range(2):
+            for text in texts:
+                expected = bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, 512)
+                assert encode(fresh_vocab, text) == expected
+                assert len(fresh_vocab._pretoken_ids) <= 3
+
+    def test_uncovered_pretoken_raises_every_time_and_is_not_stored(self):
+        byte_encoder = byte_to_unicode()
+        vocab = Vocabulary(token_to_id={byte_encoder[b]: i for i, b in enumerate(b"abc")}, merges=[])
+        for _ in range(3):
+            with pytest.raises(VocabularyIntegrityError, match="not covered"):
+                encode(vocab, "ab!c")
+        assert "!" not in vocab._pretoken_ids
+        assert vocab._pretoken_ids == {"ab": (0, 1)}
 
 
 class TestDecode:
@@ -173,3 +241,49 @@ class TestWordVocabulary:
         vocab = build_word_vocabulary(["a"])
         with pytest.raises(TokenRangeError):
             vocab.decode([99])
+
+
+class TestWordVocabularyLoad:
+    """Every malformed word-vocabulary file fails with an error naming the file."""
+
+    def _load(self, tmp_path, content: str):
+        return WordVocabulary.load(_write(tmp_path / "word.json", content))
+
+    def test_missing_table(self, tmp_path):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: no 'token_to_id'"):
+            self._load(tmp_path, json.dumps({"kind": "word"}))
+
+    def test_table_not_an_object(self, tmp_path):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: expected a JSON object"):
+            self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": ["<unk>"]}))
+
+    @pytest.mark.parametrize("bad_id", ["1", 1.0, True, None])
+    def test_non_integer_id(self, tmp_path, bad_id):
+        table = {"<unk>": 0, "a": bad_id}
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: id for token 'a' is not an integer"):
+            self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": table}))
+
+    def test_bad_json(self, tmp_path):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: invalid JSON at line 2"):
+            self._load(tmp_path, '{"kind": "word",\n "token_to_id": }')
+
+    def test_non_utf8(self, tmp_path):
+        path = tmp_path / "word.json"
+        path.write_bytes(b'{"kind": "word", "token_to_id": {"\xff": 0}}')
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: not UTF-8 at byte 34"):
+            WordVocabulary.load(str(path))
+
+    def test_duplicate_ids(self, tmp_path):
+        table = {"<unk>": 0, "a": 1, "b": 1}
+        with pytest.raises(VocabularyIntegrityError, match=r"word\.json: duplicate id 1"):
+            self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": table}))
+
+    def test_gapped_ids(self, tmp_path):
+        table = {"<unk>": 0, "a": 2}
+        with pytest.raises(VocabularyIntegrityError, match=r"word\.json: ids must cover \[0, 2\)"):
+            self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": table}))
+
+    def test_no_unk(self, tmp_path):
+        table = {"a": 0, "b": 1}
+        with pytest.raises(VocabularyIntegrityError, match=r"word\.json: no '<unk>' entry"):
+            self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": table}))
