@@ -5,7 +5,8 @@ Layout, all little-endian:
   then per tensor: u32 name length | name | u32 rank | rank x u64 dims |
   row-major float32 data.
 The same container carries pre-trained embedding imports and training
-checkpoints.  Writes are atomic (temp file + rename).
+checkpoints.  Writes are atomic (temp file + rename).  A load reads the
+file once, a save writes each tensor's float32 buffer once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointIntegrityError
+from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError
 from .model import Hyper, ModelParams
 
 MAGIC = b"MTCH"
@@ -39,28 +40,22 @@ def _manifest_bytes(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Serialize all tensors as float32; the write lands atomically or not at all."""
+    """Serialize all tensors as float32, atomically; a value beyond float32's range raises NumericError first."""
     params.validate()
-    payload = bytearray()
-    payload += MAGIC
-    payload += struct.pack("<I", VERSION)
     manifest = _manifest_bytes(params)
-    payload += struct.pack("<Q", len(manifest))
-    payload += manifest
+    chunks: list = [MAGIC, struct.pack("<IQ", VERSION, len(manifest)), manifest]
     for name in TENSOR_ORDER:
-        tensor = np.ascontiguousarray(getattr(params, name), dtype=np.float64)
-        encoded = name.encode("utf-8")
-        payload += struct.pack("<I", len(encoded))
-        payload += encoded
-        payload += struct.pack("<I", tensor.ndim)
-        for dim in tensor.shape:
-            payload += struct.pack("<Q", dim)
-        payload += tensor.astype("<f4").tobytes(order="C")
+        with np.errstate(over="ignore"):
+            tensor = np.ascontiguousarray(getattr(params, name), dtype="<f4")
+        if not np.isfinite(tensor).all():
+            raise NumericError(f"{path}: tensor {name!r} has entries that are not finite as float32")
+        encoded, rank = name.encode("utf-8"), tensor.ndim
+        chunks += [struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape), tensor]
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,12 +64,12 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path: str) -> None:
+    def __init__(self, data: memoryview, path: str) -> None:
         self.data = data
         self.offset = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.data):
             raise CheckpointFormatError(
                 f"{self.path}: truncated at byte {self.offset} (needed {count} more)"
@@ -113,7 +108,9 @@ def _check_manifest(manifest: object, path: str) -> None:
 def load_checkpoint(path: str) -> ModelParams:
     """Read and validate a container; tensors come back as float64 arrays."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        size = fh.readinto(data)
+    reader = _Reader(memoryview(data)[:size], path)
     if reader.take(4) != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic bytes")
     version = reader.u32()
@@ -121,7 +118,7 @@ def load_checkpoint(path: str) -> ModelParams:
         raise CheckpointFormatError(f"{path}: unsupported container version {version}")
     manifest_len = reader.u64()
     try:
-        manifest = json.loads(reader.take(manifest_len).decode("utf-8"))
+        manifest = json.loads(str(reader.take(manifest_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
     _check_manifest(manifest, path)
@@ -130,7 +127,7 @@ def load_checkpoint(path: str) -> ModelParams:
     while reader.offset < len(reader.data):
         start = reader.offset
         try:
-            name = reader.take(reader.u32()).decode("utf-8")
+            name = str(reader.take(reader.u32()), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
         if name in tensors:
@@ -150,8 +147,11 @@ def load_checkpoint(path: str) -> ModelParams:
                 f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
                 f"but only {reader.remaining()} bytes remain"
             )
-        raw = reader.take(nbytes)
-        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+        raw = np.frombuffer(reader.take(nbytes), dtype="<f4")
+        if not np.isfinite(raw).all():
+            at = reader.offset - nbytes + 4 * int(np.isfinite(raw).argmin())
+            raise CheckpointIntegrityError(f"{path}: tensor {name!r} has a non-finite float32 at byte {at}")
+        tensors[name] = raw.astype(np.float64).reshape(dims)
     missing = [n for n in TENSOR_ORDER if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")

@@ -23,7 +23,7 @@ from . import __version__
 from .attribution import DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
-from .errors import ConfigError, MatchaError
+from .errors import ConfigError, MatchaError, read_json
 from .evaluation import (
     MetricRange,
     ScoreRow,
@@ -453,11 +453,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     train_cfg = TrainConfig()
     file_values: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON at line {exc.lineno}") from exc
+        file_values = read_json(args.config, ConfigError)
         if not isinstance(file_values, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
         unknown = set(file_values) - set(_CONFIG_FILE_TYPES)

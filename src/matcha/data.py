@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientCorpusError, SchemaError
+from .errors import InsufficientCorpusError, SchemaError, read_json
 from .training import TokenizedDataset
 
 REROLL_LIMIT = 100
@@ -71,11 +72,15 @@ def load_jsonl(
     """
     records: list[Record] = []
     problems: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise SchemaError(f"line {lineno}: not UTF-8 at byte {exc.start} of the line") from None
+                if not line.strip():
+                    continue
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
@@ -133,27 +138,24 @@ def cap_and_shuffle(records: list[Record], cap: int, rng: np.random.Generator) -
 
 def load_registry(path: str) -> list[DatasetManifest]:
     """Read a JSON list of dataset manifests; paths are relative to the registry file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    raw = read_json(path, SchemaError)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a JSON list of manifests")
     base = os.path.dirname(os.path.abspath(path))
     manifests: list[DatasetManifest] = []
     seen: set[str] = set()
     for i, entry in enumerate(raw):
-        if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
-            raise SchemaError(f"{path}: manifest {i} must carry 'name' and 'path'")
+        if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in ("name", "path")):
+            raise SchemaError(f"{path}: manifest {i} must carry string 'name' and 'path'")
         name = entry["name"]
         if name in seen:
             raise SchemaError(f"{path}: duplicate dataset name {name!r}")
         seen.add(name)
         scale = entry.get("rating_scale")
         if scale is not None:
-            if not isinstance(scale, (list, tuple)) or len(scale) != 2 or scale[0] >= scale[1]:
-                raise SchemaError(f"{path}: manifest {name!r} rating_scale must be [min, max]")
+            if not (isinstance(scale, list) and len(scale) == 2
+                    and all(type(x) in (int, float) and math.isfinite(x) for x in scale) and scale[0] < scale[1]):
+                raise SchemaError(f"{path}: manifest {name!r} rating_scale must be [min, max], got {scale!r}")
             scale = (float(scale[0]), float(scale[1]))
         cap = entry.get("sample_cap")
         if cap is not None and (not isinstance(cap, int) or cap < 1):

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all matcha modules."""
+"""Exception hierarchy shared by all matcha modules, and the file readers that raise it."""
+
+import json
 
 
 class MatchaError(Exception):
@@ -51,3 +53,20 @@ class CheckpointIntegrityError(MatchaError):
 
 class ConfigError(MatchaError):
     """Invalid run configuration; message enumerates every problem found."""
+
+
+def read_text(path: str, error: type[MatchaError]) -> str:
+    """The whole file as UTF-8 text; an undecodable byte raises `error` naming the file and its offset."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
+def read_json(path: str, error: type[MatchaError]):
+    """Parse a UTF-8 JSON file; bad bytes or bad JSON raise `error` naming the file and where."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatchaError, SchemaError
+from .errors import MatchaError, SchemaError, read_text
 
 RANGE_KINDS = ("cosine_like", "unit", "percent")
 DEFAULT_THRESHOLD_GRID = [round(t, 2) for t in np.linspace(0.0, 1.0, 21)]
@@ -98,12 +98,7 @@ class ScoreTable:
     def merge_external(self, path: str) -> None:
         """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset")."""
         index = {(r.dataset, r.id, r.label): r for r in self.rows}
-        with open(path, encoding="utf-8") as fh:
-            try:
-                lines = fh.read().split("\n")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}: not UTF-8 at byte {exc.start}") from None
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(read_text(path, SchemaError).split("\n"), start=1):
             if not line.strip():
                 continue
             try:

@@ -18,6 +18,8 @@ from .errors import (
     TokenRangeError,
     VocabularyFormatError,
     VocabularyIntegrityError,
+    read_json,
+    read_text,
 )
 
 DEFAULT_MAX_LEN = 512
@@ -87,24 +89,6 @@ class Vocabulary:
         return decode(self, ids)
 
 
-def _read_text(path: str) -> str:
-    """The whole file as UTF-8 text; an undecodable byte is reported at its offset."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise VocabularyFormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
-
-
-def _read_json(path: str):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise VocabularyFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-        ) from exc
-
-
 def _token_ids(path: str, raw) -> dict[str, int]:
     """Check a JSON token -> id object: integer ids covering [0, n) once each."""
     if not isinstance(raw, dict):
@@ -126,10 +110,10 @@ def _token_ids(path: str, raw) -> dict[str, int]:
 
 def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
     """Load a token->id JSON object and a merges text file (header + "left right" lines)."""
-    token_to_id = _token_ids(vocab_file, _read_json(vocab_file))
+    token_to_id = _token_ids(vocab_file, read_json(vocab_file, VocabularyFormatError))
 
     merges: list[tuple[str, str]] = []
-    lines = _read_text(merges_file).split("\n")
+    lines = read_text(merges_file, VocabularyFormatError).split("\n")
     for lineno, line in enumerate(lines[1:], start=2):  # first line is a header
         if not line.strip():
             continue
@@ -261,7 +245,7 @@ class WordVocabulary:
 
     @classmethod
     def load(cls, path: str) -> "WordVocabulary":
-        raw = _read_json(path)
+        raw = read_json(path, VocabularyFormatError)
         if not isinstance(raw, dict) or raw.get("kind") != "word":
             raise VocabularyFormatError(f"{path}: not a word-level vocabulary file")
         if "token_to_id" not in raw:

@@ -46,6 +46,13 @@ class TripletBatch:
     source_dataset: str = ""
 
 
+def _rows_into(rows: np.ndarray, sub_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`values`, one per id of `sub_rows`, placed among zeros for `rows`; both sorted, sub_rows within rows."""
+    out = np.zeros((rows.size, values.shape[1]))
+    out[np.searchsorted(rows, sub_rows)] = values
+    return out
+
+
 @dataclass
 class Gradients:
     """Loss gradients per parameter tensor, in the shapes the loss gives them.
@@ -78,9 +85,8 @@ class Gradients:
         """Sum in place; the embedding gradient then covers the union of both row sets."""
         if self.embedding is not None and other.embedding is not None:
             rows = np.union1d(self.embedding_rows, other.embedding_rows)
-            merged = np.zeros((rows.size, self.embedding.shape[1]))
             # Assigned, then added: the same sums as accumulating dense tables.
-            merged[np.searchsorted(rows, self.embedding_rows)] = self.embedding
+            merged = _rows_into(rows, self.embedding_rows, self.embedding)
             merged[np.searchsorted(rows, other.embedding_rows)] += other.embedding
             self.embedding, self.embedding_rows = merged, rows
         for name in ("proj_weight", "proj_bias", "conversion"):
@@ -130,8 +136,8 @@ class TrainConfig:
 class OptimizerState:
     """Adam moments in the gradients' shapes, plus the schedule.
 
-    The embedding moments span the whole table; live_rows marks the rows
-    whose moments may be non-zero, i.e. those some step has had a gradient for.
+    The embedding moments are compact: row k is table row live_rows[k], which lists, sorted,
+    every row some step has had a gradient for.  Any other row's moments are zero.
     """
 
     first_moment: dict[str, np.ndarray]
@@ -166,17 +172,11 @@ def init_optimizer(
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     dim = params.hyper.dim
-    # np.zeros maps zero pages lazily: rows never touched cost no memory.
-    shapes = {
-        "embedding": params.embedding.shape,
-        "proj_weight": (dim, dim),
-        "proj_bias": (dim,),
-        "conversion": (dim, dim),
-    }
+    shapes = {"embedding": (0, dim), "proj_weight": (dim, dim), "proj_bias": (dim,), "conversion": (dim, dim)}
     return OptimizerState(
         first_moment={n: np.zeros(shape) for n, shape in shapes.items()},
         second_moment={n: np.zeros(shape) for n, shape in shapes.items()},
-        live_rows=np.zeros(params.vocab_size, dtype=bool),
+        live_rows=np.empty(0, dtype=np.intp),
         base_lr=lr,
         weight_decay=weight_decay,
         decay_rate=decay_rate,
@@ -300,13 +300,15 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
             rows = grads.embedding_rows
             if g.shape != (rows.size, theta.shape[1]):
                 raise ShapeError(f"{name}: gradient shape {g.shape} for {rows.size} rows of width {theta.shape[1]}")
-            state.live_rows[rows] = True
-            live = np.flatnonzero(state.live_rows)
-            g_live = np.zeros((live.size, theta.shape[1]))
-            g_live[np.searchsorted(live, rows)] = g
-            m_live, v_live = m[live], v[live]
-            delta = _adam_update(m_live, v_live, g_live, state, step, eps_hat)
-            m[live], v[live] = m_live, v_live
+            live = state.live_rows
+            new = rows[live.take(np.searchsorted(live, rows), mode="clip") != rows] if live.size else rows
+            if new.size:
+                # Rows new to the state join with zero moments, as in the dense state.
+                grown = np.sort(np.concatenate((live, new)))
+                m = state.first_moment[name] = _rows_into(grown, live, m)
+                v = state.second_moment[name] = _rows_into(grown, live, v)
+                state.live_rows = live = grown
+            delta = _adam_update(m, v, _rows_into(live, rows, g), state, step, eps_hat)
             theta *= decay
             theta[live] -= delta
         else:

@@ -11,11 +11,24 @@ container it returns.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import struct
+import tempfile
 
 import numpy as np
 
-from matcha.errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
+from matcha.checkpoint import MAGIC, MAX_RANK, TENSOR_ORDER, VERSION, _check_manifest
+from matcha.errors import (
+    CheckpointFormatError,
+    CheckpointIntegrityError,
+    DegenerateRepresentationError,
+    EmptyInputError,
+    NumericError,
+    ShapeError,
+)
+from matcha.model import Hyper, ModelParams
 from matcha.evaluation import _WORD
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
 from matcha.training import TENSOR_NAMES, Gradients
@@ -276,10 +289,19 @@ def loss_and_grads_loop(params, batch, train_embeddings: bool = True):
     )
 
 
+def dense_moments(state, params, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the state's moments of `name` in the parameter's shape: the
+    compact embedding rows scattered to their live_rows, blocks tiled."""
+    rows = state.live_rows if name == "embedding" else None
+    return tuple(dense_tensor(params, name, moments[name], rows)
+                 for moments in (state.first_moment, state.second_moment))
+
+
 def _dense_moments(state, params, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The state's moments of `name` in the parameter's shape; block moments are tiled once and kept."""
-    for moments in (state.first_moment, state.second_moment):
-        moments[name] = dense_tensor(params, name, moments[name])
+    """The state's moments of `name`, made dense in place and kept; every table row then counts as live."""
+    state.first_moment[name], state.second_moment[name] = dense_moments(state, params, name)
+    if name == "embedding":
+        state.live_rows = np.arange(params.vocab_size)
     return state.first_moment[name], state.second_moment[name]
 
 
@@ -339,6 +361,142 @@ def adam_step_dense(state, params, grads):
         theta *= 1.0 - lr * state.weight_decay
         theta -= m / (np.sqrt(v) + eps_hat) * step
     return params, state
+
+
+def save_checkpoint_buffered(params, path: str) -> None:
+    """The checkpoint writer that assembled the whole file in one bytearray before writing it."""
+    params.validate()
+    payload = bytearray()
+    payload += MAGIC
+    payload += struct.pack("<I", VERSION)
+    manifest = json.dumps(
+        {
+            "D": params.hyper.dim,
+            "N_c": params.hyper.n_ctx,
+            "vocab_size": params.vocab_size,
+            "max_len": params.hyper.max_len,
+            "margin": params.hyper.margin,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    payload += struct.pack("<Q", len(manifest))
+    payload += manifest
+    for name in TENSOR_ORDER:
+        tensor = np.ascontiguousarray(getattr(params, name), dtype=np.float64)
+        encoded = name.encode("utf-8")
+        payload += struct.pack("<I", len(encoded))
+        payload += encoded
+        payload += struct.pack("<I", tensor.ndim)
+        for dim in tensor.shape:
+            payload += struct.pack("<Q", dim)
+        payload += tensor.astype("<f4").tobytes(order="C")
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+class _BytesReader:
+    def __init__(self, data: bytes, path: str) -> None:
+        self.data = data
+        self.offset = 0
+        self.path = path
+
+    def take(self, count: int) -> bytes:
+        if self.offset + count > len(self.data):
+            raise CheckpointFormatError(
+                f"{self.path}: truncated at byte {self.offset} (needed {count} more)"
+            )
+        chunk = self.data[self.offset : self.offset + count]
+        self.offset += count
+        return chunk
+
+    def remaining(self) -> int:
+        return len(self.data) - self.offset
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
+
+def load_checkpoint_bytes(path: str) -> ModelParams:
+    """The checkpoint reader that copied the file into bytes, then each tensor into its own bytes."""
+    with open(path, "rb") as fh:
+        reader = _BytesReader(fh.read(), path)
+    if reader.take(4) != MAGIC:
+        raise CheckpointFormatError(f"{path}: bad magic bytes")
+    version = reader.u32()
+    if version != VERSION:
+        raise CheckpointFormatError(f"{path}: unsupported container version {version}")
+    manifest_len = reader.u64()
+    try:
+        manifest = json.loads(reader.take(manifest_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
+    _check_manifest(manifest, path)
+
+    tensors: dict[str, np.ndarray] = {}
+    while reader.offset < len(reader.data):
+        start = reader.offset
+        try:
+            name = reader.take(reader.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
+        if name in tensors:
+            raise CheckpointIntegrityError(f"{path}: duplicate tensor {name!r}")
+        rank_at = reader.offset
+        rank = reader.u32()
+        if rank > MAX_RANK or 8 * rank > reader.remaining():
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} at byte {rank_at} has rank {rank}, "
+                f"above {MAX_RANK} or more dims than the {reader.remaining()} bytes left hold"
+            )
+        dims = tuple(reader.u64() for _ in range(rank))
+        nbytes = 4 * math.prod(dims)
+        if nbytes > reader.remaining():
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
+                f"but only {reader.remaining()} bytes remain"
+            )
+        raw = reader.take(nbytes)
+        tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
+    missing = [n for n in TENSOR_ORDER if n not in tensors]
+    if missing:
+        raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")
+    extra = [n for n in tensors if n not in TENSOR_ORDER]
+    if extra:
+        raise CheckpointIntegrityError(f"{path}: unexpected tensors {extra}")
+
+    d, n_ctx, vocab_size = manifest["D"], manifest["N_c"], manifest["vocab_size"]
+    expected = {
+        "embedding": (vocab_size, d),
+        "proj_weight": (n_ctx * d, d),
+        "proj_bias": (n_ctx * d,),
+        "conversion": (d, d),
+    }
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise CheckpointIntegrityError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, manifest implies {shape}"
+            )
+    params = ModelParams(
+        embedding=tensors["embedding"],
+        proj_weight=tensors["proj_weight"],
+        proj_bias=tensors["proj_bias"],
+        conversion=tensors["conversion"],
+        hyper=Hyper(dim=d, n_ctx=n_ctx, max_len=manifest["max_len"], margin=float(manifest["margin"])),
+    )
+    params.validate()
+    return params
 
 
 def path_integral_attributions(grad_fn, inputs: np.ndarray, baseline: np.ndarray, steps: int) -> np.ndarray:

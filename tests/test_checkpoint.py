@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from matcha.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from matcha.errors import CheckpointFormatError, CheckpointIntegrityError
+from matcha.errors import CheckpointFormatError, CheckpointIntegrityError, NumericError
 from matcha.model import init_params
 from matcha.training import TENSOR_NAMES
+from oracles import load_checkpoint_bytes, save_checkpoint_buffered
 
 
 def first_tensor_offset(data):
@@ -62,7 +63,59 @@ class TestRoundTrip:
         assert np.array_equal(loaded.embedding, params.embedding)
 
 
+class TestAgainstOracle:
+    @pytest.mark.parametrize("vocab, dim, n_ctx", [(1, 1, 1), (7, 3, 5), (33, 16, 4), (5000, 64, 2)])
+    def test_writer_bytes_and_reader_tensors_match_oracle(self, tmp_path, vocab, dim, n_ctx):
+        rng = np.random.default_rng(vocab)
+        params = init_params(vocab, dim, n_ctx, max_len=int(rng.integers(1, 600)),
+                             margin=float(rng.uniform(0.1, 2.0)), seed=vocab)
+        # Full float64 values: the float32 rounding must match too.
+        params.proj_bias = rng.normal(0, 10.0, params.proj_bias.shape)
+        new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
+        save_checkpoint(params, new)
+        save_checkpoint_buffered(params, old)
+        assert open(new, "rb").read() == open(old, "rb").read()
+        loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
+        assert loaded.hyper == loaded_ref.hyper
+        for name in TENSOR_NAMES:
+            assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
+
+
 class TestCorruption:
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        path, _ = roundtrip(tmp_path, init_params(3, 2, 2, seed=0))
+        data = open(path, "rb").read()
+        cut = str(tmp_path / "cut.ckpt")
+        for size in range(len(data)):
+            open(cut, "wb").write(data[:size])
+            with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)):
+                load_checkpoint(cut)
+
+    def test_non_finite_entry_names_file_tensor_and_offset(self, tmp_path):
+        params = init_params(4, 2, 1, seed=0)
+        path, _ = roundtrip(tmp_path, params)
+        data = bytearray(open(path, "rb").read())
+        name = b"conversion"
+        at = data.rindex(struct.pack("<I", len(name)) + name) + 4 + len(name) + 4 + 2 * 8 + 4 * 3
+        for value in (float("nan"), float("inf"), -float("inf")):
+            data[at : at + 4] = struct.pack("<f", value)
+            open(path, "wb").write(bytes(data))
+            with pytest.raises(CheckpointIntegrityError,
+                               match=f"p.ckpt: tensor 'conversion' has a non-finite float32 at byte {at}$"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [("embedding", 1e39), ("proj_bias", -3.5e38), ("conversion", 1e300)])
+    def test_save_beyond_float32_range_raises_and_keeps_old_file(self, tmp_path, name, value):
+        path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
+        before = open(path, "rb").read()
+        params = init_params(4, 2, 1, seed=1)
+        getattr(params, name).flat[-1] = value
+        with pytest.raises(NumericError, match=f"p.ckpt: tensor '{name}'"):
+            save_checkpoint(params, path)
+        assert open(path, "rb").read() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+
+
     def test_bad_magic(self, tmp_path):
         path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
         data = bytearray(open(path, "rb").read())

@@ -247,6 +247,55 @@ class TestEvaluateCommand:
         assert f"{scores}: line 2:" in err
 
 
+class TestMalformedInputFiles:
+    """Undecodable or mistyped input files fail through main with the file and place named."""
+
+    def run_main(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_non_utf8_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        good = json.dumps({"reference": "a", "correct": "b"}).encode() + b"\n"
+        corpus.write_bytes(good + b'{"reference": "\xff", "correct": "b"}\n')
+        code, err = self.run_main(capsys, ["evaluate", "--data", str(corpus), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{corpus}: line 2: not UTF-8 at byte 15 of the line" in err
+
+    def test_non_utf8_registry(self, tmp_path, capsys):
+        registry = tmp_path / "registry.json"
+        registry.write_bytes(b'[\n{"name": "caf\xe9", "path": "a.jsonl"}]')
+        code, err = self.run_main(capsys, ["evaluate", "--data", str(registry), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{registry}: not UTF-8 at byte 15" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"epochs": 1,\n "schedule_strategy": "\x80"}')
+        code, err = self.run_main(capsys, ["train", "--config", str(config), "--data", "x", "--out", "y"])
+        assert code == 2
+        assert f"config error: {config}: not UTF-8 at byte 37" in err
+
+    @pytest.mark.parametrize("scale", [["low", "high"], [1, "5"], [1, True], [1, float("nan")], [5, 1]])
+    def test_bad_rating_scale(self, tmp_path, capsys, scale):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"name": "sts", "path": "sts.jsonl", "rating_scale": scale}]))
+        code, err = self.run_main(capsys, ["evaluate", "--data", str(registry), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{registry}: manifest 'sts' rating_scale must be [min, max]" in err
+
+
+    @pytest.mark.parametrize("entry", [{"name": "sts", "path": 3}, {"name": ["sts"], "path": "sts.jsonl"}])
+    def test_registry_name_and_path_must_be_strings(self, tmp_path, capsys, entry):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([entry]))
+        code, err = self.run_main(capsys, ["evaluate", "--data", str(registry), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{registry}: manifest 0 must carry string 'name' and 'path'" in err
+
+
 class TestAttributeCommand:
     def test_both_directions_json(self, tmp_path, word_vocab_file, capsys):
         vocab_path, vocab, _ = word_vocab_file

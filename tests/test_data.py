@@ -46,14 +46,15 @@ class TestLoadJsonl:
 
     def test_collect_mode_skips_bad_lines(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text(
-            '{"reference": "r", "correct": "c"}\nnot json\n{"reference": "", "correct": "c"}\n',
-            encoding="utf-8",
+        path.write_bytes(
+            b'{"reference": "r", "correct": "c"}\nnot json\n{"reference": "", "correct": "c"}\n'
+            b'{"reference": "\xff", "correct": "c"}\n{"reference": "r2", "correct": "c"}\n'
         )
         records, problems = load_jsonl(str(path), fail_fast=False)
-        assert len(records) == 1
-        assert len(problems) == 2
+        assert [r.reference for r in records] == ["r", "r2"]
+        assert len(problems) == 3
         assert "line 2" in problems[0] and "line 3" in problems[1]
+        assert problems[2] == f"{path}: line 4: not UTF-8 at byte 15 of the line"
 
     def test_full_schema_fields(self, tmp_path):
         rows = [

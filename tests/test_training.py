@@ -34,7 +34,7 @@ from oracles import (
     adam_step_dense,
     adam_step_loop,
     batch_loss,
-    dense_tensor,
+    dense_moments,
     densify,
     finite_difference_gradients,
     loss_and_grads_loop,
@@ -320,9 +320,9 @@ class TestAdamStep:
             assert state.step_count == state_ref.step_count
             for name in TENSOR_NAMES:
                 assert_rel_close(getattr(params, name), getattr(params_ref, name), 1e-12, name)
-                for moments, moments_ref in ((state.first_moment, state_ref.first_moment),
-                                             (state.second_moment, state_ref.second_moment)):
-                    assert_rel_close(dense_tensor(params, name, moments[name]), moments_ref[name], 1e-12, name)
+                for moment, moment_ref in zip(dense_moments(state, params, name),
+                                              dense_moments(state_ref, params_ref, name)):
+                    assert_rel_close(moment, moment_ref, 1e-12, name)
 
     # Rows go live at different steps; row 3 then rests for 6 steps and row 8
     # for 7, step 3 touches no row, and row 11 is never touched.
@@ -351,12 +351,30 @@ class TestAdamStep:
             adam_step(state, params, grads)
             adam_step_dense(state_ref, params_ref, grads)
             touched[rows] = train_embeddings
-            assert np.array_equal(state.live_rows, touched)
+            assert np.array_equal(state.live_rows, np.flatnonzero(touched))
             for name in TENSOR_NAMES:
                 assert np.array_equal(getattr(params, name), getattr(params_ref, name)), (k, name)
-                for moments, moments_ref in ((state.first_moment, state_ref.first_moment),
-                                             (state.second_moment, state_ref.second_moment)):
-                    assert np.array_equal(dense_tensor(params, name, moments[name]), moments_ref[name]), (k, name)
+                for moment, moment_ref in zip(dense_moments(state, params, name),
+                                              dense_moments(state_ref, params_ref, name)):
+                    assert np.array_equal(moment, moment_ref), (k, name)
+
+    def test_new_rows_between_live_rows_keep_each_row_moments(self):
+        rng = np.random.default_rng(233)
+        params = random_params(rng, 10, 3, 2)
+        state = init_optimizer(params, lr=1e-2, weight_decay=0.05)
+        params_ref, state_ref = params.copy(), copy.deepcopy(state)
+        for rows in ([2, 7], [0, 2, 5, 9], [1, 3, 7, 8]):
+            rows = np.array(rows, dtype=np.intp)
+            grads = Gradients.zeros(params)
+            grads.embedding, grads.embedding_rows = rng.normal(size=(rows.size, 3)), rows
+            adam_step(state, params, grads)
+            adam_step_dense(state_ref, params_ref, grads)
+        assert np.array_equal(state.live_rows, [0, 1, 2, 3, 5, 7, 8, 9])
+        assert state.first_moment["embedding"].shape == (8, 3)
+        assert np.array_equal(params.embedding, params_ref.embedding)
+        for moment, moment_ref in zip(dense_moments(state, params, "embedding"),
+                                      dense_moments(state_ref, params_ref, "embedding")):
+            assert np.array_equal(moment, moment_ref)
 
     @pytest.mark.parametrize("epsilon", [0.0, -1e-8, float("nan")])
     def test_rejects_non_positive_epsilon(self, epsilon):
