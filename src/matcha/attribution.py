@@ -7,10 +7,11 @@ weighted by the input delta.  The score sees the attributed embeddings only
 through their mean, and the model is affine up to the cosine, so the path
 maps to the straight line h_α = h_0 + α(h_1 - h_0) between the endpoint
 representations.  The midpoint rule therefore averages the cosine gradient
-over the `steps` points of that line and pulls it back once; every token
-row receives the same embedding gradient.  The midpoint grid never
-evaluates at the baseline itself, which sidesteps the zero-norm cosine
-singularity of an all-zero start.
+over the `steps` points of that line and pulls it back once, through the
+block-mean projection W̄; every token row receives the same embedding
+gradient.  The fixed, attributed and baseline documents share one forward
+and one W̄.  The midpoint grid never evaluates at the baseline itself,
+which sidesteps the zero-norm cosine singularity of an all-zero start.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRepresentationError
-from .model import ModelParams, cosine_with_grads, embed, forward, represent
+from .model import ModelParams, block_means, cosine_with_grads, embed, forward
 
 DIRECTIONS = ("toward_candidate", "toward_reference")
 BASELINE_KINDS = ("zero", "input")
@@ -77,10 +78,16 @@ def integrated_gradients(
     )
     ids = vocab.encode(attributed_text, max_len)
     emb = embed(params, ids)
-    baseline = emb.copy() if baseline_kind == "input" else np.zeros_like(emb)
-    h_fixed = represent(params, vocab.encode(fixed_text, max_len))
-    _, h_baseline = forward(params, baseline.mean(axis=0))
-    _, h_actual = forward(params, emb.mean(axis=0))
+    fixed = embed(params, vocab.encode(fixed_text, max_len))
+    baseline = np.zeros_like(emb) if baseline_kind == "zero" else emb
+    # One forward for the fixed document, the attributed one and, unless it
+    # is the attributed document itself, the baseline.
+    rows = [fixed.mean(axis=0), emb.mean(axis=0)]
+    if baseline is not emb:
+        rows.append(baseline.mean(axis=0))
+    means = block_means(params)
+    _, h = forward(params, np.stack(rows), means)
+    h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
     alphas = (np.arange(steps) + 0.5) / steps
     path = h_baseline + alphas[:, None] * (h_actual - h_baseline)
     try:
@@ -90,9 +97,9 @@ def integrated_gradients(
             f"zero-norm representation along the interpolation path; "
             f"try a different baseline ({exc})"
         ) from exc
-    n_ctx = params.hyper.n_ctx
-    d_ctx = params.conversion @ g_h
-    row_grad = params.proj_weight.T @ (np.tile(d_ctx, n_ctx) / n_ctx) / len(ids)
+    # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
+    # gets the same embedding gradient.
+    row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
     per_token_values = (emb - baseline) @ row_grad
     try:
         score_actual = cosine_with_grads(h_fixed, h_actual)[0]

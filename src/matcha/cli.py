@@ -32,8 +32,7 @@ from .evaluation import (
     dcg,
     rank_at_1,
     rescale,
-    rouge_l_f1,
-    rouge_n_f1,
+    rouge_scores,
     separation_report,
 )
 from .model import init_params, score
@@ -225,6 +224,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
         if manifest.rating_scale is not None:
             rating_scales[manifest.name] = manifest.rating_scale
         records = load_dataset(manifest, rng, complete_triplets=False)
+        rows, references, candidates = [], [], []
         for rec in records:
             sides = [("correct", rec.correct)] + (
                 [("incorrect", rec.incorrect)] if rec.incorrect else []
@@ -236,13 +236,15 @@ def _cmd_evaluate(config: RunConfig) -> int:
                     dataset=manifest.name,
                     human_score=rec.human_score if label == "correct" else None,
                 )
-                if params is not None:
-                    row.scores["matcha"] = score(params, rec.reference, candidate, vocab)
                 if config.rouge:
-                    row.scores["rouge1"] = rouge_n_f1(rec.reference, candidate, 1)
-                    row.scores["rouge2"] = rouge_n_f1(rec.reference, candidate, 2)
-                    row.scores["rougeL"] = rouge_l_f1(rec.reference, candidate)
-                table.rows.append(row)
+                    row.scores.update(rouge_scores(rec.reference, candidate))
+                rows.append(row)
+                references.append(rec.reference)
+                candidates.append(candidate)
+        if params is not None:
+            for row, value in zip(rows, score(params, references, candidates, vocab).tolist()):
+                row.scores["matcha"] = value
+        table.rows.extend(rows)
     for path in config.scores:
         table.merge_external(path)
 

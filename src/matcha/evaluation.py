@@ -262,12 +262,16 @@ def _lex_tokens(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
-def rouge_n_f1(reference: str, candidate: str, n: int) -> float:
-    """Clipped n-gram overlap F1 in [0, 1]; degenerate inputs score 0."""
+def _tokens(text: str | list[str]) -> list[str]:
+    return _lex_tokens(text) if isinstance(text, str) else text
+
+
+def rouge_n_f1(reference: str | list[str], candidate: str | list[str], n: int) -> float:
+    """Clipped n-gram overlap F1 in [0, 1] of two texts or their lexical tokens; degenerate inputs score 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ref = _lex_tokens(reference)
-    cand = _lex_tokens(candidate)
+    ref = _tokens(reference)
+    cand = _tokens(candidate)
     ref_grams = Counter(zip(*(ref[i:] for i in range(n)))) if len(ref) >= n else Counter()
     cand_grams = Counter(zip(*(cand[i:] for i in range(n)))) if len(cand) >= n else Counter()
     if not ref_grams or not cand_grams:
@@ -298,10 +302,10 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(a) - row.bit_count()
 
 
-def rouge_l_f1(reference: str, candidate: str) -> float:
-    """Longest-common-subsequence F1 over lexical tokens, in [0, 1]."""
-    ref = _lex_tokens(reference)
-    cand = _lex_tokens(candidate)
+def rouge_l_f1(reference: str | list[str], candidate: str | list[str]) -> float:
+    """Longest-common-subsequence F1 over the lexical tokens of two texts (or the tokens given), in [0, 1]."""
+    ref = _tokens(reference)
+    cand = _tokens(candidate)
     if not ref or not cand:
         return 0.0
     lcs = _lcs_length(ref, cand)
@@ -310,6 +314,16 @@ def rouge_l_f1(reference: str, candidate: str) -> float:
     precision = lcs / len(cand)
     recall = lcs / len(ref)
     return 2 * precision * recall / (precision + recall)
+
+
+def rouge_scores(reference: str, candidate: str) -> dict[str, float]:
+    """rouge1, rouge2 and rougeL of one pair, each text tokenized once."""
+    ref, cand = _lex_tokens(reference), _lex_tokens(candidate)
+    return {
+        "rouge1": rouge_n_f1(ref, cand, 1),
+        "rouge2": rouge_n_f1(ref, cand, 2),
+        "rougeL": rouge_l_f1(ref, cand),
+    }
 
 
 @dataclass

@@ -69,22 +69,15 @@ class Gradients:
     proj_bias: np.ndarray
     conversion: np.ndarray
 
-    @classmethod
-    def zeros(cls, params: ModelParams, train_embeddings: bool = True) -> "Gradients":
-        """All rows of the table, every value zero."""
-        dim = params.hyper.dim
-        return cls(
-            embedding=np.zeros_like(params.embedding) if train_embeddings else None,
-            embedding_rows=np.arange(params.vocab_size) if train_embeddings else None,
-            proj_weight=np.zeros((dim, dim)),
-            proj_bias=np.zeros(dim),
-            conversion=np.zeros((dim, dim)),
-        )
-
     def add_(self, other: "Gradients") -> None:
         """Sum in place; the embedding gradient then covers the union of both row sets."""
         if self.embedding is not None and other.embedding is not None:
-            rows = np.union1d(self.embedding_rows, other.embedding_rows)
+            # Sorted distinct union of two sorted distinct id arrays.  np.union1d
+            # would do, but its np.unique imports numpy.ma on first use.
+            rows = np.sort(np.concatenate((self.embedding_rows, other.embedding_rows)))
+            distinct = np.ones(rows.size, dtype=bool)
+            distinct[1:] = rows[1:] != rows[:-1]
+            rows = rows[distinct]
             # Assigned, then added: the same sums as accumulating dense tables.
             merged = _rows_into(rows, self.embedding_rows, self.embedding)
             merged[np.searchsorted(rows, other.embedding_rows)] += other.embedding

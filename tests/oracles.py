@@ -181,10 +181,30 @@ def batch_loss(params, batch) -> float:
     return total / len(batch.items)
 
 
-def _forward_one(params, emb_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward_one(params, emb_mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One document's (ctx_mean, h) from its (dim,) mean embedding: every block projected, then averaged."""
     y = params.proj_weight @ emb_mean + params.proj_bias
     ctx_mean = y.reshape(params.hyper.n_ctx, params.hyper.dim).mean(axis=0)
     return ctx_mean, ctx_mean @ params.conversion
+
+
+def represent_one(params, ids: list[int]) -> np.ndarray:
+    """One document's h through `forward_one`."""
+    return forward_one(params, params.embedding[np.asarray(ids, dtype=np.intp)].mean(axis=0))[1]
+
+
+def cosine_one(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Clamped cosine of two vectors; bit-equal vectors score exactly 1.0."""
+    if np.array_equal(h1, h2):
+        return 1.0
+    return min(1.0, max(-1.0, _cosine(h1, h2)))
+
+
+def score_pairwise(params, reference: str, candidate: str, vocab) -> float:
+    """The per-pair scorer: both texts encoded and represented one at a time."""
+    max_len = params.hyper.max_len
+    return cosine_one(represent_one(params, vocab.encode(reference, max_len)),
+                      represent_one(params, vocab.encode(candidate, max_len)))
 
 
 def _cosine_with_grads_one(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -196,6 +216,40 @@ def _cosine_with_grads_one(h1: np.ndarray, h2: np.ndarray) -> tuple[float, np.nd
     g1 = h2 / (n1 * n2) - sim * h1 / n1**2
     g2 = h1 / (n1 * n2) - sim * h2 / n2**2
     return sim, g1, g2
+
+
+def integrated_gradients_tiled(params, attributed: list[int], fixed: list[int], steps: int,
+                               baseline_kind: str) -> tuple[np.ndarray, float, float]:
+    """Closed-form IG per token through `forward_one` and the tiled proj_weight: (values, score, baseline score).
+
+    Each endpoint is forwarded on its own and the path's cosine gradients are
+    taken one point at a time.
+    """
+    emb = params.embedding[np.asarray(attributed, dtype=np.intp)]
+    baseline = emb.copy() if baseline_kind == "input" else np.zeros_like(emb)
+    h_fixed = represent_one(params, fixed)
+    h_baseline = forward_one(params, baseline.mean(axis=0))[1]
+    h_actual = forward_one(params, emb.mean(axis=0))[1]
+    g_h = np.zeros_like(h_actual)
+    for k in range(steps):
+        g_h += _cosine_with_grads_one(h_fixed, h_baseline + (k + 0.5) / steps * (h_actual - h_baseline))[2]
+    d_ctx = params.conversion @ (g_h / steps)
+    n_ctx = params.hyper.n_ctx
+    row_grad = params.proj_weight.T @ (np.tile(d_ctx, n_ctx) / n_ctx) / len(attributed)
+    return ((emb - baseline) @ row_grad, _cosine_with_grads_one(h_fixed, h_actual)[0],
+            _cosine_with_grads_one(h_fixed, h_baseline)[0])
+
+
+def zero_gradients(params, train_embeddings: bool = True) -> Gradients:
+    """Gradients over all rows of the table, every value zero."""
+    dim = params.hyper.dim
+    return Gradients(
+        embedding=np.zeros_like(params.embedding) if train_embeddings else None,
+        embedding_rows=np.arange(params.vocab_size) if train_embeddings else None,
+        proj_weight=np.zeros((dim, dim)),
+        proj_bias=np.zeros(dim),
+        conversion=np.zeros((dim, dim)),
+    )
 
 
 def dense_tensor(params, name: str, value: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -261,7 +315,7 @@ def loss_and_grads_loop(params, batch, train_embeddings: bool = True):
     total = 0.0
     for idx, item in enumerate(batch.items):
         emb_sums = [params.embedding[np.asarray(ids, dtype=np.intp)].sum(axis=0) for ids in item]
-        ctx, (h_r, h_c, h_i) = zip(*(_forward_one(params, s / len(ids)) for s, ids in zip(emb_sums, item)))
+        ctx, (h_r, h_c, h_i) = zip(*(forward_one(params, s / len(ids)) for s, ids in zip(emb_sums, item)))
         try:
             sim_c, g_r_c, g_c = _cosine_with_grads_one(h_r, h_c)
             sim_i, g_r_i, g_i = _cosine_with_grads_one(h_r, h_i)

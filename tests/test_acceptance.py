@@ -125,7 +125,7 @@ def test_c04_gradient_correctness():
         margins = []
         norms = []
         for ref, cor, inc in items:
-            h_r, h_c, h_i = (represent(params, s) for s in (ref, cor, inc))
+            h_r, h_c, h_i = (represent(params, [s])[0] for s in (ref, cor, inc))
             norms += [np.linalg.norm(h) for h in (h_r, h_c, h_i)]
             gap = cosine(h_r, h_c) - cosine(h_r, h_i)
             margins.append(params.hyper.margin - gap)
@@ -147,11 +147,11 @@ def test_c05_desk_scale_training_separation(desk_model):
     params, vocab, max_len = desk_model.params, desk_model.vocab, desk_model.max_len
     sims = []
     for rec in desk_model.held_records:
-        h_ref = represent(params, vocab.encode(rec.reference, max_len))
+        h_ref = represent(params, [vocab.encode(rec.reference, max_len)])[0]
         sims.append(
             (
-                cosine(h_ref, represent(params, vocab.encode(rec.correct, max_len))),
-                cosine(h_ref, represent(params, vocab.encode(rec.incorrect, max_len))),
+                cosine(h_ref, represent(params, [vocab.encode(rec.correct, max_len)])[0]),
+                cosine(h_ref, represent(params, [vocab.encode(rec.incorrect, max_len)])[0]),
             )
         )
     sims = np.array(sims)

@@ -11,7 +11,7 @@ from matcha.attribution import (
 from matcha.errors import DegenerateRepresentationError
 from matcha.model import score
 from matcha.tokenizer import build_word_vocabulary
-from oracles import path_integral_attributions, represent_layered, score_grad_tiled
+from oracles import integrated_gradients_tiled, path_integral_attributions, represent_layered, score_grad_tiled
 from test_model import random_params
 
 
@@ -117,6 +117,22 @@ class TestIntegratedGradients:
         ).sum(axis=1)
         got = np.array([v for _, v in result.per_token])
         assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("dim, n_ctx", [(8, 2), (256, 16)])
+    def test_matches_one_document_forward_oracle(self, direction, baseline_kind, dim, n_ctx):
+        vocab = build_word_vocabulary(["the door is open", "the door is closed", "not quite"])
+        params = random_params(np.random.default_rng(dim), vocab.vocab_size, dim, n_ctx, scale=0.4 if dim == 8 else 0.1)
+        ref, cand = "the door is open", "not quite closed"
+        result = integrated_gradients(params, ref, cand, vocab, direction, 64, baseline_kind)
+        attributed, fixed = (cand, ref) if direction == "toward_candidate" else (ref, cand)
+        values, score_actual, score_baseline = integrated_gradients_tiled(
+            params, vocab.encode(attributed), vocab.encode(fixed), 64, baseline_kind)
+        got = np.array([v for _, v in result.per_token])
+        assert np.abs(got - values).max() <= 1e-12 * max(np.abs(values).max(), 1e-300)
+        assert abs(result.score - score_actual) <= 1e-12 * abs(score_actual)
+        assert abs(result.baseline_score - score_baseline) <= 1e-12 * abs(score_baseline)
 
     def test_score_matches_model(self, small_model):
         params, vocab = small_model

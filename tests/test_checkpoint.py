@@ -104,7 +104,8 @@ class TestCorruption:
                                match=f"p.ckpt: tensor 'conversion' has a non-finite float32 at byte {at}$"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("name, value", [("embedding", 1e39), ("proj_bias", -3.5e38), ("conversion", 1e300)])
+    @pytest.mark.parametrize("name, value", [("embedding", 1e39), ("proj_bias", -3.5e38), ("conversion", 1e300),
+                                             ("proj_weight", float("nan"))])
     def test_save_beyond_float32_range_raises_and_keeps_old_file(self, tmp_path, name, value):
         path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
         before = open(path, "rb").read()

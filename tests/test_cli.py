@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import matcha.cli
+import matcha.evaluation
 from matcha import __version__
 from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.cli import main
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
-from matcha.tokenizer import build_word_vocabulary
+from matcha.tokenizer import WordVocabulary, build_word_vocabulary
+from oracles import score_pairwise
 
 
 def write_corpus(path, records):
@@ -208,6 +211,55 @@ class TestEvaluateCommand:
         report = json.load(open(out))
         per_metric = report["separation"]["eval"]
         assert {"matcha", "rouge1", "rouge2", "rougeL"} <= set(per_metric)
+
+    def test_one_batched_score_per_dataset_matches_pairwise_oracle(self, tmp_path, word_vocab_file, tiny_ckpt,
+                                                                   monkeypatch):
+        vocab_path, _, records = word_vocab_file
+        parts = {"a": records[:10], "b": records[10:]}
+        for name, part in parts.items():
+            write_corpus(tmp_path / f"{name}.jsonl", part)
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"name": name, "path": f"{name}.jsonl"} for name in parts]))
+        out = str(tmp_path / "report.json")
+        argv = ["evaluate", "--data", str(registry), "--ckpt", tiny_ckpt, "--vocab", vocab_path, "--rouge",
+                "--out", out]
+        calls, encoded, tokenized = [], [], []
+        batched = matcha.cli.score
+        monkeypatch.setattr(matcha.cli, "score",
+                            lambda params, refs, cands, vocab: calls.append(len(refs)) or batched(params, refs, cands, vocab))
+        encode = WordVocabulary.encode
+        monkeypatch.setattr(WordVocabulary, "encode",
+                            lambda self, text, max_len: encoded.append(text) or encode(self, text, max_len))
+        lex_tokens = matcha.evaluation._lex_tokens
+        monkeypatch.setattr(matcha.evaluation, "_lex_tokens", lambda text: tokenized.append(text) or lex_tokens(text))
+        assert main(argv) == 0
+        report = json.load(open(out))
+        assert calls == [2 * len(part) for part in parts.values()]
+        distinct = [{t for r in part for t in (r.reference, r.correct, r.incorrect)} for part in parts.values()]
+        assert sorted(encoded) == sorted(t for texts in distinct for t in texts)
+        assert len(tokenized) == 2 * sum(calls)
+
+        monkeypatch.setattr(matcha.cli, "score", lambda params, refs, cands, vocab: np.array(
+            [score_pairwise(params, r, c, vocab) for r, c in zip(refs, cands)]))
+        assert main(argv) == 0
+        oracle = json.load(open(out))
+        assert set(report["separation"]) == set(parts)
+
+        def assert_close(got, want, where=""):
+            if isinstance(want, dict):
+                assert got.keys() == want.keys(), where
+                for key in want:
+                    assert_close(got[key], want[key], f"{where}/{key}")
+            elif isinstance(want, list):
+                assert len(got) == len(want), where
+                for k, (g, w) in enumerate(zip(got, want)):
+                    assert_close(g, w, f"{where}/{k}")
+            elif isinstance(want, float):
+                assert abs(got - want) <= 1e-12, (where, got, want)
+            else:
+                assert got == want, where
+
+        assert_close(report, oracle)
 
     def test_agreement_section(self, tmp_path):
         corpus = tmp_path / "sts.jsonl"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
 
+import matcha.evaluation
 from matcha.errors import MatchaError, SchemaError
 from matcha.evaluation import (
     MetricRange,
@@ -16,6 +17,7 @@ from matcha.evaluation import (
     rescale,
     rouge_l_f1,
     rouge_n_f1,
+    rouge_scores,
     separation_report,
     threshold_curve,
     wasserstein_1d,
@@ -343,6 +345,23 @@ class TestRouge:
 
     def test_short_text_has_no_bigrams(self):
         assert rouge_n_f1("word", "word word", 2) == 0.0
+
+    def test_all_three_tokenize_each_text_once(self, monkeypatch):
+        tokenized = []
+        lex_tokens = matcha.evaluation._lex_tokens
+        monkeypatch.setattr(matcha.evaluation, "_lex_tokens", lambda text: tokenized.append(text) or lex_tokens(text))
+        ref, cand = "The cat sat on the mat, the cat!", "a cat sat on a mat quietly"
+        scores = rouge_scores(ref, cand)
+        assert sorted(tokenized) == sorted([ref, cand])
+        assert scores == {"rouge1": rouge_n_f1(ref, cand, 1), "rouge2": rouge_n_f1(ref, cand, 2),
+                          "rougeL": rouge_l_f1(ref, cand)}
+
+    def test_tokens_score_as_their_text(self):
+        ref, cand = "The cat sat on the mat", "the CAT sat, quietly"
+        ref_tokens, cand_tokens = matcha.evaluation._lex_tokens(ref), matcha.evaluation._lex_tokens(cand)
+        for n in (1, 2, 3):
+            assert rouge_n_f1(ref_tokens, cand_tokens, n) == rouge_n_f1(ref, cand, n)
+        assert rouge_l_f1(ref_tokens, cand_tokens) == rouge_l_f1(ref, cand)
 
 
 def _random_tokens(rng, n: int, alphabet: list[str]) -> list[str]:

@@ -19,6 +19,7 @@ from matcha.model import (
     score,
 )
 from matcha.tokenizer import build_word_vocabulary
+import matcha.model
 from oracles import (
     convert,
     convert_loop,
@@ -28,6 +29,8 @@ from oracles import (
     project_loop,
     represent_layered,
     represent_loop,
+    represent_one,
+    score_pairwise,
 )
 
 
@@ -166,19 +169,19 @@ class TestPool:
 class TestRepresent:
     def test_zero_params_zero_vector(self):
         params = manual_params(np.zeros((4, 3)), np.zeros((6, 3)), np.zeros(6), np.zeros((3, 3)))
-        assert np.array_equal(represent(params, [0, 1]), np.zeros(3))
+        assert np.array_equal(represent(params, [[0, 1]])[0], np.zeros(3))
 
     def test_determinism_bit_stable(self):
         params = random_params(np.random.default_rng(14), 6, 4, 2)
-        a = represent(params, [1, 2, 3])
-        b = represent(params, [1, 2, 3])
+        a = represent(params, [[1, 2, 3]])[0]
+        b = represent(params, [[1, 2, 3]])[0]
         assert np.array_equal(a, b)
 
     def test_matches_composed_oracle(self):
         rng = np.random.default_rng(15)
         params = random_params(rng, 6, 4, 2)
         ids = [1, 5]
-        assert np.allclose(represent(params, ids), represent_loop(params, ids), atol=1e-12)
+        assert np.allclose(represent(params, [ids])[0], represent_loop(params, ids), atol=1e-12)
 
     def test_folded_matches_layered_oracle(self):
         rng = np.random.default_rng(20)
@@ -187,7 +190,7 @@ class TestRepresent:
             params = random_params(rng, 50, dim, n_ctx)
             ids = [int(i) for i in rng.integers(0, 50, length)]
             layered = represent_layered(params, ids)
-            rel = np.abs(represent(params, ids) - layered).max() / np.abs(layered).max()
+            rel = np.abs(represent(params, [ids])[0] - layered).max() / np.abs(layered).max()
             assert rel <= 1e-12, (dim, n_ctx, length, rel)
 
     def test_row_wise_forward_matches_layered_oracle(self):
@@ -208,8 +211,35 @@ class TestRepresent:
         params = random_params(rng, 50257, 256, 16, scale=0.1)
         ids = [int(i) for i in rng.integers(0, 50257, 40)]
         layered = represent_layered(params, ids)
-        rel = np.abs(represent(params, ids) - layered).max() / np.abs(layered).max()
+        rel = np.abs(represent(params, [ids])[0] - layered).max() / np.abs(layered).max()
         assert rel <= 1e-12, rel
+
+    @pytest.mark.parametrize("block_entries", [1, 6, 40, matcha.model.MEAN_BLOCK_ENTRIES])
+    def test_batch_matches_one_at_a_time_across_blocks(self, monkeypatch, block_entries):
+        monkeypatch.setattr(matcha.model, "MEAN_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(23)
+        params = random_params(rng, 30, 6, 3)
+        docs = [[int(i) for i in rng.integers(0, 30, int(rng.integers(1, 9)))] for _ in range(25)]
+        h = represent(params, docs)
+        assert h.shape == (25, 6)
+        for row, ids in zip(h, docs):
+            want = represent_one(params, ids)
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_documents(self):
+        params = random_params(np.random.default_rng(24), 5, 3, 2)
+        assert represent(params, []).shape == (0, 3)
+
+    def test_empty_document_named(self):
+        params = random_params(np.random.default_rng(25), 5, 3, 2)
+        with pytest.raises(EmptyInputError, match="document 1"):
+            represent(params, [[1], [], [2]])
+
+    @pytest.mark.parametrize("bad_id", [5, -1, np.iinfo(np.intp).min])
+    def test_out_of_range_id(self, bad_id):
+        params = random_params(np.random.default_rng(26), 5, 3, 2)
+        with pytest.raises(TokenRangeError, match=f": {bad_id}$"):
+            represent(params, [[1], [2, bad_id]])
 
     def test_shape_chain(self):
         rng = np.random.default_rng(16)
@@ -291,6 +321,89 @@ class TestScore:
         with pytest.raises(EmptyInputError):
             score(params, "", "the cat sat", vocab)
 
+    def test_two_strings_give_a_float(self, setup):
+        params, vocab = setup
+        value = score(params, "the cat sat", "birds fly high", vocab)
+        assert type(value) is float
+        assert value == pytest.approx(score_pairwise(params, "the cat sat", "birds fly high", vocab), abs=1e-12)
+
+
+# Under a vocabulary of the first three, "the  cat sat" encodes like "the cat sat",
+# and "zzz" and "qqq" both as the unknown word.
+TEXTS = ["the cat sat", "a dog ran fast", "birds fly high", "the  cat sat", "zzz", "qqq",
+         "the the", "the", "sat cat the", "a dog ran fast high birds fly the cat"]
+
+
+class TestBatchedScore:
+    @pytest.mark.parametrize("dim, n_ctx, block_entries", [
+        (8, 2, matcha.model.MEAN_BLOCK_ENTRIES), (1, 1, matcha.model.MEAN_BLOCK_ENTRIES),
+        (256, 16, matcha.model.MEAN_BLOCK_ENTRIES), (8, 2, 1), (5, 3, 7), (5, 3, 30),
+    ])
+    def test_matches_pairwise_oracle(self, monkeypatch, dim, n_ctx, block_entries):
+        monkeypatch.setattr(matcha.model, "MEAN_BLOCK_ENTRIES", block_entries)
+        vocab = build_word_vocabulary(TEXTS[:3])
+        rng = np.random.default_rng(dim * 100 + block_entries)
+        params = random_params(rng, vocab.vocab_size, dim, n_ctx, scale=0.1 if dim == 256 else 0.5)
+        refs = [TEXTS[i] for i in rng.integers(0, len(TEXTS), 60)]
+        cands = [TEXTS[i] for i in rng.integers(0, len(TEXTS), 60)]
+        got = score(params, refs, cands, vocab)
+        want = np.array([score_pairwise(params, r, c, vocab) for r, c in zip(refs, cands)])
+        assert got.shape == (60,)
+        assert np.abs(got - want).max() <= 1e-12
+        same_ids = [vocab.encode(r) == vocab.encode(c) for r, c in zip(refs, cands)]
+        assert any(same_ids) and all(got[same_ids] == 1.0)
+
+    def test_each_distinct_text_encoded_once_and_equal_ids_share_a_row(self, monkeypatch):
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(27), vocab.vocab_size, 8, 2)
+        encoded, represented = [], []
+        encode, represent_docs = vocab.encode, matcha.model.represent
+        monkeypatch.setattr(vocab, "encode", lambda text, max_len: encoded.append(text) or encode(text, max_len))
+        monkeypatch.setattr(matcha.model, "represent",
+                            lambda p, docs: represented.append(len(docs)) or represent_docs(p, docs))
+        refs = ["the cat sat", "the cat sat", "zzz", "a dog ran fast"]
+        cands = ["the  cat sat", "qqq", "zzz", "the cat sat"]
+        values = score(params, refs, cands, vocab)
+        assert sorted(encoded) == sorted(set(refs + cands))
+        assert represented == [3]  # the cat sat, the unknown word, a dog ran fast
+        assert values[0] == values[2] == 1.0
+        assert values[3] == pytest.approx(score_pairwise(params, refs[3], cands[3], vocab), abs=1e-12)
+
+    def test_bit_equal_rows_score_one(self):
+        # "the the" and "the" have equal mean embeddings, so equal rows.
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(28), vocab.vocab_size, 8, 2)
+        assert score(params, "the the", "the", vocab) == 1.0
+        assert score_pairwise(params, "the the", "the", vocab) == 1.0
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_empty_text_in_either_list(self, side):
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(29), vocab.vocab_size, 8, 2)
+        texts = [["the cat sat", "birds fly high"], ["a dog ran fast", "the"]]
+        texts[side][1] = "  "
+        with pytest.raises(EmptyInputError):
+            score(params, *texts, vocab)
+
+    def test_zero_norm_row(self):
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(30), vocab.vocab_size, 8, 2)
+        params.proj_bias[:] = 0.0
+        params.embedding[vocab.encode("zzz")[0]] = 0.0
+        with pytest.raises(DegenerateRepresentationError):
+            score(params, ["the cat sat", "birds fly high"], ["a dog ran fast", "qqq"], vocab)
+
+    def test_lengths_must_match(self):
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(31), vocab.vocab_size, 8, 2)
+        with pytest.raises(ValueError):
+            score(params, ["the cat sat"], ["the", "the"], vocab)
+
+    def test_no_pairs(self):
+        vocab = build_word_vocabulary(TEXTS[:3])
+        params = random_params(np.random.default_rng(32), vocab.vocab_size, 8, 2)
+        assert score(params, [], [], vocab).shape == (0,)
+
 
 class TestInitParams:
     def test_shapes_and_hyper(self):
@@ -317,6 +430,13 @@ class TestInitParams:
         table = np.random.default_rng(19).normal(0, 1, (12, 4))
         params = init_params(12, 4, 2, embedding=table)
         assert np.array_equal(params.embedding, table)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_transferred_embedding(self, value):
+        table = np.ones((12, 4))
+        table[3, 1] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            init_params(12, 4, 2, embedding=table)
 
     def test_bad_hyper(self):
         with pytest.raises(ShapeError):

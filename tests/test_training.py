@@ -1,4 +1,8 @@
 import copy
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -38,6 +42,7 @@ from oracles import (
     densify,
     finite_difference_gradients,
     loss_and_grads_loop,
+    zero_gradients,
 )
 from test_model import manual_params, random_params
 
@@ -69,8 +74,8 @@ class TestBatchLoss:
         expected = np.mean(
             [
                 margin_loss(
-                    cosine(represent(params, r), represent(params, c)),
-                    cosine(represent(params, r), represent(params, i)),
+                    cosine(represent(params, [r])[0], represent(params, [c])[0]),
+                    cosine(represent(params, [r])[0], represent(params, [i])[0]),
                     params.hyper.margin,
                 )
                 for r, c, i in batch.items
@@ -183,7 +188,8 @@ class TestBatchedMatchesLoop:
         params = random_params(rng, vocab_size, dim, n_ctx)
         batch = random_batch(rng, vocab_size, 16)
         gaps = np.array([
-            cosine(represent(params, r), represent(params, c)) - cosine(represent(params, r), represent(params, i))
+            cosine(represent(params, [r])[0], represent(params, [c])[0])
+            - cosine(represent(params, [r])[0], represent(params, [i])[0])
             for r, c, i in batch.items
         ])
         # A margin halfway up the positive gaps: hinges below it are active, the rest not.
@@ -260,7 +266,7 @@ class TestTrainerErrors:
 
     def test_adam_rejects_misshaped_gradient(self):
         state = init_optimizer(self.params)
-        grads = Gradients.zeros(self.params)
+        grads = zero_gradients(self.params)
         grads.proj_bias = np.zeros(self.params.proj_bias.size + 1)
         with pytest.raises(ShapeError, match="proj_bias"):
             adam_step(state, self.params, grads)
@@ -271,7 +277,7 @@ class TestAdamStep:
         params = random_params(np.random.default_rng(4), 6, 4, 2)
         before = {n: getattr(params, n).copy() for n in TENSOR_NAMES}
         state = init_optimizer(params, lr=1e-3, weight_decay=0.0)
-        adam_step(state, params, Gradients.zeros(params))
+        adam_step(state, params, zero_gradients(params))
         for name in TENSOR_NAMES:
             assert np.array_equal(getattr(params, name), before[name])
         assert state.step_count == 1
@@ -280,7 +286,7 @@ class TestAdamStep:
         params = random_params(np.random.default_rng(5), 4, 3, 1)
         before = params.embedding.copy()
         state = init_optimizer(params, lr=1e-4, weight_decay=0.0)
-        grads = Gradients.zeros(params)
+        grads = zero_gradients(params)
         grads.embedding[:] = 1.0
         adam_step(state, params, grads)
         # bias-corrected first step is lr * g / (|g| + eps) ~ lr
@@ -290,7 +296,7 @@ class TestAdamStep:
         params = random_params(np.random.default_rng(6), 4, 3, 1)
         before = {n: getattr(params, n).copy() for n in TENSOR_NAMES}
         state = init_optimizer(params, lr=1e-2, weight_decay=0.1)
-        adam_step(state, params, Gradients.zeros(params))
+        adam_step(state, params, zero_gradients(params))
         for name in TENSOR_NAMES:
             assert np.allclose(getattr(params, name), before[name] * (1 - 1e-2 * 0.1), atol=1e-15)
 
@@ -310,7 +316,7 @@ class TestAdamStep:
         params_ref, state_ref = params.copy(), copy.deepcopy(state)
         for epoch in range(10):
             state.epoch_index = state_ref.epoch_index = epoch // 4
-            grads = Gradients.zeros(params, train_embeddings)
+            grads = zero_gradients(params, train_embeddings)
             for name in TENSOR_NAMES:
                 g = getattr(grads, name)
                 if g is not None:
@@ -365,7 +371,7 @@ class TestAdamStep:
         params_ref, state_ref = params.copy(), copy.deepcopy(state)
         for rows in ([2, 7], [0, 2, 5, 9], [1, 3, 7, 8]):
             rows = np.array(rows, dtype=np.intp)
-            grads = Gradients.zeros(params)
+            grads = zero_gradients(params)
             grads.embedding, grads.embedding_rows = rng.normal(size=(rows.size, 3)), rows
             adam_step(state, params, grads)
             adam_step_dense(state_ref, params_ref, grads)
@@ -398,7 +404,7 @@ class TestAccumulation:
         params = random_params(rng, 8, 4, 2)
         micro = [random_batch(rng, 8, 4) for _ in range(3)]
         union = TripletBatch(items=[it for b in micro for it in b.items])
-        acc = Gradients.zeros(params)
+        acc = zero_gradients(params)
         for batch in micro:
             acc.add_(loss_and_grads(params, batch)[1])
         acc.scale_(1.0 / len(micro))
@@ -426,6 +432,26 @@ class TestAccumulation:
         for name in TENSOR_NAMES:
             assert np.any(dense[1][name]), name
             assert np.array_equal(got[name], dense[0][name] + dense[1][name] + dense[2][name]), name
+
+
+    def test_accumulating_does_not_import_numpy_ma(self):
+        # np.union1d's plain np.unique imports numpy.ma (about 1 MB of RSS) on first use.
+        script = textwrap.dedent("""
+            import sys
+            from test_training import desk_setup
+            from matcha.training import Gradients, TrainConfig, train
+            merges = []
+            add = Gradients.add_
+            Gradients.add_ = lambda self, other: merges.append(1) or add(self, other)
+            params, datasets = desk_setup()
+            train(TrainConfig(epochs=1, batch_size=8, grad_accum_steps=2), datasets, params)
+            assert merges, "no micro-batch gradients were merged"
+            assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """)
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(matcha.training.__file__)), os.path.dirname(__file__)])
+        result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 def make_datasets(sizes, batch_size, vocab_size=6, has_contrastive=True):
