@@ -24,17 +24,7 @@ from .attribution import DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
 from .errors import ConfigError, MatchaError, read_json
-from .evaluation import (
-    MetricRange,
-    ScoreRow,
-    ScoreTable,
-    ccc,
-    dcg,
-    rank_at_1,
-    rescale,
-    rouge_scores,
-    separation_report,
-)
+from .evaluation import MetricRange, ScoreRow, ScoreTable, evaluation_report, rouge_scores
 from .model import init_params, score
 from .tokenizer import WordVocabulary, build_word_vocabulary, load_vocabulary
 from .training import SCHEDULE_STRATEGIES, TrainConfig, train
@@ -190,15 +180,6 @@ def _cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _default_ranges() -> dict[str, MetricRange]:
-    return {
-        "matcha": MetricRange("matcha", "cosine_like"),
-        "rouge1": MetricRange("rouge1", "unit"),
-        "rouge2": MetricRange("rouge2", "unit"),
-        "rougeL": MetricRange("rougeL", "unit"),
-    }
-
-
 def _parse_metric_ranges(entries: list[str]) -> dict[str, MetricRange]:
     ranges = {}
     for entry in entries:
@@ -248,50 +229,14 @@ def _cmd_evaluate(config: RunConfig) -> int:
     for path in config.scores:
         table.merge_external(path)
 
-    ranges = _default_ranges()
-    ranges.update(_parse_metric_ranges(config.metrics))
-    dataset_names = sorted({r.dataset for r in table.rows})
-    metric_names = sorted({m for r in table.rows for m in r.scores})
-
-    separation: dict[str, dict[str, dict]] = {}
-    for ds in dataset_names:
-        sub = ScoreTable(rows=[r for r in table.rows if r.dataset == ds])
-        per_metric = {}
-        for metric in metric_names:
-            r = ranges.get(metric, MetricRange(metric, "unit"))
-            if sub.labeled_scores(metric, "correct") and sub.labeled_scores(metric, "incorrect"):
-                per_metric[metric] = separation_report(sub, metric, r).to_dict()
-        if per_metric:
-            separation[ds] = per_metric
-
-    agreement: dict[str, dict[str, float]] = {}
-    human_rows = [r for r in table.rows if r.human_score is not None]
-    if human_rows:
-        covered = [m for m in metric_names if all(m in r.scores for r in human_rows)]
-        if covered:
-            sub = ScoreTable(rows=human_rows)
-            range_list = [ranges.get(m, MetricRange(m, "unit")) for m in covered]
-            agreement["rank_at_1"] = rank_at_1(sub, range_list, rating_scales)
-            agreement["dcg"] = dcg(sub, range_list, rating_scales)
-            ccc_scores = {}
-            for metric_range in range_list:
-                humans, values = [], []
-                for row in human_rows:
-                    lo, hi = rating_scales.get(row.dataset, (0.0, 1.0))
-                    humans.append((row.human_score - lo) / (hi - lo))
-                    values.append(rescale(row.scores[metric_range.name], metric_range))
-                ccc_scores[metric_range.name] = ccc(values, humans) * 100.0
-            agreement["ccc"] = ccc_scores
-
     document = {
         "provenance": _provenance(cfg.seed, config),
-        "separation": separation,
-        "agreement": agreement,
+        **evaluation_report(table, _parse_metric_ranges(config.metrics), rating_scales),
     }
     _write_atomic(config.out, json.dumps(document, indent=2) + "\n")
     if config.csv:
         lines = ["dataset,metric,threshold,percentage"]
-        for ds, per_metric in separation.items():
+        for ds, per_metric in document["separation"].items():
             for metric, rep in per_metric.items():
                 for threshold, pct in rep["threshold_curve"]:
                     lines.append(f"{ds},{metric},{threshold},{pct}")

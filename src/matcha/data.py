@@ -62,35 +62,27 @@ def _parse_line(obj: dict, lineno: int, default_dataset: str) -> Record:
     )
 
 
-def load_jsonl(
-    path: str, *, default_dataset: str = "", fail_fast: bool = True
-) -> tuple[list[Record], list[str]]:
+def load_jsonl(path: str, *, default_dataset: str = "") -> list[Record]:
     """Load records in file order; ids default to their line numbers.
 
-    Returns (records, problems).  With fail_fast the first schema violation
-    raises; otherwise bad lines are skipped and reported in problems.
+    The first schema violation raises SchemaError naming the file and line.
     """
     records: list[Record] = []
-    problems: list[str] = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise SchemaError(f"line {lineno}: not UTF-8 at byte {exc.start} of the line") from None
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-                records.append(_parse_line(obj, lineno, default_dataset))
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: not UTF-8 at byte {exc.start} of the line") from None
+            if not line.strip():
+                continue
+            try:
+                records.append(_parse_line(json.loads(line), lineno, default_dataset))
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
             except SchemaError as exc:
-                if fail_fast:
-                    raise SchemaError(f"{path}: {exc}") from None
-                problems.append(f"{path}: {exc}")
-    return records, problems
+                raise SchemaError(f"{path}: {exc}") from None
+    return records
 
 
 def make_triplets(
@@ -176,7 +168,6 @@ def load_dataset(
     manifest: DatasetManifest,
     rng: np.random.Generator,
     *,
-    fail_fast: bool = True,
     complete_triplets: bool = True,
 ) -> list[Record]:
     """Load, validate against the manifest, apply the sample cap, complete triplets.
@@ -184,7 +175,7 @@ def load_dataset(
     Evaluation callers pass complete_triplets=False to score only the pairs
     the corpus actually provides.
     """
-    records, _ = load_jsonl(manifest.path, default_dataset=manifest.name, fail_fast=fail_fast)
+    records = load_jsonl(manifest.path, default_dataset=manifest.name)
     if manifest.rating_scale is not None:
         lo, hi = manifest.rating_scale
         for rec in records:

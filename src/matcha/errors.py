@@ -64,6 +64,25 @@ def read_text(path: str, error: type[MatchaError]) -> str:
             raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
+def read_lines(path: str, error: type[MatchaError]):
+    """Yield (line number, text) of a UTF-8 file one line at a time, split as
+    `read_text(path, error).split("\n")` splits it (newlines translated, a
+    lone "\r" ends a line too) but never holding the whole file.  An
+    undecodable byte raises `error` naming the file and its offset in it."""
+    offset = 0
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines(keepends=True):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"{path}: not UTF-8 at byte {offset + exc.start}") from None
+                offset += len(raw)
+                lineno += 1
+                yield lineno, line.rstrip("\r\n")
+
+
 def read_json(path: str, error: type[MatchaError]):
     """Parse a UTF-8 JSON file; bad bytes or bad JSON raise `error` naming the file and where."""
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatchaError, SchemaError, read_text
+from .errors import MatchaError, SchemaError, read_lines
 
 RANGE_KINDS = ("cosine_like", "unit", "percent")
 DEFAULT_THRESHOLD_GRID = [round(t, 2) for t in np.linspace(0.0, 1.0, 21)]
@@ -33,28 +33,28 @@ class MetricRange:
             raise ValueError(f"kind must be one of {RANGE_KINDS}, got {self.kind!r}")
 
 
-def rescale(score: float, metric_range: MetricRange) -> float:
-    """Affine map onto [0, 1]; out-of-range inputs pass through unclamped."""
-    if not np.isfinite(score):
-        raise ValueError(f"score must be finite, got {score}")
-    if metric_range.kind == "cosine_like":
-        return (score + 1.0) / 2.0
-    if metric_range.kind == "percent":
-        return score / 100.0
-    return float(score)
+# Ranges of the metrics `matcha evaluate` computes itself; any other metric is "unit" unless declared.
+DEFAULT_RANGES = {
+    "matcha": MetricRange("matcha", "cosine_like"),
+    "rouge1": MetricRange("rouge1", "unit"),
+    "rouge2": MetricRange("rouge2", "unit"),
+    "rougeL": MetricRange("rougeL", "unit"),
+}
 
 
-def _rescaled(scores, metric_range: MetricRange) -> np.ndarray:
-    arr = np.asarray(list(scores), dtype=np.float64)
-    if arr.size == 0:
+def rescale(scores, metric_range: MetricRange):
+    """Affine map onto [0, 1] of one score (a float back) or of a sequence of
+    scores (an array back); out-of-range values pass through unclamped."""
+    values = np.asarray(scores, dtype=np.float64)
+    if values.size == 0:
         raise ValueError("score list must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(values)):
         raise ValueError("scores must be finite")
     if metric_range.kind == "cosine_like":
-        return (arr + 1.0) / 2.0
-    if metric_range.kind == "percent":
-        return arr / 100.0
-    return arr
+        values = (values + 1.0) / 2.0
+    elif metric_range.kind == "percent":
+        values = values / 100.0
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass
@@ -79,8 +79,8 @@ class ScoreTable:
     def labeled_scores(self, metric: str, label: str) -> list[float]:
         return [r.scores[metric] for r in self.rows if r.label == label and metric in r.scores]
 
-    def paired_gaps(self, metric: str, metric_range: MetricRange) -> list[float]:
-        """Rescaled correct-minus-incorrect gap for every id carrying both labels."""
+    def paired_gaps(self, metric: str, metric_range: MetricRange) -> np.ndarray:
+        """Rescaled correct-minus-incorrect gap for every id carrying both labels, in first-seen order."""
         correct: dict[tuple[str, str], float] = {}
         incorrect: dict[tuple[str, str], float] = {}
         for row in self.rows:
@@ -88,17 +88,15 @@ class ScoreTable:
                 continue
             side = correct if row.label == "correct" else incorrect
             side[(row.dataset, row.id)] = row.scores[metric]
-        r = MetricRange(metric, metric_range.kind)
-        return [
-            rescale(correct[key], r) - rescale(incorrect[key], r)
-            for key in correct
-            if key in incorrect
-        ]
+        keys = [key for key in correct if key in incorrect]
+        if not keys:
+            return np.empty(0)
+        return rescale([correct[k] for k in keys], metric_range) - rescale([incorrect[k] for k in keys], metric_range)
 
     def merge_external(self, path: str) -> None:
         """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset")."""
         index = {(r.dataset, r.id, r.label): r for r in self.rows}
-        for lineno, line in enumerate(read_text(path, SchemaError).split("\n"), start=1):
+        for lineno, line in read_lines(path, SchemaError):
             if not line.strip():
                 continue
             try:
@@ -131,7 +129,7 @@ class ScoreTable:
 def n_delta(correct, incorrect, metric_range: MetricRange) -> float:
     """Mean rescaled correct score minus mean rescaled incorrect score, x100."""
     return float(
-        (_rescaled(correct, metric_range).mean() - _rescaled(incorrect, metric_range).mean()) * 100.0
+        (rescale(correct, metric_range).mean() - rescale(incorrect, metric_range).mean()) * 100.0
     )
 
 
@@ -147,8 +145,8 @@ def macro_f1_midpoint(correct, incorrect, metric_range: MetricRange) -> float:
     Correct-candidate scores are the positive instances, incorrect ones the
     negative instances; a class with empty precision+recall scores 0.
     """
-    pos = _rescaled(correct, metric_range) > 0.5
-    neg = _rescaled(incorrect, metric_range) > 0.5
+    pos = rescale(correct, metric_range) > 0.5
+    neg = rescale(incorrect, metric_range) > 0.5
     tp, fn = int(pos.sum()), int((~pos).sum())
     fp, tn = int(neg.sum()), int((~neg).sum())
     f1_positive = _f1(tp, fp, fn)
@@ -184,41 +182,40 @@ def wasserstein_1d(a, b) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def _agreement_rows(table: ScoreTable, metrics: list[str], rating_scales) -> list[tuple[dict, float]]:
-    """Per-row rescaled metric scores and rescaled human score, validated."""
+def _agreement_rows(
+    table: ScoreTable, metrics: list[MetricRange], rating_scales
+) -> tuple[dict[str, list[float]], list[float]]:
+    """Each metric's rescaled scores and the rescaled human scores, one entry per row, validated."""
     if not metrics:
         raise ValueError("metrics list must be non-empty")
-    rows = []
+    if not table.rows:
+        raise ValueError("score table is empty")
+    humans = []
     for row in table.rows:
         if row.human_score is None:
             raise MatchaError(f"row {row.id!r} ({row.label}) has no human score")
         missing = [m for m in metrics if m.name not in row.scores]
         if missing:
             raise MatchaError(f"row {row.id!r} lacks scores for {[m.name for m in missing]}")
-        scale = (0.0, 1.0)
-        if rating_scales:
-            scale = rating_scales.get(row.dataset, (0.0, 1.0))
-        lo, hi = scale
-        human = (row.human_score - lo) / (hi - lo)
-        rows.append(({m.name: rescale(row.scores[m.name], m) for m in metrics}, human))
-    if not rows:
-        raise ValueError("score table is empty")
-    return rows
+        lo, hi = (rating_scales or {}).get(row.dataset, (0.0, 1.0))
+        humans.append((row.human_score - lo) / (hi - lo))
+    columns = {m.name: rescale([row.scores[m.name] for row in table.rows], m).tolist() for m in metrics}
+    return columns, humans
 
 
 def rank_at_1(
     table: ScoreTable, metrics: list[MetricRange], rating_scales: dict | None = None
 ) -> dict[str, float]:
     """Percentage of rows on which each metric is (tied-)closest to the human rating."""
-    rows = _agreement_rows(table, metrics, rating_scales)
+    columns, humans = _agreement_rows(table, metrics, rating_scales)
     credits = Counter()
-    for scores, human in rows:
-        diffs = {name: abs(value - human) for name, value in scores.items()}
+    for k, human in enumerate(humans):
+        diffs = {name: abs(column[k] - human) for name, column in columns.items()}
         best = min(diffs.values())
         for name, diff in diffs.items():
             if diff == best:
                 credits[name] += 1
-    return {m.name: 100.0 * credits[m.name] / len(rows) for m in metrics}
+    return {m.name: 100.0 * credits[m.name] / len(humans) for m in metrics}
 
 
 def dcg(
@@ -229,14 +226,14 @@ def dcg(
     Metrics are ranked per row by absolute distance to the human rating
     (ties broken by name); rank r of M earns 100 * (M - r + 1) / (M * log2(r + 1)).
     """
-    rows = _agreement_rows(table, metrics, rating_scales)
+    columns, humans = _agreement_rows(table, metrics, rating_scales)
     m_count = len(metrics)
     totals = {m.name: 0.0 for m in metrics}
-    for scores, human in rows:
-        ordered = sorted(scores, key=lambda name: (abs(scores[name] - human), name))
+    for k, human in enumerate(humans):
+        ordered = sorted(columns, key=lambda name: (abs(columns[name][k] - human), name))
         for rank, name in enumerate(ordered, start=1):
             totals[name] += 100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1))
-    return {name: total / len(rows) for name, total in totals.items()}
+    return {name: total / len(humans) for name, total in totals.items()}
 
 
 def ccc(x, y) -> float:
@@ -369,8 +366,52 @@ def separation_report(
         n_delta=n_delta(correct, incorrect, metric_range),
         macro_f1=macro_f1_midpoint(correct, incorrect, metric_range),
         wasserstein=wasserstein_1d(
-            _rescaled(correct, metric_range), _rescaled(incorrect, metric_range)
+            rescale(correct, metric_range), rescale(incorrect, metric_range)
         )
         * 100.0,
-        threshold_curve=threshold_curve(gaps, grid) if gaps else [],
+        threshold_curve=threshold_curve(gaps, grid) if gaps.size else [],
     )
+
+
+def evaluation_report(
+    table: ScoreTable,
+    ranges: dict[str, MetricRange] | None = None,
+    rating_scales: dict[str, tuple[float, float]] | None = None,
+) -> dict[str, dict]:
+    """The two sections of an evaluation report, {"separation": ..., "agreement": ...}.
+
+    separation[dataset][metric] is the `separation_report` of every metric
+    scored on both correct and incorrect rows of that dataset.  agreement
+    holds Rank@1, DCG and CCC (x100) over the rows with a human score, for
+    the metrics scored on all of them; it is empty when there are none.
+    A metric's range is taken from `ranges`, then DEFAULT_RANGES, else
+    "unit"; human scores are rescaled by their dataset's rating scale,
+    else taken as already in [0, 1].
+    """
+    ranges = {**DEFAULT_RANGES, **(ranges or {})}
+    metrics = [
+        MetricRange(name, ranges[name].kind if name in ranges else "unit")
+        for name in sorted({name for r in table.rows for name in r.scores})
+    ]
+    separation: dict[str, dict[str, dict]] = {}
+    for ds in sorted({r.dataset for r in table.rows}):
+        sub = ScoreTable(rows=[r for r in table.rows if r.dataset == ds])
+        per_metric = {
+            m.name: separation_report(sub, m.name, m).to_dict()
+            for m in metrics
+            if sub.labeled_scores(m.name, "correct") and sub.labeled_scores(m.name, "incorrect")
+        }
+        if per_metric:
+            separation[ds] = per_metric
+
+    agreement: dict[str, dict[str, float]] = {}
+    rated = ScoreTable(rows=[r for r in table.rows if r.human_score is not None])
+    covered = [m for m in metrics if all(m.name in r.scores for r in rated.rows)]
+    if rated.rows and covered:
+        columns, humans = _agreement_rows(rated, covered, rating_scales)
+        agreement = {
+            "rank_at_1": rank_at_1(rated, covered, rating_scales),
+            "dcg": dcg(rated, covered, rating_scales),
+            "ccc": {name: ccc(column, humans) * 100.0 for name, column in columns.items()},
+        }
+    return {"separation": separation, "agreement": agreement}

@@ -159,7 +159,7 @@ def block_means(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward(
-    params: ModelParams, emb_mean: np.ndarray, means: tuple[np.ndarray, np.ndarray] | None = None
+    params: ModelParams, emb_mean: np.ndarray, means: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The model up to the cosine, from mean token embeddings: one per row of (n, dim).
 
@@ -167,11 +167,11 @@ def forward(
     n_ctx blocks, W̄ē + b̄, and the document representation
     h = ctx_mean @ conversion.  Equal to the layer-by-layer graph (project
     every token into n_ctx context vectors, convert each, pool over blocks
-    and tokens) because each layer is affine.  `means`, if given, is
-    `block_means(params)`, formed once by a caller that forwards several
-    blocks or also needs W̄.
+    and tokens) because each layer is affine.  `means` is
+    `block_means(params)`, formed once by the caller, which may forward
+    several blocks with it or also need W̄.
     """
-    w_bar, b_bar = block_means(params) if means is None else means
+    w_bar, b_bar = means
     ctx_mean = emb_mean @ w_bar.T + b_bar
     return ctx_mean, ctx_mean @ params.conversion
 

@@ -32,10 +32,16 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
+from .errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
 from .model import ModelParams, block_means, check_ids, cosine_with_grads, forward
 
 TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
+# Adam's moment decay rates and denominator floor.  EPSILON must stay > 0:
+# adam_step skips rows with m = v = g = 0, whose step m / (sqrt(v) + eps) is
+# exactly 0 only then (with eps = 0 it is 0/0 = NaN).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -140,9 +146,6 @@ class OptimizerState:
     base_lr: float = 1e-4
     decay_rate: float = 0.9
     epoch_index: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.05
 
     @property
@@ -151,19 +154,8 @@ class OptimizerState:
 
 
 def init_optimizer(
-    params: ModelParams,
-    *,
-    lr: float = 1e-4,
-    weight_decay: float = 0.05,
-    decay_rate: float = 0.9,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    params: ModelParams, *, lr: float = 1e-4, weight_decay: float = 0.05, decay_rate: float = 0.9
 ) -> OptimizerState:
-    # adam_step skips rows with m = v = g = 0, whose step m / (sqrt(v) + eps)
-    # is exactly 0 only when eps > 0 (with eps = 0 it is 0/0 = NaN).
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     dim = params.hyper.dim
     shapes = {"embedding": (0, dim), "proj_weight": (dim, dim), "proj_bias": (dim,), "conversion": (dim, dim)}
     return OptimizerState(
@@ -173,9 +165,6 @@ def init_optimizer(
         base_lr=lr,
         weight_decay=weight_decay,
         decay_rate=decay_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
@@ -206,7 +195,8 @@ def loss_and_grads(
         doc_of_token * uniq.size + inv, weights=np.ones(ids.size), minlength=3 * n * uniq.size
     ).reshape(3 * n, uniq.size)
     emb_mean = (counts @ params.embedding[uniq]) / lengths[:, None]
-    ctx, h = forward(params, emb_mean)
+    means = block_means(params)
+    ctx, h = forward(params, emb_mean, means)
     h_r, h_c, h_i = h[:n], h[n : 2 * n], h[2 * n :]
     try:
         sim_c, g_r_c, g_c = cosine_with_grads(h_r, h_c)
@@ -234,9 +224,8 @@ def loss_and_grads(
         conversion=ctx[rows].T @ dh,
     )
     if train_embeddings:
-        w_bar = block_means(params)[0]
         d_emb = np.zeros((3 * n, dim))
-        d_emb[rows] = (d_ctx / lengths[rows, None]) @ w_bar
+        d_emb[rows] = (d_ctx / lengths[rows, None]) @ means[0]
         grads.embedding, grads.embedding_rows = counts.T @ d_emb, uniq
     for name in TENSOR_NAMES:
         g = getattr(grads, name)
@@ -245,10 +234,9 @@ def loss_and_grads(
     return sum(losses) * scale, grads
 
 
-def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, state: OptimizerState,
-                 step: float, eps_hat: float) -> np.ndarray:
+def _adam_update(m: np.ndarray, v: np.ndarray, g: np.ndarray, step: float, eps_hat: float) -> np.ndarray:
     """Advance the moments m and v in place by g; returns step * m / (sqrt(v) + eps_hat)."""
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     scratch = np.empty_like(m)
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=scratch)
@@ -279,8 +267,8 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
     lr = state.effective_lr
     # lr * m_hat / (sqrt(v_hat) + eps) == step * m / (sqrt(v) + eps_hat): the
     # bias corrections folded into two scalars (Kingma & Ba, end of section 2).
-    step = lr * math.sqrt(1.0 - state.beta2**t) / (1.0 - state.beta1**t)
-    eps_hat = state.epsilon * math.sqrt(1.0 - state.beta2**t)
+    step = lr * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
+    eps_hat = EPSILON * math.sqrt(1.0 - BETA2**t)
     decay = 1.0 - lr * state.weight_decay
     for name in TENSOR_NAMES:
         g = getattr(grads, name)
@@ -301,13 +289,13 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
                 m = state.first_moment[name] = _rows_into(grown, live, m)
                 v = state.second_moment[name] = _rows_into(grown, live, v)
                 state.live_rows = live = grown
-            delta = _adam_update(m, v, _rows_into(live, rows, g), state, step, eps_hat)
+            delta = _adam_update(m, v, _rows_into(live, rows, g), step, eps_hat)
             theta *= decay
             theta[live] -= delta
         else:
             if g.shape != m.shape:
                 raise ShapeError(f"{name}: gradient shape {g.shape} != block shape {m.shape}")
-            delta = _adam_update(m, v, g, state, step, eps_hat)
+            delta = _adam_update(m, v, g, step, eps_hat)
             theta *= decay
             # The N_c projection blocks are consecutive rows (entries for the
             # bias); conversion is a single block.

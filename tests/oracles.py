@@ -5,8 +5,11 @@ work, the model's layers computed one at a time (project -> convert ->
 pool, the full (n_ctx, L, dim) tensor included) rather than folded, and the
 trainer one triplet and one document at a time.  None of it shares code with
 the implementations under test beyond fixed published constants (the byte
-alphabet, the pretoken split, the ROUGE word pattern) and the gradient
-container it returns.
+alphabet, the pretoken split, the ROUGE word pattern, Adam's beta1, beta2
+and epsilon) and the gradient container it returns.  The one exception is
+`evaluation_report_assembled`, the report assembly as the CLI once wrote
+it: it calls the package's `separation_report` and `ccc`, which have
+oracles of their own, and gates how the report selects and assembles them.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from matcha.errors import (
     ShapeError,
 )
 from matcha.model import Hyper, ModelParams
-from matcha.evaluation import _WORD
+from matcha.evaluation import _WORD, MetricRange, ScoreTable, ccc, separation_report
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
-from matcha.training import TENSOR_NAMES, Gradients
+from matcha.training import BETA1, BETA2, EPSILON, TENSOR_NAMES, Gradients
 
 
 def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
@@ -377,13 +380,13 @@ def adam_step_loop(state, params, grads):
         if g.shape != theta.shape:
             raise ShapeError(f"{name}: gradient shape {g.shape} != parameter shape {theta.shape}")
         m, v = _dense_moments(state, params, name)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        theta -= lr * (m_hat / (np.sqrt(v_hat) + state.epsilon) + state.weight_decay * theta)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        theta -= lr * (m_hat / (np.sqrt(v_hat) + EPSILON) + state.weight_decay * theta)
     return params, state
 
 
@@ -399,9 +402,9 @@ def adam_step_dense(state, params, grads):
     state.step_count += 1
     t = state.step_count
     lr = state.effective_lr
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     step = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-    eps_hat = state.epsilon * math.sqrt(1.0 - b2**t)
+    eps_hat = EPSILON * math.sqrt(1.0 - b2**t)
     for name in TENSOR_NAMES:
         g = grads[name]
         if g is None:
@@ -670,3 +673,107 @@ def rouge_l_f1_dp(reference: str, candidate: str) -> float:
     precision = lcs / len(cand)
     recall = lcs / len(ref)
     return 2 * precision * recall / (precision + recall)
+
+
+def rescale_scalar(score: float, metric_range) -> float:
+    """One score's affine map onto [0, 1], as a Python float."""
+    if not np.isfinite(score):
+        raise ValueError(f"score must be finite, got {score}")
+    if metric_range.kind == "cosine_like":
+        return (score + 1.0) / 2.0
+    if metric_range.kind == "percent":
+        return score / 100.0
+    return float(score)
+
+
+def paired_gaps_scalar(table, metric: str, metric_range) -> list[float]:
+    """Rescaled correct-minus-incorrect gap per id carrying both labels, one scalar rescale at a time."""
+    correct: dict[tuple[str, str], float] = {}
+    incorrect: dict[tuple[str, str], float] = {}
+    for row in table.rows:
+        if metric not in row.scores:
+            continue
+        side = correct if row.label == "correct" else incorrect
+        side[(row.dataset, row.id)] = row.scores[metric]
+    r = MetricRange(metric, metric_range.kind)
+    return [
+        rescale_scalar(correct[key], r) - rescale_scalar(incorrect[key], r)
+        for key in correct
+        if key in incorrect
+    ]
+
+
+def agreement_rows_scalar(table, metrics, rating_scales) -> list[tuple[dict, float]]:
+    """Per row: each metric's rescaled score and the rescaled human score."""
+    rows = []
+    for row in table.rows:
+        lo, hi = rating_scales.get(row.dataset, (0.0, 1.0))
+        human = (row.human_score - lo) / (hi - lo)
+        rows.append(({m.name: rescale_scalar(row.scores[m.name], m) for m in metrics}, human))
+    return rows
+
+
+def rank_at_1_rows(rows, metrics) -> dict[str, float]:
+    """Rank@1 from `agreement_rows_scalar` rows: every (tied-)closest metric of a row earns it."""
+    credits = {m.name: 0 for m in metrics}
+    for scores, human in rows:
+        best = min(abs(value - human) for value in scores.values())
+        for name, value in scores.items():
+            if abs(value - human) == best:
+                credits[name] += 1
+    return {name: 100.0 * count / len(rows) for name, count in credits.items()}
+
+
+def dcg_rows(rows, metrics) -> dict[str, float]:
+    """DCG from `agreement_rows_scalar` rows, ranks by distance to the human rating, ties by name."""
+    m_count = len(metrics)
+    totals = {m.name: 0.0 for m in metrics}
+    for scores, human in rows:
+        ordered = sorted(scores, key=lambda name: (abs(scores[name] - human), name))
+        for rank, name in enumerate(ordered, start=1):
+            totals[name] += 100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1))
+    return {name: total / len(rows) for name, total in totals.items()}
+
+
+def evaluation_report_assembled(table, metric_ranges: dict, rating_scales: dict) -> dict:
+    """The separation and agreement sections exactly as `matcha evaluate` assembled them inline."""
+    ranges = {
+        "matcha": MetricRange("matcha", "cosine_like"),
+        "rouge1": MetricRange("rouge1", "unit"),
+        "rouge2": MetricRange("rouge2", "unit"),
+        "rougeL": MetricRange("rougeL", "unit"),
+    }
+    ranges.update(metric_ranges)
+    dataset_names = sorted({r.dataset for r in table.rows})
+    metric_names = sorted({m for r in table.rows for m in r.scores})
+
+    separation: dict[str, dict[str, dict]] = {}
+    for ds in dataset_names:
+        sub = ScoreTable(rows=[r for r in table.rows if r.dataset == ds])
+        per_metric = {}
+        for metric in metric_names:
+            r = ranges.get(metric, MetricRange(metric, "unit"))
+            if sub.labeled_scores(metric, "correct") and sub.labeled_scores(metric, "incorrect"):
+                per_metric[metric] = separation_report(sub, metric, r).to_dict()
+        if per_metric:
+            separation[ds] = per_metric
+
+    agreement: dict[str, dict[str, float]] = {}
+    human_rows = [r for r in table.rows if r.human_score is not None]
+    if human_rows:
+        covered = [m for m in metric_names if all(m in r.scores for r in human_rows)]
+        if covered:
+            range_list = [ranges.get(m, MetricRange(m, "unit")) for m in covered]
+            rows = agreement_rows_scalar(ScoreTable(rows=human_rows), range_list, rating_scales)
+            agreement["rank_at_1"] = rank_at_1_rows(rows, range_list)
+            agreement["dcg"] = dcg_rows(rows, range_list)
+            ccc_scores = {}
+            for metric_range in range_list:
+                humans, values = [], []
+                for row in human_rows:
+                    lo, hi = rating_scales.get(row.dataset, (0.0, 1.0))
+                    humans.append((row.human_score - lo) / (hi - lo))
+                    values.append(rescale_scalar(row.scores[metric_range.name], metric_range))
+                ccc_scores[metric_range.name] = ccc(values, humans) * 100.0
+            agreement["ccc"] = ccc_scores
+    return {"separation": separation, "agreement": agreement}

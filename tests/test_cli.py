@@ -276,9 +276,14 @@ class TestEvaluateCommand:
         code = main(["evaluate", "--data", str(registry), "--rouge", "--out", out])
         assert code == 0
         agreement = json.load(open(out))["agreement"]
-        assert agreement["rank_at_1"]["rouge1"] == 100.0
-        # rouge1 scores (1.0, 0.0) match the rescaled humans exactly
-        assert agreement["ccc"]["rouge1"] == pytest.approx(100.0)
+        # Every ROUGE score (1.0, then 0.0) matches the rescaled humans (1.0, 0.0)
+        # exactly, so all three tie on every row and DCG ranks them by name.
+        covered = ["rouge1", "rouge2", "rougeL"]
+        assert agreement["rank_at_1"] == {m: 100.0 for m in covered}
+        assert agreement["dcg"].keys() == agreement["ccc"].keys() == set(covered)
+        for rank, metric in enumerate(covered, start=1):
+            assert agreement["dcg"][metric] == pytest.approx(100.0 * (4 - rank) / (3 * np.log2(rank + 1)))
+            assert agreement["ccc"][metric] == pytest.approx(100.0)
 
     @pytest.mark.parametrize("row", [
         {"id": "line1", "metric": "toy", "score": [1]},

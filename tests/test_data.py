@@ -27,16 +27,15 @@ def write_jsonl(path, rows):
 class TestLoadJsonl:
     def test_empty_file(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [])
-        records, problems = load_jsonl(path)
-        assert records == [] and problems == []
+        assert load_jsonl(path) == []
 
     def test_three_lines_in_order(self, tmp_path):
         rows = [{"reference": f"r{i}", "correct": f"c{i}"} for i in range(3)]
         path = write_jsonl(tmp_path / "d.jsonl", rows)
-        records, _ = load_jsonl(path)
+        records = load_jsonl(path)
         assert [r.reference for r in records] == ["r0", "r1", "r2"]
         assert [r.id for r in records] == ["line1", "line2", "line3"]
-        assert load_jsonl(path)[0] == records  # idempotent
+        assert load_jsonl(path) == records  # idempotent
 
     def test_missing_reference_names_line(self, tmp_path):
         rows = [{"reference": "r", "correct": "c"}, {"correct": "c"}]
@@ -44,17 +43,19 @@ class TestLoadJsonl:
         with pytest.raises(SchemaError, match="line 2"):
             load_jsonl(path)
 
-    def test_collect_mode_skips_bad_lines(self, tmp_path):
+    @pytest.mark.parametrize("lineno, bad_line, message", [
+        (2, b"not json", "line 2: invalid JSON (Expecting value)"),
+        (3, b'{"reference": "", "correct": "c"}', "line 3: missing or empty 'reference'"),
+        (4, b'{"reference": "\xff", "correct": "c"}', "line 4: not UTF-8 at byte 15 of the line"),
+    ], ids=["invalid_json", "empty_reference", "not_utf8"])
+    def test_first_bad_line_raises_naming_file_and_line(self, tmp_path, lineno, bad_line, message):
+        lines = [b'{"reference": "r%d", "correct": "c"}' % k for k in range(1, 6)]
+        lines[lineno - 1] = bad_line
         path = tmp_path / "d.jsonl"
-        path.write_bytes(
-            b'{"reference": "r", "correct": "c"}\nnot json\n{"reference": "", "correct": "c"}\n'
-            b'{"reference": "\xff", "correct": "c"}\n{"reference": "r2", "correct": "c"}\n'
-        )
-        records, problems = load_jsonl(str(path), fail_fast=False)
-        assert [r.reference for r in records] == ["r", "r2"]
-        assert len(problems) == 3
-        assert "line 2" in problems[0] and "line 3" in problems[1]
-        assert problems[2] == f"{path}: line 4: not UTF-8 at byte 15 of the line"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SchemaError) as caught:
+            load_jsonl(str(path))
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_full_schema_fields(self, tmp_path):
         rows = [
@@ -68,7 +69,7 @@ class TestLoadJsonl:
             }
         ]
         path = write_jsonl(tmp_path / "d.jsonl", rows)
-        (rec,), _ = load_jsonl(path)
+        (rec,) = load_jsonl(path)
         assert rec == Record(
             reference="r", correct="c", incorrect="i", dataset="nli", human_score=4.5, id="x1"
         )

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance as scipy_w1
@@ -11,6 +14,7 @@ from matcha.evaluation import (
     ScoreTable,
     ccc,
     dcg,
+    evaluation_report,
     macro_f1_midpoint,
     n_delta,
     rank_at_1,
@@ -24,8 +28,11 @@ from matcha.evaluation import (
 )
 from oracles import (
     ccc_direct,
+    evaluation_report_assembled,
     lcs_length_dp,
     macro_f1_confusion,
+    paired_gaps_scalar,
+    rescale_scalar,
     rouge_l_f1_dp,
     wasserstein_quantile_bruteforce,
 )
@@ -52,6 +59,19 @@ class TestRescale:
 
     def test_out_of_range_unclamped(self):
         assert rescale(-1.2, COSINE) == pytest.approx(-0.1)
+
+
+    @pytest.mark.parametrize("metric_range", [COSINE, UNIT, PERCENT])
+    def test_array_matches_scalar_bits(self, metric_range):
+        scores = np.random.default_rng(3).normal(0, 50, 200)
+        rescaled = rescale(scores, metric_range)
+        assert isinstance(rescaled, np.ndarray) and isinstance(rescale(scores[0], metric_range), float)
+        assert rescaled.tolist() == [rescale_scalar(float(x), metric_range) for x in scores]
+
+    def test_rejects_empty_and_non_finite(self):
+        for bad in ([], float("nan"), [0.1, float("inf")]):
+            with pytest.raises(ValueError):
+                rescale(bad, UNIT)
 
 
 class TestNDelta:
@@ -452,6 +472,74 @@ class TestSeparationReport:
             separation_report(table, "m", UNIT)
 
 
+def random_report_table(seed: int) -> ScoreTable:
+    """Two datasets of random rows: "a" has both labels, "b" only correct ones.
+
+    Correct rows carry human ratings on each dataset's scale; the external
+    metric "ext" is missing from some rows of either label; ids repeat
+    across datasets, and some ids lack their incorrect row.
+    """
+    rng = np.random.default_rng(seed)
+    scales = {"a": (1.0, 5.0), "b": (0.0, 100.0)}
+    rows = []
+    for dataset, labels in (("a", ("correct", "incorrect")), ("b", ("correct",))):
+        lo, hi = scales[dataset]
+        for i in range(int(rng.integers(8, 30))):
+            for label in labels:
+                if label == "incorrect" and rng.random() < 0.2:
+                    continue
+                scores = {
+                    "matcha": float(rng.uniform(-1, 1)),
+                    "rouge1": float(rng.random()),
+                    "raw": float(rng.normal(0.5, 0.3)),
+                }
+                if rng.random() < 0.8:
+                    scores["ext"] = float(rng.uniform(0, 100))
+                human = float(rng.uniform(lo, hi)) if label == "correct" else None
+                rows.append(ScoreRow(id=f"r{i}", label=label, dataset=dataset, scores=scores, human_score=human))
+    return ScoreTable(rows=rows)
+
+
+class TestEvaluationReport:
+    # A declared range overrides the default one of rouge1.
+    RANGES = {"ext": MetricRange("ext", "percent"), "rouge1": MetricRange("rouge1", "cosine_like")}
+    SCALES = {"a": (1.0, 5.0), "b": (0.0, 100.0)}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_assembled_oracle(self, seed):
+        table = random_report_table(seed)
+        report = evaluation_report(table, self.RANGES, self.SCALES)
+        assert report == evaluation_report_assembled(table, self.RANGES, self.SCALES)
+        # "b" has no incorrect rows; "ext" is missing from some rated rows.
+        assert set(report["separation"]) == {"a"}
+        assert set(report["separation"]["a"]) == {"ext", "matcha", "raw", "rouge1"}
+        for statistic in ("rank_at_1", "dcg", "ccc"):
+            assert set(report["agreement"][statistic]) == {"matcha", "raw", "rouge1"}
+
+    def test_metric_scored_on_every_rated_row_joins_agreement(self):
+        table = random_report_table(11)
+        for row in table.rows:
+            if row.human_score is not None:
+                row.scores.setdefault("ext", 50.0)
+        report = evaluation_report(table, self.RANGES, self.SCALES)
+        assert report == evaluation_report_assembled(table, self.RANGES, self.SCALES)
+        assert "ext" in report["agreement"]["ccc"]
+
+    def test_no_ratings_no_agreement(self):
+        table = build_pair_table([0.9, 0.8], [0.1, 0.3])
+        report = evaluation_report(table)
+        assert report == evaluation_report_assembled(table, {}, {})
+        assert report["agreement"] == {} and set(report["separation"][""]) == {"m"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("metric_range", [COSINE, UNIT, PERCENT])
+    def test_paired_gaps_equal_scalar_oracle(self, seed, metric_range):
+        table = random_report_table(seed)
+        for metric in ("matcha", "ext", "absent"):
+            gaps = table.paired_gaps(metric, metric_range)
+            assert gaps.tolist() == paired_gaps_scalar(table, metric, metric_range)
+
+
 class TestMergeExternal:
     def test_merges_by_id_and_label(self, tmp_path):
         table = build_pair_table([0.9], [0.1])
@@ -503,3 +591,40 @@ class TestMergeExternal:
         path.write_bytes(b'{"id": "y", "metric": "x", "score": 0.1}\n{"id": "\xff"}\n')
         with pytest.raises(SchemaError, match=r"ext\.jsonl: not UTF-8 at byte 49"):
             ScoreTable().merge_external(str(path))
+
+    def test_crlf_and_lone_cr_end_lines(self, tmp_path):
+        path = tmp_path / "ext.jsonl"
+        path.write_bytes(
+            b'{"id": "a", "metric": "x", "score": 0.1}\r\n{"id": "b", "metric": "x", "score": 0.2}\r'
+            b'\r\n{"id": "c", "metric": "x", "score": 0.3}\n{"id": \n'
+        )
+        table = ScoreTable()
+        with pytest.raises(SchemaError, match=r"ext\.jsonl: line 5: invalid JSON"):
+            table.merge_external(str(path))
+        assert [(r.id, r.scores) for r in table.rows] == [("a", {"x": 0.1}), ("b", {"x": 0.2}), ("c", {"x": 0.3})]
+
+    def test_reads_the_file_line_by_line(self, tmp_path):
+        # About 1 MB of scores, five metrics per candidate as an external
+        # scorer writes them.  What the merge allocates and drops again (its
+        # peak over what it keeps) must stay well below the file's size.
+        metrics = ("bleu", "chrf", "bertscore", "bleurt", "comet")
+        path = tmp_path / "ext.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(1000):
+                for label in ("correct", "incorrect"):
+                    for k, metric in enumerate(metrics):
+                        row = {"id": f"item-{i:05d}", "metric": metric, "score": (i * 7919 + k) % 1000 / 1000,
+                               "label": label, "dataset": "eval"}
+                        fh.write(json.dumps(row) + "\n")
+        size = path.stat().st_size
+        assert 0.9e6 < size < 1.2e6
+        table = ScoreTable(rows=[ScoreRow(id=f"item-{i:05d}", label=label, dataset="eval")
+                                 for i in range(1000) for label in ("correct", "incorrect")])
+        tracemalloc.start()
+        try:
+            table.merge_external(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(row.scores) == len(metrics) for row in table.rows) and len(table.rows) == 2000
+        assert peak - held < 0.25 * size, (peak - held) / size

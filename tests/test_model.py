@@ -10,6 +10,7 @@ from matcha.errors import (
 from matcha.model import (
     Hyper,
     ModelParams,
+    block_means,
     cosine,
     cosine_with_grads,
     embed,
@@ -199,7 +200,8 @@ class TestRepresent:
             dim, n_ctx, n_docs = (int(rng.integers(lo, hi)) for lo, hi in ((1, 33), (1, 17), (2, 9)))
             params = random_params(rng, 50, dim, n_ctx)
             docs = [[int(i) for i in rng.integers(0, 50, int(rng.integers(1, 20)))] for _ in range(n_docs)]
-            ctx, h = forward(params, np.stack([embed(params, ids).mean(axis=0) for ids in docs]))
+            emb_mean = np.stack([embed(params, ids).mean(axis=0) for ids in docs])
+            ctx, h = forward(params, emb_mean, block_means(params))
             assert ctx.shape == h.shape == (n_docs, dim)
             for row, ids in zip(h, docs):
                 layered = represent_layered(params, ids)
