@@ -106,7 +106,7 @@ def _check_manifest(manifest: object, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read and validate a container; tensors come back as float64 arrays."""
+    """Read and validate a container; tensors come back as read-only float64 arrays (frozen params)."""
     with open(path, "rb") as fh:
         data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
         size = fh.readinto(data)
@@ -151,7 +151,10 @@ def load_checkpoint(path: str) -> ModelParams:
         if not np.isfinite(raw).all():
             at = reader.offset - nbytes + 4 * int(np.isfinite(raw).argmin())
             raise CheckpointIntegrityError(f"{path}: tensor {name!r} has a non-finite float32 at byte {at}")
-        tensors[name] = raw.astype(np.float64).reshape(dims)
+        # Frozen before the reshape, so the view can never be made writeable again.
+        flat = raw.astype(np.float64)
+        flat.flags.writeable = False
+        tensors[name] = flat.reshape(dims)
     missing = [n for n in TENSOR_ORDER if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")

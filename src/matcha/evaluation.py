@@ -182,8 +182,8 @@ def wasserstein_1d(a, b) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def _agreement_rows(
-    table: ScoreTable, metrics: list[MetricRange], rating_scales
+def agreement_columns(
+    table: ScoreTable, metrics: list[MetricRange], rating_scales: dict | None = None
 ) -> tuple[dict[str, list[float]], list[float]]:
     """Each metric's rescaled scores and the rescaled human scores, one entry per row, validated."""
     if not metrics:
@@ -203,32 +203,21 @@ def _agreement_rows(
     return columns, humans
 
 
-def rank_at_1(
-    table: ScoreTable, metrics: list[MetricRange], rating_scales: dict | None = None
-) -> dict[str, float]:
+def rank_at_1(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float]:
     """Percentage of rows on which each metric is (tied-)closest to the human rating."""
-    columns, humans = _agreement_rows(table, metrics, rating_scales)
-    credits = Counter()
-    for k, human in enumerate(humans):
-        diffs = {name: abs(column[k] - human) for name, column in columns.items()}
-        best = min(diffs.values())
-        for name, diff in diffs.items():
-            if diff == best:
-                credits[name] += 1
-    return {m.name: 100.0 * credits[m.name] / len(humans) for m in metrics}
+    diffs = np.abs(np.array(list(columns.values())) - np.array(humans))
+    wins = np.count_nonzero(diffs == diffs.min(axis=0), axis=1)
+    return {name: 100.0 * int(count) / len(humans) for name, count in zip(columns, wins)}
 
 
-def dcg(
-    table: ScoreTable, metrics: list[MetricRange], rating_scales: dict | None = None
-) -> dict[str, float]:
+def dcg(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float]:
     """Average rank-discounted closeness-to-human credit per metric.
 
     Metrics are ranked per row by absolute distance to the human rating
     (ties broken by name); rank r of M earns 100 * (M - r + 1) / (M * log2(r + 1)).
     """
-    columns, humans = _agreement_rows(table, metrics, rating_scales)
-    m_count = len(metrics)
-    totals = {m.name: 0.0 for m in metrics}
+    m_count = len(columns)
+    totals = {name: 0.0 for name in columns}
     for k, human in enumerate(humans):
         ordered = sorted(columns, key=lambda name: (abs(columns[name][k] - human), name))
         for rank, name in enumerate(ordered, start=1):
@@ -408,10 +397,10 @@ def evaluation_report(
     rated = ScoreTable(rows=[r for r in table.rows if r.human_score is not None])
     covered = [m for m in metrics if all(m.name in r.scores for r in rated.rows)]
     if rated.rows and covered:
-        columns, humans = _agreement_rows(rated, covered, rating_scales)
+        columns, humans = agreement_columns(rated, covered, rating_scales)
         agreement = {
-            "rank_at_1": rank_at_1(rated, covered, rating_scales),
-            "dcg": dcg(rated, covered, rating_scales),
+            "rank_at_1": rank_at_1(columns, humans),
+            "dcg": dcg(columns, humans),
             "ccc": {name: ccc(column, humans) * 100.0 for name, column in columns.items()},
         }
     return {"separation": separation, "agreement": agreement}

@@ -11,7 +11,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 import numpy as np
@@ -48,13 +48,18 @@ class Hyper:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus hyperparameters."""
+    """All trainable tensors plus hyperparameters.
+
+    Frozen params (`freeze`, as `load_checkpoint` and `train` return them) have read-only
+    tensors, and `block_means` keeps W̄ and b̄ for them; `copy()` gives writeable tensors.
+    """
 
     embedding: np.ndarray  # (vocab_size, dim)
     proj_weight: np.ndarray  # (n_ctx * dim, dim)
     proj_bias: np.ndarray  # (n_ctx * dim,)
     conversion: np.ndarray  # (dim, dim)
     hyper: Hyper
+    _block_means: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def vocab_size(self) -> int:
@@ -72,6 +77,12 @@ class ModelParams:
         for name, (got, want) in shapes.items():
             if tuple(got) != want:
                 raise ShapeError(f"{name}: expected trailing shape {want}, got {tuple(got)}")
+
+    def freeze(self) -> "ModelParams":
+        """Make the four tensors read-only, in place, and return self."""
+        for tensor in (self.embedding, self.proj_weight, self.proj_bias, self.conversion):
+            tensor.flags.writeable = False
+        return self
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -143,19 +154,26 @@ def check_ids(params: ModelParams, seq) -> np.ndarray:
     return ids
 
 
-def embed(params: ModelParams, seq: list[int]) -> np.ndarray:
-    """Look token ids up in the embedding table; returns (L, dim)."""
-    return params.embedding[check_ids(params, seq)]
-
-
 def block_means(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """W̄ (dim, dim) and b̄ (dim,): proj_weight's and proj_bias's n_ctx blocks averaged."""
-    n_ctx, dim = params.hyper.n_ctx, params.hyper.dim
+    """W̄ (dim, dim) and b̄ (dim,): proj_weight's and proj_bias's n_ctx blocks averaged.
+
+    Formed once for frozen params: while proj_weight and proj_bias are the
+    same read-only arrays, the stored read-only pair is returned.  Writeable
+    tensors, which training updates in place, are averaged on every call.
+    """
+    weight, bias, n_ctx, dim = params.proj_weight, params.proj_bias, params.hyper.n_ctx, params.hyper.dim
+    frozen = not (weight.flags.writeable or bias.flags.writeable)
+    memo = params._block_means
+    if frozen and memo is not None and memo[0] is weight and memo[1] is bias and memo[2] == n_ctx:
+        return memo[3]
     # Summed as (n_ctx, dim*dim): the same bits as over (n_ctx, dim, dim), and
     # a third faster at dim=256.
-    w_bar = params.proj_weight.reshape(n_ctx, dim * dim).sum(axis=0).reshape(dim, dim) / n_ctx
-    b_bar = params.proj_bias.reshape(n_ctx, dim).sum(axis=0) / n_ctx
-    return w_bar, b_bar
+    means = (weight.reshape(n_ctx, dim * dim).sum(axis=0).reshape(dim, dim) / n_ctx,
+             bias.reshape(n_ctx, dim).sum(axis=0) / n_ctx)
+    if frozen:
+        means[0].flags.writeable = means[1].flags.writeable = False
+        params._block_means = (weight, bias, n_ctx, means)
+    return means
 
 
 def forward(

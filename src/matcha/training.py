@@ -404,7 +404,7 @@ def train(
     datasets: list[TokenizedDataset],
     params_init: ModelParams,
 ) -> tuple[ModelParams, list[dict]]:
-    """Run the full schedule; returns trained parameters and one report row per epoch.
+    """Run the full schedule; returns the trained parameters, frozen, and one report row per epoch.
 
     Gradients are averaged over grad_accum_steps micro-batches before each
     optimizer step; a shorter window left at the end of an epoch still steps.
@@ -455,4 +455,4 @@ def train(
                 "batches": len(losses),
             }
         )
-    return params, report
+    return params.freeze(), report

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -733,6 +734,36 @@ def dcg_rows(rows, metrics) -> dict[str, float]:
         for rank, name in enumerate(ordered, start=1):
             totals[name] += 100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1))
     return {name: total / len(rows) for name, total in totals.items()}
+
+
+def _agreement_columns_scalar(table, metrics, rating_scales) -> tuple[dict, list]:
+    rows = agreement_rows_scalar(table, metrics, rating_scales or {})
+    return {m.name: [scores[m.name] for scores, _ in rows] for m in metrics}, [human for _, human in rows]
+
+
+def rank_at_1_table(table, metrics, rating_scales=None) -> dict[str, float]:
+    """Rank@1 as `evaluation.rank_at_1` computed it from a table, before it took prebuilt columns."""
+    columns, humans = _agreement_columns_scalar(table, metrics, rating_scales)
+    credits = Counter()
+    for k, human in enumerate(humans):
+        diffs = {name: abs(column[k] - human) for name, column in columns.items()}
+        best = min(diffs.values())
+        for name, diff in diffs.items():
+            if diff == best:
+                credits[name] += 1
+    return {m.name: 100.0 * credits[m.name] / len(humans) for m in metrics}
+
+
+def dcg_table(table, metrics, rating_scales=None) -> dict[str, float]:
+    """DCG as `evaluation.dcg` computed it from a table, before it took prebuilt columns."""
+    columns, humans = _agreement_columns_scalar(table, metrics, rating_scales)
+    m_count = len(metrics)
+    totals = {m.name: 0.0 for m in metrics}
+    for k, human in enumerate(humans):
+        ordered = sorted(columns, key=lambda name: (abs(columns[name][k] - human), name))
+        for rank, name in enumerate(ordered, start=1):
+            totals[name] += 100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1))
+    return {name: total / len(humans) for name, total in totals.items()}
 
 
 def evaluation_report_assembled(table, metric_ranges: dict, rating_scales: dict) -> dict:

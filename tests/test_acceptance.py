@@ -20,6 +20,7 @@ from matcha.data import tokenize_records
 from matcha.errors import CheckpointFormatError, CheckpointIntegrityError
 from matcha.evaluation import (
     MetricRange,
+    agreement_columns,
     ccc,
     dcg,
     macro_f1_midpoint,
@@ -272,7 +273,7 @@ def test_c08_ccc_rouge_dcg_oracles():
             )
         ]
     )
-    assert dcg(top, metrics)["best"] == pytest.approx(100.0, abs=1e-6)
+    assert dcg(*agreement_columns(top, metrics, None))["best"] == pytest.approx(100.0, abs=1e-6)
     bottom = ScoreTable(
         rows=[
             ScoreRow(
@@ -283,7 +284,7 @@ def test_c08_ccc_rouge_dcg_oracles():
             )
         ]
     )
-    worst = dcg(bottom, metrics)["best"]
+    worst = dcg(*agreement_columns(bottom, metrics, None))["best"]
     assert worst == pytest.approx(100.0 / (9 * np.log2(10)), abs=1e-6)
     report(8, "ccc, rouge, dcg oracles", started)
 

@@ -63,6 +63,19 @@ class TestRoundTrip:
         assert np.array_equal(loaded.embedding, params.embedding)
 
 
+    def test_loads_read_only_tensors_and_copy_is_writeable(self, tmp_path):
+        _, loaded = roundtrip(tmp_path, init_params(7, 4, 2, seed=2))
+        for name in TENSOR_NAMES:
+            tensor = getattr(loaded, name)
+            assert not tensor.flags.writeable, name
+            with pytest.raises(ValueError):
+                tensor[0] = 0.0
+            # Frozen before the reshape: the view cannot be made writeable again.
+            with pytest.raises(ValueError):
+                tensor.flags.writeable = True
+            assert getattr(loaded.copy(), name).flags.writeable, name
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("vocab, dim, n_ctx", [(1, 1, 1), (7, 3, 5), (33, 16, 4), (5000, 64, 2)])
     def test_writer_bytes_and_reader_tensors_match_oracle(self, tmp_path, vocab, dim, n_ctx):

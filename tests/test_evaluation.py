@@ -12,6 +12,7 @@ from matcha.evaluation import (
     _lcs_length,
     ScoreRow,
     ScoreTable,
+    agreement_columns,
     ccc,
     dcg,
     evaluation_report,
@@ -28,10 +29,12 @@ from matcha.evaluation import (
 )
 from oracles import (
     ccc_direct,
+    dcg_table,
     evaluation_report_assembled,
     lcs_length_dp,
     macro_f1_confusion,
     paired_gaps_scalar,
+    rank_at_1_table,
     rescale_scalar,
     rouge_l_f1_dp,
     wasserstein_quantile_bruteforce,
@@ -225,13 +228,13 @@ METRICS = [MetricRange("m1", "unit"), MetricRange("m2", "unit"), MetricRange("m3
 class TestRankAt1:
     def test_exact_metric_wins_every_row(self):
         table, scales = agreement_table()
-        result = rank_at_1(table, METRICS, scales)
+        result = rank_at_1(*agreement_columns(table, METRICS, scales))
         # m1 equals the rescaled human rating on every row
         assert result["m1"] == 100.0
 
     def test_enumeration_oracle(self):
         table, scales = agreement_table()
-        result = rank_at_1(table, METRICS, scales)
+        result = rank_at_1(*agreement_columns(table, METRICS, scales))
         # row humans rescaled: 1.0, 0.0, 0.5, 0.75
         # row 0: diffs m1=0, m2=.2, m3=.8 -> m1
         # row 1: m1=0, m2=.5, m3=.1 -> m1
@@ -242,19 +245,19 @@ class TestRankAt1:
     def test_ties_award_all(self):
         row = ScoreRow(id="x", label="correct", scores={"a": 0.5, "b": 0.5}, human_score=0.5)
         table = ScoreTable(rows=[row])
-        result = rank_at_1(table, [MetricRange("a", "unit"), MetricRange("b", "unit")])
+        result = rank_at_1(*agreement_columns(table, [MetricRange("a", "unit"), MetricRange("b", "unit")]))
         assert result == {"a": 100.0, "b": 100.0}
 
     def test_missing_human_is_error(self):
         table = ScoreTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5})])
         with pytest.raises(MatchaError, match="human"):
-            rank_at_1(table, [MetricRange("a", "unit")])
+            agreement_columns(table, [MetricRange("a", "unit")])
 
 
 class TestDcg:
     def test_single_metric_scores_100(self):
         table, scales = agreement_table()
-        result = dcg(table, [MetricRange("m1", "unit")], scales)
+        result = dcg(*agreement_columns(table, [MetricRange("m1", "unit")], scales))
         assert result["m1"] == pytest.approx(100.0)
 
     def test_always_rank_1_of_9(self):
@@ -267,7 +270,7 @@ class TestDcg:
             )
         ]
         metrics = [MetricRange("best", "unit")] + [MetricRange(f"x{i}", "unit") for i in range(8)]
-        result = dcg(ScoreTable(rows=rows), metrics)
+        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
         assert result["best"] == pytest.approx(100.0)
 
     def test_always_rank_9_of_9(self):
@@ -280,7 +283,7 @@ class TestDcg:
             )
         ]
         metrics = [MetricRange("worst", "unit")] + [MetricRange(f"x{i}", "unit") for i in range(8)]
-        result = dcg(ScoreTable(rows=rows), metrics)
+        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
         expected = 100.0 * (1 / 9) / np.log2(10)
         assert result["worst"] == pytest.approx(expected, abs=1e-6)
         assert result["worst"] == pytest.approx(3.34, abs=0.01)
@@ -290,10 +293,31 @@ class TestDcg:
             ScoreRow(id="r0", label="correct", scores={"a": 0.6, "b": 0.6}, human_score=0.5)
         ]
         metrics = [MetricRange("a", "unit"), MetricRange("b", "unit")]
-        result = dcg(ScoreTable(rows=rows), metrics)
+        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
         # "a" wins the tie: rank 1 -> 100; "b" rank 2 -> 100*(1/2)/log2(3)
         assert result["a"] == pytest.approx(100.0)
         assert result["b"] == pytest.approx(100.0 * 0.5 / np.log2(3))
+
+
+class TestAgreementColumns:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_at_1_and_dcg_equal_table_oracles(self, seed):
+        table = random_report_table(seed)
+        if seed % 2:
+            # Scores on a coarse grid, so metrics tie on many rows.
+            for row in table.rows:
+                row.scores = {name: round(value, 1) for name, value in row.scores.items()}
+        rated = ScoreTable(rows=[r for r in table.rows if r.human_score is not None])
+        metrics = [MetricRange("matcha", "cosine_like"), MetricRange("raw", "unit"), MetricRange("rouge1", "percent")]
+        scales = {"a": (1.0, 5.0), "b": (0.0, 100.0)}
+        columns, humans = agreement_columns(rated, metrics, scales)
+        assert rank_at_1(columns, humans) == rank_at_1_table(rated, metrics, scales)
+        assert dcg(columns, humans) == dcg_table(rated, metrics, scales)
+
+    def test_missing_metric_score_is_error(self):
+        table = ScoreTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5}, human_score=0.5)])
+        with pytest.raises(MatchaError, match=r"lacks scores for \['b'\]"):
+            agreement_columns(table, [MetricRange("a", "unit"), MetricRange("b", "unit")])
 
 
 class TestCcc:

@@ -11,14 +11,16 @@ from matcha.model import (
     Hyper,
     ModelParams,
     block_means,
+    check_ids,
     cosine,
     cosine_with_grads,
-    embed,
     forward,
     init_params,
     represent,
     score,
 )
+from matcha.attribution import DIRECTIONS, integrated_gradients
+from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
 import matcha.model
 from oracles import (
@@ -57,30 +59,35 @@ def random_params(rng, vocab_size, dim, n_ctx, scale=0.5):
 
 
 class TestEmbed:
+    """Token ids through `check_ids` into embedding rows, the lookup integrated_gradients makes."""
+
     def test_lookup_rows(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, 5, 3, 1)
-        out = embed(params, [0])
-        assert np.array_equal(out[0], params.embedding[0])
+        ids = check_ids(params, [0])
+        assert ids.dtype == np.intp and ids.tolist() == [0]
+        assert np.array_equal(params.embedding[ids][0], params.embedding[0])
 
     def test_shape(self):
         params = random_params(np.random.default_rng(1), 6, 4, 2)
-        assert embed(params, [1, 2, 3]).shape == (3, 4)
+        ids = check_ids(params, [1, 2, 3])
+        assert ids.shape == (3,)
+        assert params.embedding[ids].shape == (3, 4)
 
     def test_repeated_ids_identical_rows(self):
         params = random_params(np.random.default_rng(2), 8, 4, 2)
-        out = embed(params, [5, 5])
+        out = params.embedding[check_ids(params, [5, 5])]
         assert np.array_equal(out[0], out[1])
 
     def test_out_of_range(self):
         params = random_params(np.random.default_rng(3), 4, 3, 1)
         with pytest.raises(TokenRangeError):
-            embed(params, [4])
+            check_ids(params, [4])
 
     def test_empty(self):
         params = random_params(np.random.default_rng(3), 4, 3, 1)
         with pytest.raises(EmptyInputError):
-            embed(params, [])
+            check_ids(params, [])
 
 
 class TestProject:
@@ -200,7 +207,7 @@ class TestRepresent:
             dim, n_ctx, n_docs = (int(rng.integers(lo, hi)) for lo, hi in ((1, 33), (1, 17), (2, 9)))
             params = random_params(rng, 50, dim, n_ctx)
             docs = [[int(i) for i in rng.integers(0, 50, int(rng.integers(1, 20)))] for _ in range(n_docs)]
-            emb_mean = np.stack([embed(params, ids).mean(axis=0) for ids in docs])
+            emb_mean = np.stack([params.embedding[check_ids(params, ids)].mean(axis=0) for ids in docs])
             ctx, h = forward(params, emb_mean, block_means(params))
             assert ctx.shape == h.shape == (n_docs, dim)
             for row, ids in zip(h, docs):
@@ -247,7 +254,7 @@ class TestRepresent:
         rng = np.random.default_rng(16)
         for dim, n_ctx, length in [(2, 1, 1), (4, 3, 5), (6, 2, 7)]:
             params = random_params(rng, 9, dim, n_ctx)
-            emb = embed(params, list(rng.integers(0, 9, length)))
+            emb = params.embedding[check_ids(params, list(rng.integers(0, 9, length)))]
             assert emb.shape == (length, dim)
             ctx = project(params, emb)
             assert ctx.shape == (n_ctx, length, dim)
@@ -443,3 +450,72 @@ class TestInitParams:
     def test_bad_hyper(self):
         with pytest.raises(ShapeError):
             init_params(4, 0, 1)
+
+
+TENSORS = ("embedding", "proj_weight", "proj_bias", "conversion")
+
+
+class TestFrozenParams:
+    def test_freeze_makes_tensors_read_only_and_copy_writeable(self):
+        params = random_params(np.random.default_rng(40), 7, 4, 3).freeze()
+        for name in TENSORS:
+            assert not getattr(params, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                getattr(params, name)[0] += 1.0
+        block_means(params)
+        copied = params.copy()
+        assert copied._block_means is None
+        assert all(getattr(copied, name).flags.writeable for name in TENSORS)
+
+    def test_second_block_means_call_returns_the_same_tuple(self):
+        params = random_params(np.random.default_rng(41), 7, 4, 3).freeze()
+        means = block_means(params)
+        assert block_means(params) is means
+        assert not means[0].flags.writeable and not means[1].flags.writeable
+        fresh = block_means(params.copy())
+        assert np.array_equal(means[0], fresh[0]) and np.array_equal(means[1], fresh[1])
+
+    def test_writeable_params_see_an_in_place_write(self):
+        params = random_params(np.random.default_rng(42), 7, 4, 3)
+        w_bar = block_means(params)[0]
+        params.proj_weight[0, 0] += 1.0
+        assert block_means(params)[0][0, 0] == pytest.approx(w_bar[0, 0] + 1.0 / 3)
+        assert params._block_means is None
+
+    def test_frozen_params_recompute_for_a_reassigned_tensor(self):
+        params = random_params(np.random.default_rng(43), 7, 4, 3).freeze()
+        means = block_means(params)
+        weight = params.proj_weight + 1.0
+        weight.flags.writeable = False
+        params.proj_weight = weight
+        again = block_means(params)
+        assert again is not means
+        assert np.array_equal(again[0], block_means(params.copy())[0])
+        assert block_means(params) is again
+
+
+def gpt2_shaped_model():
+    """A word vocabulary over 100 synthetic records with D=256, N_c=16 parameters, and its pairs."""
+    records = make_synthetic_corpus(100, seed=5)
+    vocab = build_word_vocabulary(t for r in records for t in (r.reference, r.correct, r.incorrect))
+    params = random_params(np.random.default_rng(44), vocab.vocab_size, 256, 16, scale=0.1)
+    return params.freeze(), vocab, records
+
+
+@pytest.mark.parametrize("model", ["desk", "gpt2-shaped"])
+def test_frozen_scores_and_attributions_equal_a_writeable_copy(desk_model, model):
+    """The block-mean memo changes no bit: every pair scored and attributed on
+    frozen params equals the same call on a writeable copy, which forms W̄ anew."""
+    if model == "desk":
+        frozen, vocab, records = desk_model.params, desk_model.vocab, desk_model.held_records
+    else:
+        frozen, vocab, records = gpt2_shaped_model()
+    writeable = frozen.copy()
+    assert not frozen.proj_weight.flags.writeable and writeable.proj_weight.flags.writeable
+    for r in records:
+        for candidate in (r.correct, r.incorrect):
+            assert score(frozen, r.reference, candidate, vocab) == score(writeable, r.reference, candidate, vocab)
+            for direction in DIRECTIONS:
+                got = integrated_gradients(frozen, r.reference, candidate, vocab, direction, 8)
+                assert got == integrated_gradients(writeable, r.reference, candidate, vocab, direction, 8)
+    assert frozen._block_means is not None and writeable._block_means is None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import matcha.training
+from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.data import tokenize_records
 from matcha.errors import (
     DegenerateRepresentationError,
@@ -628,6 +629,31 @@ class TestTrain:
         trained, _ = train(config, datasets, params)
         assert np.array_equal(trained.embedding, before)
         assert not np.array_equal(trained.proj_weight, params.proj_weight)
+
+    def test_returns_read_only_params_and_copy_is_writeable(self):
+        params, datasets = desk_setup()
+        trained, _ = train(TrainConfig(epochs=1, batch_size=8, grad_accum_steps=1), datasets, params)
+        for name in TENSOR_NAMES:
+            assert not getattr(trained, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                getattr(trained, name)[0] += 1.0
+            assert getattr(trained.copy(), name).flags.writeable, name
+            assert getattr(params, name).flags.writeable, name
+
+    def test_trains_from_loaded_params_and_leaves_them_unchanged(self, tmp_path):
+        params, datasets = desk_setup()
+        path = str(tmp_path / "init.ckpt")
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        before = loaded.copy()
+        config = TrainConfig(epochs=2, batch_size=8, grad_accum_steps=2, seed=6)
+        trained, _ = train(config, datasets, loaded)
+        from_copy, _ = train(config, datasets, before)
+        for name in TENSOR_NAMES:
+            assert np.array_equal(getattr(loaded, name), getattr(before, name)), name
+            assert not getattr(loaded, name).flags.writeable, name
+            assert np.array_equal(getattr(trained, name), getattr(from_copy, name)), name
+        assert not np.array_equal(trained.proj_weight, loaded.proj_weight)
 
     def test_margin_config_propagates(self):
         params, datasets = desk_setup()
