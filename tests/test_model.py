@@ -22,6 +22,7 @@ from matcha.model import (
 from matcha.attribution import DIRECTIONS, integrated_gradients
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
+from matcha.training import TENSOR_NAMES
 import matcha.model
 from oracles import (
     convert,
@@ -452,20 +453,18 @@ class TestInitParams:
             init_params(4, 0, 1)
 
 
-TENSORS = ("embedding", "proj_weight", "proj_bias", "conversion")
-
 
 class TestFrozenParams:
     def test_freeze_makes_tensors_read_only_and_copy_writeable(self):
         params = random_params(np.random.default_rng(40), 7, 4, 3).freeze()
-        for name in TENSORS:
+        for name in TENSOR_NAMES:
             assert not getattr(params, name).flags.writeable, name
             with pytest.raises(ValueError):
                 getattr(params, name)[0] += 1.0
         block_means(params)
         copied = params.copy()
         assert copied._block_means is None
-        assert all(getattr(copied, name).flags.writeable for name in TENSORS)
+        assert all(getattr(copied, name).flags.writeable for name in TENSOR_NAMES)
 
     def test_second_block_means_call_returns_the_same_tuple(self):
         params = random_params(np.random.default_rng(41), 7, 4, 3).freeze()
