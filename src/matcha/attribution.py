@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRepresentationError
-from .model import ModelParams, block_means, check_ids, cosine_with_grads, forward
+from .model import ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 
 DIRECTIONS = ("toward_candidate", "toward_reference")
 BASELINE_KINDS = ("zero", "input")
@@ -77,8 +77,8 @@ def integrated_gradients(
         (candidate, reference) if direction == "toward_candidate" else (reference, candidate)
     )
     ids = vocab.encode(attributed_text, max_len)
-    emb = params.embedding[check_ids(params, ids)]
-    fixed = params.embedding[check_ids(params, vocab.encode(fixed_text, max_len))]
+    emb = embedding_rows(params, check_ids(params, ids))
+    fixed = embedding_rows(params, check_ids(params, vocab.encode(fixed_text, max_len)))
     baseline = np.zeros_like(emb) if baseline_kind == "zero" else emb
     # One forward for the fixed document, the attributed one and, unless it
     # is the attributed document itself, the baseline.

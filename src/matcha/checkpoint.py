@@ -6,7 +6,8 @@ Layout, all little-endian:
   row-major float32 data.
 The same container carries pre-trained embedding imports and training
 checkpoints.  Writes are atomic (temp file + rename).  A load reads the
-file once, a save writes each tensor's float32 buffer once.
+file once, each tensor straight into its own array (the embedding stays
+float32); a save writes each tensor's float32 buffer once.
 """
 
 from __future__ import annotations
@@ -64,22 +65,31 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 class _Reader:
-    def __init__(self, data: memoryview, path: str) -> None:
-        self.data = data
-        self.offset = 0
-        self.path = path
+    """Reads an open container front to back; a read past its size, or a short read, is truncation."""
 
-    def take(self, count: int) -> memoryview:
-        if self.offset + count > len(self.data):
-            raise CheckpointFormatError(
-                f"{self.path}: truncated at byte {self.offset} (needed {count} more)"
-            )
-        chunk = self.data[self.offset : self.offset + count]
+    def __init__(self, fh, path: str) -> None:
+        self.fh, self.path, self.offset = fh, path, 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _advance(self, count: int, got: int) -> None:
+        if got < count:
+            raise CheckpointFormatError(f"{self.path}: truncated at byte {self.offset} (needed {count} more)")
         self.offset += count
+
+    def take(self, count: int) -> bytes:
+        # Bounded by the file size before anything is read.
+        chunk = self.fh.read(count) if count <= self.remaining() else b""
+        self._advance(count, len(chunk))
         return chunk
 
+    def floats(self, count: int) -> np.ndarray:
+        """The next `count` float32 values, read straight into a new (so aligned) array."""
+        out = np.empty(count, dtype="<f4")
+        self._advance(4 * count, self.fh.readinto(out) if 4 * count <= self.remaining() else 0)
+        return out
+
     def remaining(self) -> int:
-        return len(self.data) - self.offset
+        return self.size - self.offset
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -106,55 +116,54 @@ def _check_manifest(manifest: object, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read and validate a container; tensors come back as read-only float64 arrays (frozen params)."""
+    """Read and validate a container into frozen params: read-only tensors, a float32 embedding, float64 others."""
     with open(path, "rb") as fh:
-        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
-        size = fh.readinto(data)
-    reader = _Reader(memoryview(data)[:size], path)
-    if reader.take(4) != MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic bytes")
-    version = reader.u32()
-    if version != VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported container version {version}")
-    manifest_len = reader.u64()
-    try:
-        manifest = json.loads(str(reader.take(manifest_len), "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
-    _check_manifest(manifest, path)
-
-    tensors: dict[str, np.ndarray] = {}
-    while reader.offset < len(reader.data):
-        start = reader.offset
+        reader = _Reader(fh, path)
+        if reader.take(4) != MAGIC:
+            raise CheckpointFormatError(f"{path}: bad magic bytes")
+        version = reader.u32()
+        if version != VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported container version {version}")
+        manifest_len = reader.u64()
         try:
-            name = str(reader.take(reader.u32()), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
-        if name in tensors:
-            raise CheckpointIntegrityError(f"{path}: duplicate tensor {name!r}")
-        # Rank and dims are bounded by the bytes left before anything is allocated.
-        rank_at = reader.offset
-        rank = reader.u32()
-        if rank > MAX_RANK or 8 * rank > reader.remaining():
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} at byte {rank_at} has rank {rank}, "
-                f"above {MAX_RANK} or more dims than the {reader.remaining()} bytes left hold"
-            )
-        dims = tuple(reader.u64() for _ in range(rank))
-        nbytes = 4 * math.prod(dims)
-        if nbytes > reader.remaining():
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
-                f"but only {reader.remaining()} bytes remain"
-            )
-        raw = np.frombuffer(reader.take(nbytes), dtype="<f4")
-        if not np.isfinite(raw).all():
-            at = reader.offset - nbytes + 4 * int(np.isfinite(raw).argmin())
-            raise CheckpointIntegrityError(f"{path}: tensor {name!r} has a non-finite float32 at byte {at}")
-        # Frozen before the reshape, so the view can never be made writeable again.
-        flat = raw.astype(np.float64)
-        flat.flags.writeable = False
-        tensors[name] = flat.reshape(dims)
+            manifest = json.loads(str(reader.take(manifest_len), "utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
+        _check_manifest(manifest, path)
+
+        tensors: dict[str, np.ndarray] = {}
+        while reader.remaining():
+            start = reader.offset
+            try:
+                name = str(reader.take(reader.u32()), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
+            if name in tensors:
+                raise CheckpointIntegrityError(f"{path}: duplicate tensor {name!r}")
+            # Rank and dims are bounded by the bytes left before anything is allocated.
+            rank_at = reader.offset
+            rank = reader.u32()
+            if rank > MAX_RANK or 8 * rank > reader.remaining():
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r} at byte {rank_at} has rank {rank}, "
+                    f"above {MAX_RANK} or more dims than the {reader.remaining()} bytes left hold"
+                )
+            dims = tuple(reader.u64() for _ in range(rank))
+            nbytes = 4 * math.prod(dims)
+            if nbytes > reader.remaining():
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
+                    f"but only {reader.remaining()} bytes remain"
+                )
+            raw = reader.floats(nbytes // 4)
+            if not np.isfinite(raw).all():
+                at = reader.offset - nbytes + 4 * int(np.isfinite(raw).argmin())
+                raise CheckpointIntegrityError(f"{path}: tensor {name!r} has a non-finite float32 at byte {at}")
+            # Every gather upcasts its embedding rows; the other tensors are read whole.
+            flat = raw if name == "embedding" else raw.astype(np.float64)
+            # Frozen before the reshape, so the view can never be made writeable again.
+            flat.flags.writeable = False
+            tensors[name] = flat.reshape(dims)
     missing = [n for n in TENSOR_ORDER if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")

@@ -217,12 +217,15 @@ def dcg(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float
     (ties broken by name); rank r of M earns 100 * (M - r + 1) / (M * log2(r + 1)).
     """
     m_count = len(columns)
-    totals = {name: 0.0 for name in columns}
-    for k, human in enumerate(humans):
-        ordered = sorted(columns, key=lambda name: (abs(columns[name][k] - human), name))
-        for rank, name in enumerate(ordered, start=1):
-            totals[name] += 100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1))
-    return {name: total / len(humans) for name, total in totals.items()}
+    credits = np.array([100.0 * (m_count - rank + 1) / (m_count * np.log2(rank + 1)) for rank in range(1, m_count + 1)])
+    names = sorted(columns)
+    # A stable sort over the name-sorted metrics breaks distance ties by name.
+    order = np.argsort(np.abs(np.array([columns[name] for name in names]) - np.array(humans)), axis=0, kind="stable")
+    earned = np.empty(order.shape)
+    earned[order, np.arange(len(humans))] = credits[:, None]
+    # cumsum adds in row order, unlike sum's pairwise order: each total keeps a running sum's bits.
+    totals = dict(zip(names, np.cumsum(earned, axis=1)[:, -1]))
+    return {name: totals[name] / len(humans) for name in columns}
 
 
 def ccc(x, y) -> float:

@@ -4,9 +4,9 @@ Every step before the cosine is affine, and pooling averages over tokens and
 context blocks, so the whole stack folds into one map of a document's mean
 token embedding: h = (W̄·mean(E[ids]) + b̄)·C, where W̄ and b̄ average the n_ctx
 projection blocks.  `forward` computes exactly that; scoring, training and
-attribution all go through it.  Parameters are held as float64 arrays whose
-values are float32-representable, matching the 32-bit checkpoint container
-exactly.
+attribution all go through it.  Arithmetic is float64.  The projection and
+conversion tensors are float64 arrays; the embedding table may be float32,
+as a loaded checkpoint stores it, and every gather upcasts the rows it takes.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ class ModelParams:
     """All trainable tensors plus hyperparameters.
 
     Frozen params (`freeze`, as `load_checkpoint` and `train` return them) have read-only
-    tensors, and `block_means` keeps W̄ and b̄ for them; `copy()` gives writeable tensors.
+    tensors, and `block_means` keeps W̄ and b̄ for them.  A loaded embedding is float32, and
+    every gather upcasts its rows.  `copy()` gives writeable float64 tensors.
     """
 
     embedding: np.ndarray  # (vocab_size, dim)
@@ -86,10 +87,10 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(
-            embedding=self.embedding.copy(),
-            proj_weight=self.proj_weight.copy(),
-            proj_bias=self.proj_bias.copy(),
-            conversion=self.conversion.copy(),
+            embedding=self.embedding.astype(np.float64),
+            proj_weight=self.proj_weight.astype(np.float64),
+            proj_bias=self.proj_bias.astype(np.float64),
+            conversion=self.conversion.astype(np.float64),
             hyper=Hyper(**vars(self.hyper)),
         )
 
@@ -152,6 +153,11 @@ def check_ids(params: ModelParams, seq) -> np.ndarray:
             f"token id outside [0, {params.vocab_size}): {ids[(ids < 0) | (ids >= params.vocab_size)][0]}"
         )
     return ids
+
+
+def embedding_rows(params: ModelParams, ids: np.ndarray) -> np.ndarray:
+    """Table rows `ids` as float64: a loaded table is float32, and a sum over its own rows would round differently."""
+    return params.embedding.take(ids, axis=0).astype(np.float64, copy=False)
 
 
 def block_means(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +227,7 @@ def represent(params: ModelParams, docs) -> np.ndarray:
         averaging = np.zeros((stop - first, offsets[stop] - lo))
         for row, doc in enumerate(range(first, stop)):
             averaging[row, offsets[doc] - lo : offsets[doc + 1] - lo] = 1.0 / lengths[doc]
-        emb_mean = averaging @ params.embedding.take(ids[lo : offsets[stop]], axis=0)
+        emb_mean = averaging @ embedding_rows(params, ids[lo : offsets[stop]])
         h[first:stop] = forward(params, emb_mean, means)[1]
         first = stop
     return h

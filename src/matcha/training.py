@@ -33,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
-from .model import ModelParams, block_means, check_ids, cosine_with_grads, forward
+from .model import ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 
 TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
 # Adam's moment decay rates and denominator floor.  EPSILON must stay > 0:
@@ -194,7 +194,7 @@ def loss_and_grads(
     counts = np.bincount(
         doc_of_token * uniq.size + inv, weights=np.ones(ids.size), minlength=3 * n * uniq.size
     ).reshape(3 * n, uniq.size)
-    emb_mean = (counts @ params.embedding[uniq]) / lengths[:, None]
+    emb_mean = (counts @ embedding_rows(params, uniq)) / lengths[:, None]
     means = block_means(params)
     ctx, h = forward(params, emb_mean, means)
     h_r, h_c, h_i = h[:n], h[n : 2 * n], h[2 * n :]

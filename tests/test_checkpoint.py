@@ -1,9 +1,12 @@
 import json
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import matcha.checkpoint
 from matcha.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from matcha.errors import CheckpointFormatError, CheckpointIntegrityError, NumericError
 from matcha.model import init_params
@@ -65,33 +68,66 @@ class TestRoundTrip:
 
     def test_loads_read_only_tensors_and_copy_is_writeable(self, tmp_path):
         _, loaded = roundtrip(tmp_path, init_params(7, 4, 2, seed=2))
+        copied = loaded.copy()
         for name in TENSOR_NAMES:
             tensor = getattr(loaded, name)
+            assert tensor.dtype == (np.float32 if name == "embedding" else np.float64), name
+            assert tensor.flags.aligned and tensor.flags.c_contiguous, name
             assert not tensor.flags.writeable, name
             with pytest.raises(ValueError):
                 tensor[0] = 0.0
             # Frozen before the reshape: the view cannot be made writeable again.
             with pytest.raises(ValueError):
                 tensor.flags.writeable = True
-            assert getattr(loaded.copy(), name).flags.writeable, name
+            assert getattr(copied, name).flags.writeable, name
+            assert getattr(copied, name).dtype == np.float64, name
+            assert np.array_equal(getattr(copied, name), tensor), name
+
+    def test_save_of_a_load_reproduces_the_file(self, tmp_path):
+        params = init_params(50, 8, 3, max_len=21, margin=0.3, seed=4)
+        params.proj_bias = np.random.default_rng(4).normal(0, 10.0, params.proj_bias.shape)
+        path, loaded = roundtrip(tmp_path, params)
+        again = str(tmp_path / "again.ckpt")
+        save_checkpoint(loaded, again)
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+    def test_load_allocates_the_table_once(self, tmp_path):
+        # A copy or a float64 conversion of the table would at least double the peak.
+        path, _ = roundtrip(tmp_path, init_params(20000, 32, 1, seed=5))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        others = sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
+        assert loaded.embedding.nbytes <= peak < 1.25 * loaded.embedding.nbytes + 2 * others
 
 
 class TestAgainstOracle:
     @pytest.mark.parametrize("vocab, dim, n_ctx", [(1, 1, 1), (7, 3, 5), (33, 16, 4), (5000, 64, 2)])
     def test_writer_bytes_and_reader_tensors_match_oracle(self, tmp_path, vocab, dim, n_ctx):
         rng = np.random.default_rng(vocab)
-        params = init_params(vocab, dim, n_ctx, max_len=int(rng.integers(1, 600)),
-                             margin=float(rng.uniform(0.1, 2.0)), seed=vocab)
-        # Full float64 values: the float32 rounding must match too.
-        params.proj_bias = rng.normal(0, 10.0, params.proj_bias.shape)
-        new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
-        save_checkpoint(params, new)
-        save_checkpoint_buffered(params, old)
-        assert open(new, "rb").read() == open(old, "rb").read()
-        loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
-        assert loaded.hyper == loaded_ref.hyper
-        for name in TENSOR_NAMES:
-            assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
+        margin = float(rng.uniform(0.1, 2.0))
+        manifest_lengths = set()
+        # max_len of 1 to 4 digits puts the manifest, and so every tensor, at each offset mod 4.
+        for max_len in (7, 42, 512, 4096):
+            params = init_params(vocab, dim, n_ctx, max_len=max_len, margin=margin, seed=vocab)
+            # Full float64 values: the float32 rounding must match too.
+            params.proj_bias = rng.normal(0, 10.0, params.proj_bias.shape)
+            new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
+            save_checkpoint(params, new)
+            save_checkpoint_buffered(params, old)
+            data = open(new, "rb").read()
+            assert data == open(old, "rb").read()
+            manifest_lengths.add(struct.unpack("<Q", data[8:16])[0] % 4)
+            loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
+            assert loaded.hyper == loaded_ref.hyper
+            for name in TENSOR_NAMES:
+                assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
+                assert getattr(loaded, name).flags.aligned, name
+            assert loaded.embedding.dtype == np.float32 and not loaded.embedding.flags.writeable
+        assert manifest_lengths == {0, 1, 2, 3}
 
 
 class TestCorruption:
@@ -103,6 +139,18 @@ class TestCorruption:
             open(cut, "wb").write(data[:size])
             with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)):
                 load_checkpoint(cut)
+
+    @pytest.mark.parametrize("cut_from_end", [0, 1, 4, 30])
+    def test_short_read_is_truncation(self, tmp_path, monkeypatch, cut_from_end):
+        # The file is shorter than its size said when it was opened (it shrank, say).
+        path, _ = roundtrip(tmp_path, init_params(4, 2, 1, seed=0))
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[: len(data) - cut_from_end])
+        fstat = matcha.checkpoint.os.fstat
+        monkeypatch.setattr(matcha.checkpoint, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + cut_from_end + 8)))
+        with pytest.raises(CheckpointFormatError, match="p.ckpt: truncated at byte"):
+            load_checkpoint(path)
 
     def test_non_finite_entry_names_file_tensor_and_offset(self, tmp_path):
         params = init_params(4, 2, 1, seed=0)

@@ -239,8 +239,9 @@ class TestEvaluateCommand:
         assert sorted(encoded) == sorted(t for texts in distinct for t in texts)
         assert len(tokenized) == 2 * sum(calls)
 
+        # The oracle sums embedding rows in the table's own dtype: give it float64 copies of the loaded params.
         monkeypatch.setattr(matcha.cli, "score", lambda params, refs, cands, vocab: np.array(
-            [score_pairwise(params, r, c, vocab) for r, c in zip(refs, cands)]))
+            [score_pairwise(p, r, c, vocab) for p in [params.copy()] for r, c in zip(refs, cands)]))
         assert main(argv) == 0
         oracle = json.load(open(out))
         assert set(report["separation"]) == set(parts)

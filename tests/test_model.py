@@ -19,7 +19,8 @@ from matcha.model import (
     represent,
     score,
 )
-from matcha.attribution import DIRECTIONS, integrated_gradients
+from matcha.attribution import BASELINE_KINDS, DIRECTIONS, integrated_gradients
+from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
 from matcha.training import TENSOR_NAMES
@@ -518,3 +519,29 @@ def test_frozen_scores_and_attributions_equal_a_writeable_copy(desk_model, model
                 got = integrated_gradients(frozen, r.reference, candidate, vocab, direction, 8)
                 assert got == integrated_gradients(writeable, r.reference, candidate, vocab, direction, 8)
     assert frozen._block_means is not None and writeable._block_means is None
+
+
+@pytest.mark.parametrize("model", ["desk", "gpt2-shaped"])
+def test_loaded_scores_representations_and_attributions_equal_a_float64_copy(desk_model, model, tmp_path):
+    """A loaded checkpoint keeps its float32 table and each gather upcasts its rows: every score,
+    single and batched, representation and attribution equals the call on a float64 copy, bit for bit."""
+    if model == "desk":
+        params, vocab, records = desk_model.params, desk_model.vocab, desk_model.held_records
+    else:
+        params, vocab, records = gpt2_shaped_model()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    widened = loaded.copy()
+    assert loaded.embedding.dtype == np.float32 and widened.embedding.dtype == np.float64
+    refs = [r.reference for r in records for _ in range(2)]
+    cands = [c for r in records for c in (r.correct, r.incorrect)]
+    assert np.array_equal(score(loaded, refs, cands, vocab), score(widened, refs, cands, vocab))
+    docs = [vocab.encode(text, loaded.hyper.max_len) for text in dict.fromkeys(refs + cands)]
+    assert np.array_equal(represent(loaded, docs), represent(widened, docs))
+    for ref, cand in zip(refs, cands):
+        assert score(loaded, ref, cand, vocab) == score(widened, ref, cand, vocab)
+        for direction in DIRECTIONS:
+            for baseline in BASELINE_KINDS:
+                got = integrated_gradients(loaded, ref, cand, vocab, direction, 8, baseline)
+                assert got == integrated_gradients(widened, ref, cand, vocab, direction, 8, baseline)

@@ -655,6 +655,15 @@ class TestTrain:
             assert np.array_equal(getattr(trained, name), getattr(from_copy, name)), name
         assert not np.array_equal(trained.proj_weight, loaded.proj_weight)
 
+        def written(result, name):
+            out = str(tmp_path / name)
+            save_checkpoint(result, out)
+            return open(out, "rb").read()
+
+        # The float32 table trains as its float64 copy and writes the same bytes; no epochs writes the file again.
+        assert written(trained, "a.ckpt") == written(from_copy, "b.ckpt")
+        assert written(train(TrainConfig(epochs=0), datasets, loaded)[0], "c.ckpt") == open(path, "rb").read()
+
     def test_margin_config_propagates(self):
         params, datasets = desk_setup()
         config = TrainConfig(epochs=0, margin=0.25)
