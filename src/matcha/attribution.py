@@ -110,9 +110,10 @@ def integrated_gradients(
             f"try a different baseline ({exc})"
         ) from exc
     total = float(per_token_values.sum())
+    pieces = {i: vocab.decode([i]) for i in set(ids)}
     return AttributionResult(
         direction=direction,
-        per_token=[(vocab.decode([i]), float(v)) for i, v in zip(ids, per_token_values)],
+        per_token=[(pieces[i], v) for i, v in zip(ids, per_token_values.tolist())],
         total=total,
         completeness_residual=abs(total - (score_actual - score_baseline)),
         steps=steps,

@@ -24,7 +24,7 @@ from .attribution import DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
 from .errors import ConfigError, MatchaError, read_json
-from .evaluation import MetricRange, ScoreRow, ScoreTable, evaluation_report, rouge_scores
+from .evaluation import MetricRange, ScoreRow, ScoreTable, evaluation_report, rouge_table
 from .model import init_params, score
 from .tokenizer import WordVocabulary, build_word_vocabulary, load_vocabulary
 from .training import SCHEDULE_STRATEGIES, TrainConfig, train
@@ -217,14 +217,14 @@ def _cmd_evaluate(config: RunConfig) -> int:
                     dataset=manifest.name,
                     human_score=rec.human_score if label == "correct" else None,
                 )
-                if config.rouge:
-                    row.scores.update(rouge_scores(rec.reference, candidate))
                 rows.append(row)
                 references.append(rec.reference)
                 candidates.append(candidate)
+        columns = rouge_table(references, candidates) if config.rouge else {}
         if params is not None:
-            for row, value in zip(rows, score(params, references, candidates, vocab).tolist()):
-                row.scores["matcha"] = value
+            columns["matcha"] = score(params, references, candidates, vocab).tolist()
+        for k, row in enumerate(rows):
+            row.scores.update((name, column[k]) for name, column in columns.items())
         table.rows.extend(rows)
     for path in config.scores:
         table.merge_external(path)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,22 +254,41 @@ def _tokens(text: str | list[str]) -> list[str]:
     return _lex_tokens(text) if isinstance(text, str) else text
 
 
-def rouge_n_f1(reference: str | list[str], candidate: str | list[str], n: int) -> float:
-    """Clipped n-gram overlap F1 in [0, 1] of two texts or their lexical tokens; degenerate inputs score 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ref = _tokens(reference)
-    cand = _tokens(candidate)
-    ref_grams = Counter(zip(*(ref[i:] for i in range(n)))) if len(ref) >= n else Counter()
-    cand_grams = Counter(zip(*(cand[i:] for i in range(n)))) if len(cand) >= n else Counter()
-    if not ref_grams or not cand_grams:
-        return 0.0
-    overlap = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / sum(cand_grams.values())
-    recall = overlap / sum(ref_grams.values())
-    return 2 * precision * recall / (precision + recall)
+def _pair_f1(hits, cand_total, ref_total) -> list[float]:
+    """2·p·r/(p+r) per pair, p = hits/cand_total, r = hits/ref_total, in the scalar order; 0.0 where hits is 0."""
+    hits = np.asarray(hits, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = hits / cand_total
+        recall = hits / ref_total
+        f1 = 2 * precision * recall / (precision + recall)
+    return np.where(hits > 0, f1, 0.0).tolist()
+
+
+def _rouge_n(tokens: list[list[str]], refs: np.ndarray, cands: np.ndarray, n: int) -> list[float]:
+    """Clipped n-gram overlap F1 of texts refs[k] and cands[k] for every pair k."""
+    ids: dict[str, int] = {}
+    flat = np.array([ids.setdefault(token, len(ids)) for text in tokens for token in text], dtype=np.int64)
+    lengths = np.array([len(text) for text in tokens], dtype=np.int64)
+    size = flat.size
+    keys = flat  # keys[p] names the n-gram starting at flat position p
+    for k in range(1, n):
+        # Ranked densely, every key stays below `size`, so the next product cannot overflow.
+        keys = np.unique(keys[:-1] * size + flat[k:], return_inverse=True)[1]
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)[: keys.size]
+    inside = np.arange(keys.size) - starts[owner] + n <= lengths[owner]
+    # Each text's distinct n-grams with their counts; text t owns rows bounds[t]:bounds[t + 1].
+    grams, counts = np.unique(owner[inside] * size + keys[inside], return_counts=True)
+    bounds = np.searchsorted(grams, np.arange(lengths.size + 1) * size)
+    first, count = bounds[cands], bounds[cands + 1] - bounds[cands]
+    pair = np.repeat(np.arange(cands.size), count)
+    rows = np.arange(pair.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    # Each candidate n-gram's count in its pair's reference, 0 where absent.
+    wanted = refs[pair] * size + grams[rows] % size
+    at = np.minimum(np.searchsorted(grams, wanted), grams.size - 1)
+    in_ref = np.where(grams[at] == wanted, counts[at], 0)
+    hits = np.bincount(pair, np.minimum(counts[rows], in_ref), minlength=cands.size)
+    return _pair_f1(hits, lengths[cands] - (n - 1), lengths[refs] - (n - 1))
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -291,28 +309,36 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(a) - row.bit_count()
 
 
+def _rouge_l(tokens: list[list[str]], refs: np.ndarray, cands: np.ndarray) -> list[float]:
+    """Longest-common-subsequence F1 of texts refs[k] and cands[k] for every pair k."""
+    lengths = np.array([len(text) for text in tokens], dtype=np.int64)
+    hits = [_lcs_length(tokens[r], tokens[c]) for r, c in zip(refs.tolist(), cands.tolist())]
+    return _pair_f1(hits, lengths[cands], lengths[refs])
+
+
+def rouge_n_f1(reference: str | list[str], candidate: str | list[str], n: int) -> float:
+    """Clipped n-gram overlap F1 in [0, 1] of two texts or their lexical tokens; degenerate inputs score 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _rouge_n([_tokens(reference), _tokens(candidate)], np.array([0]), np.array([1]), n)[0]
+
+
 def rouge_l_f1(reference: str | list[str], candidate: str | list[str]) -> float:
     """Longest-common-subsequence F1 over the lexical tokens of two texts (or the tokens given), in [0, 1]."""
-    ref = _tokens(reference)
-    cand = _tokens(candidate)
-    if not ref or not cand:
-        return 0.0
-    lcs = _lcs_length(ref, cand)
-    if lcs == 0:
-        return 0.0
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    return 2 * precision * recall / (precision + recall)
+    return _rouge_l([_tokens(reference), _tokens(candidate)], np.array([0]), np.array([1]))[0]
 
 
-def rouge_scores(reference: str, candidate: str) -> dict[str, float]:
-    """rouge1, rouge2 and rougeL of one pair, each text tokenized once."""
-    ref, cand = _lex_tokens(reference), _lex_tokens(candidate)
-    return {
-        "rouge1": rouge_n_f1(ref, cand, 1),
-        "rouge2": rouge_n_f1(ref, cand, 2),
-        "rougeL": rouge_l_f1(ref, cand),
-    }
+def rouge_table(references: list[str], candidates: list[str]) -> dict[str, list[float]]:
+    """rouge1, rouge2 and rougeL of every (references[k], candidates[k]) pair, the
+    values `rouge_n_f1` and `rouge_l_f1` give; each distinct text is tokenized once."""
+    if len(references) != len(candidates):
+        raise ValueError(f"{len(references)} references for {len(candidates)} candidates")
+    index: dict[str, int] = {}
+    refs, cands = (np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.int64)
+                   for texts in (references, candidates))
+    tokens = [_lex_tokens(text) for text in index]
+    return {"rouge1": _rouge_n(tokens, refs, cands, 1), "rouge2": _rouge_n(tokens, refs, cands, 2),
+            "rougeL": _rouge_l(tokens, refs, cands)}
 
 
 @dataclass

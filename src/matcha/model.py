@@ -85,9 +85,10 @@ class ModelParams:
             tensor.flags.writeable = False
         return self
 
-    def copy(self) -> "ModelParams":
+    def copy(self, share_embedding: bool = False) -> "ModelParams":
+        """Writeable float64 tensors; with share_embedding, the embedding array itself, uncopied."""
         return ModelParams(
-            embedding=self.embedding.astype(np.float64),
+            embedding=self.embedding if share_embedding else self.embedding.astype(np.float64),
             proj_weight=self.proj_weight.astype(np.float64),
             proj_bias=self.proj_bias.astype(np.float64),
             conversion=self.conversion.astype(np.float64),

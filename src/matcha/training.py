@@ -411,7 +411,8 @@ def train(
     Fully reproducible from config.seed.
     """
     config.validate()
-    params = params_init.copy()
+    # A read-only table (a loaded checkpoint's) that training will not write is shared, not copied.
+    params = params_init.copy(share_embedding=not (config.train_embeddings or params_init.embedding.flags.writeable))
     params.hyper.margin = config.margin
     state = init_optimizer(
         params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay

@@ -662,6 +662,22 @@ def lcs_length_dp(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
+def rouge_n_f1_counter(reference: str | list[str], candidate: str | list[str], n: int) -> float:
+    """ROUGE-N F1 from one Counter of n-grams per text: the one-pair code the batched table replaced."""
+    ref = _WORD.findall(reference.lower()) if isinstance(reference, str) else reference
+    cand = _WORD.findall(candidate.lower()) if isinstance(candidate, str) else candidate
+    ref_grams = Counter(zip(*(ref[i:] for i in range(n)))) if len(ref) >= n else Counter()
+    cand_grams = Counter(zip(*(cand[i:] for i in range(n)))) if len(cand) >= n else Counter()
+    if not ref_grams or not cand_grams:
+        return 0.0
+    overlap = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
+    if overlap == 0:
+        return 0.0
+    precision = overlap / sum(cand_grams.values())
+    recall = overlap / sum(ref_grams.values())
+    return 2 * precision * recall / (precision + recall)
+
+
 def rouge_l_f1_dp(reference: str, candidate: str) -> float:
     """ROUGE-L F1 with the LCS taken from the DP above."""
     ref = _WORD.findall(reference.lower())

@@ -80,6 +80,21 @@ class TestIntegratedGradients:
         result = integrated_gradients(params, "the door is open", "not quite", vocab)
         assert [tok for tok, _ in result.per_token] == ["not", "quite"]
 
+    def test_per_token_decodes_each_id_alone(self, bpe_vocab):
+        # Repeated BPE tokens, and the two byte tokens of "é": each id decodes on its own.
+        params = random_params(np.random.default_rng(5), bpe_vocab.vocab_size, 8, 2, scale=0.4)
+        params.hyper.max_len = 64
+        text = "the cat sat on the cat, the café hello hello"
+        result = integrated_gradients(params, "the world", text, bpe_vocab)
+        ids = bpe_vocab.encode(text, 64)
+        assert len(set(ids)) < len(ids)
+        assert [tok for tok, _ in result.per_token] == [bpe_vocab.decode([i]) for i in ids]
+        values = [value for _, value in result.per_token]
+        assert all(type(value) is float for value in values)
+        # Every row gets the same gradient, so equal ids get equal values; their array sum is the total.
+        assert all(value == values[ids.index(i)] for i, value in zip(ids, values))
+        assert float(np.sum(values)) == result.total
+
     def test_directions_attribute_opposite_documents(self, small_model):
         params, vocab = small_model
         toward_cand = integrated_gradients(

@@ -22,11 +22,12 @@ from matcha.evaluation import (
     rescale,
     rouge_l_f1,
     rouge_n_f1,
-    rouge_scores,
+    rouge_table,
     separation_report,
     threshold_curve,
     wasserstein_1d,
 )
+from matcha.synthetic import make_synthetic_corpus
 from oracles import (
     ccc_direct,
     dcg_table,
@@ -37,6 +38,7 @@ from oracles import (
     rank_at_1_table,
     rescale_scalar,
     rouge_l_f1_dp,
+    rouge_n_f1_counter,
     wasserstein_quantile_bruteforce,
 )
 
@@ -395,10 +397,13 @@ class TestRouge:
         lex_tokens = matcha.evaluation._lex_tokens
         monkeypatch.setattr(matcha.evaluation, "_lex_tokens", lambda text: tokenized.append(text) or lex_tokens(text))
         ref, cand = "The cat sat on the mat, the cat!", "a cat sat on a mat quietly"
-        scores = rouge_scores(ref, cand)
+        # The reference recurs as a reference and as a candidate; it is still tokenized once.
+        table = rouge_table([ref, ref, cand], [cand, ref, ref])
         assert sorted(tokenized) == sorted([ref, cand])
-        assert scores == {"rouge1": rouge_n_f1(ref, cand, 1), "rouge2": rouge_n_f1(ref, cand, 2),
-                          "rougeL": rouge_l_f1(ref, cand)}
+        monkeypatch.undo()
+        for k, (r, c) in enumerate([(ref, cand), (ref, ref), (cand, ref)]):
+            assert {name: column[k] for name, column in table.items()} == {
+                "rouge1": rouge_n_f1(r, c, 1), "rouge2": rouge_n_f1(r, c, 2), "rougeL": rouge_l_f1(r, c)}
 
     def test_tokens_score_as_their_text(self):
         ref, cand = "The cat sat on the mat", "the CAT sat, quietly"
@@ -410,6 +415,56 @@ class TestRouge:
 
 def _random_tokens(rng, n: int, alphabet: list[str]) -> list[str]:
     return [alphabet[int(i)] for i in rng.integers(0, len(alphabet), n)]
+
+
+class TestRougeTable:
+    """The batched table and the one-pair calls equal the Counter ROUGE-N and the DP ROUGE-L exactly."""
+
+    # No lexical token, one token, repeats, punctuation only and non-ASCII.
+    EDGE = ["", "!!!", "word", "Word word WORD", "a b a b a", "a, b; a b", "Über ça 日本 日本 ß", "ça",
+            "the cat sat on the mat", "mat the on sat cat the", "_ 🙂 x1 x1"]
+
+    def assert_table_matches_oracles(self, references, candidates):
+        table = rouge_table(references, candidates)
+        assert list(table) == ["rouge1", "rouge2", "rougeL"]
+        for k, (ref, cand) in enumerate(zip(references, candidates)):
+            expected = {"rouge1": rouge_n_f1_counter(ref, cand, 1), "rouge2": rouge_n_f1_counter(ref, cand, 2),
+                        "rougeL": rouge_l_f1_dp(ref, cand)}
+            got = {name: column[k] for name, column in table.items()}
+            assert got == expected, (ref, cand)
+            assert all(type(value) is float for value in got.values())
+            for n in (1, 2, 3):
+                value = rouge_n_f1(ref, cand, n)
+                assert value == rouge_n_f1_counter(ref, cand, n) and type(value) is float, (ref, cand, n)
+
+    def test_synthetic_corpus(self):
+        records = make_synthetic_corpus(150, seed=8)
+        # Every reference recurs, once against each of its candidates.
+        references = [r.reference for r in records for _ in range(2)]
+        candidates = [c for r in records for c in (r.correct, r.incorrect)]
+        self.assert_table_matches_oracles(references, candidates)
+
+    def test_every_ordered_pair_of_edge_texts(self):
+        pairs = [(a, b) for a in self.EDGE for b in self.EDGE]
+        with np.errstate(all="raise"):
+            self.assert_table_matches_oracles([a for a, _ in pairs], [b for _, b in pairs])
+
+    def test_random_texts_and_long_ngrams(self):
+        rng = np.random.default_rng(11)
+        words = ["The", "cat", "sat", "on", "mat", "Über", "café", "日本語", "x1", "a", "a", "a"]
+        references = [" ".join(_random_tokens(rng, int(rng.integers(0, 40)), words)) for _ in range(150)]
+        candidates = [", ".join(_random_tokens(rng, int(rng.integers(0, 40)), words)) for _ in range(150)]
+        self.assert_table_matches_oracles(references, candidates)
+        for ref, cand in zip(references[:40], candidates[:40]):
+            ref_tokens, cand_tokens = ref.lower().split(), cand.lower().split(", ")
+            for n in (4, 6):
+                assert rouge_n_f1(ref, cand, n) == rouge_n_f1_counter(ref, cand, n)
+                assert rouge_n_f1(ref_tokens, cand_tokens, n) == rouge_n_f1_counter(ref_tokens, cand_tokens, n)
+
+    def test_empty_and_mismatched(self):
+        assert rouge_table([], []) == {"rouge1": [], "rouge2": [], "rougeL": []}
+        with pytest.raises(ValueError):
+            rouge_table(["a"], ["a", "b"])
 
 
 class TestBitParallelLcs:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -663,6 +664,30 @@ class TestTrain:
         # The float32 table trains as its float64 copy and writes the same bytes; no epochs writes the file again.
         assert written(trained, "a.ckpt") == written(from_copy, "b.ckpt")
         assert written(train(TrainConfig(epochs=0), datasets, loaded)[0], "c.ckpt") == open(path, "rb").read()
+
+    def test_frozen_training_shares_a_loaded_table(self, tmp_path):
+        _, datasets = desk_setup()
+        # A table far larger than the corpus needs, so a copy of it would dominate the peak.
+        path = str(tmp_path / "init.ckpt")
+        save_checkpoint(init_params(20_000, 16, 4, max_len=16, seed=42), path)
+        loaded = load_checkpoint(path)
+        config = TrainConfig(epochs=2, batch_size=8, grad_accum_steps=2, seed=6, train_embeddings=False)
+        tracemalloc.start()
+        try:
+            trained, _ = train(config, datasets, loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trained.embedding is loaded.embedding
+        assert peak < loaded.embedding.nbytes / 2, peak  # its float64 copy would take 2 * nbytes
+        # A writeable table is copied as before and stays writeable; both write the same bytes.
+        writeable = loaded.copy()
+        from_copy, _ = train(config, datasets, writeable)
+        assert from_copy.embedding is not writeable.embedding and writeable.embedding.flags.writeable
+        out_a, out_b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(trained, out_a)
+        save_checkpoint(from_copy, out_b)
+        assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
     def test_margin_config_propagates(self):
         params, datasets = desk_setup()
