@@ -264,11 +264,14 @@ def _pair_f1(hits, cand_total, ref_total) -> list[float]:
     return np.where(hits > 0, f1, 0.0).tolist()
 
 
-def _rouge_n(tokens: list[list[str]], refs: np.ndarray, cands: np.ndarray, n: int) -> list[float]:
-    """Clipped n-gram overlap F1 of texts refs[k] and cands[k] for every pair k."""
+def _dense(tokens: list[list[str]]) -> tuple[np.ndarray, np.ndarray]:
     ids: dict[str, int] = {}
     flat = np.array([ids.setdefault(token, len(ids)) for text in tokens for token in text], dtype=np.int64)
-    lengths = np.array([len(text) for text in tokens], dtype=np.int64)
+    return flat, np.array([len(text) for text in tokens], dtype=np.int64)
+
+
+def _rouge_n(flat: np.ndarray, lengths: np.ndarray, refs: np.ndarray, cands: np.ndarray, n: int) -> list[float]:
+    """Clipped n-gram overlap F1 of texts refs[k] and cands[k] for every pair k, from `_dense` ids."""
     size = flat.size
     keys = flat  # keys[p] names the n-gram starting at flat position p
     for k in range(1, n):
@@ -309,9 +312,8 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(a) - row.bit_count()
 
 
-def _rouge_l(tokens: list[list[str]], refs: np.ndarray, cands: np.ndarray) -> list[float]:
+def _rouge_l(tokens: list[list[str]], lengths: np.ndarray, refs: np.ndarray, cands: np.ndarray) -> list[float]:
     """Longest-common-subsequence F1 of texts refs[k] and cands[k] for every pair k."""
-    lengths = np.array([len(text) for text in tokens], dtype=np.int64)
     hits = [_lcs_length(tokens[r], tokens[c]) for r, c in zip(refs.tolist(), cands.tolist())]
     return _pair_f1(hits, lengths[cands], lengths[refs])
 
@@ -320,12 +322,13 @@ def rouge_n_f1(reference: str | list[str], candidate: str | list[str], n: int) -
     """Clipped n-gram overlap F1 in [0, 1] of two texts or their lexical tokens; degenerate inputs score 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _rouge_n([_tokens(reference), _tokens(candidate)], np.array([0]), np.array([1]), n)[0]
+    return _rouge_n(*_dense([_tokens(reference), _tokens(candidate)]), np.array([0]), np.array([1]), n)[0]
 
 
 def rouge_l_f1(reference: str | list[str], candidate: str | list[str]) -> float:
     """Longest-common-subsequence F1 over the lexical tokens of two texts (or the tokens given), in [0, 1]."""
-    return _rouge_l([_tokens(reference), _tokens(candidate)], np.array([0]), np.array([1]))[0]
+    tokens = [_tokens(reference), _tokens(candidate)]
+    return _rouge_l(tokens, _dense(tokens)[1], np.array([0]), np.array([1]))[0]
 
 
 def rouge_table(references: list[str], candidates: list[str]) -> dict[str, list[float]]:
@@ -337,8 +340,9 @@ def rouge_table(references: list[str], candidates: list[str]) -> dict[str, list[
     refs, cands = (np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.int64)
                    for texts in (references, candidates))
     tokens = [_lex_tokens(text) for text in index]
-    return {"rouge1": _rouge_n(tokens, refs, cands, 1), "rouge2": _rouge_n(tokens, refs, cands, 2),
-            "rougeL": _rouge_l(tokens, refs, cands)}
+    flat, lengths = _dense(tokens)
+    return {"rouge1": _rouge_n(flat, lengths, refs, cands, 1), "rouge2": _rouge_n(flat, lengths, refs, cands, 2),
+            "rougeL": _rouge_l(tokens, lengths, refs, cands)}
 
 
 @dataclass

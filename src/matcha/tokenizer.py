@@ -12,6 +12,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EmptyInputError,
@@ -24,8 +25,8 @@ from .errors import (
 
 DEFAULT_MAX_LEN = 512
 
-# Distinct pretokens whose ids one Vocabulary remembers; the memo is cleared
-# when it holds this many, so a stream of novel text cannot grow it unboundedly.
+# Distinct words and pretokens whose ids one Vocabulary remembers; the memo is
+# cleared at this size, so a stream of novel text cannot grow it unboundedly.
 PRETOKEN_MEMO_SIZE = 1 << 16
 
 # GPT-2 style pretokenization: contractions, words with an optional leading
@@ -63,24 +64,39 @@ def byte_to_unicode() -> dict[int, str]:
 
 
 @dataclass
-class Vocabulary:
-    """Immutable token table plus ordered byte-pair merge rules."""
+class _TokenTable:
+    """Token -> id map with ids covering [0, vocab_size); decode builds the inverse once."""
 
     token_to_id: dict[str, int]
-    merges: list[tuple[str, str]]
-    byte_encoder: dict[int, str] = field(default_factory=byte_to_unicode)
 
-    def __post_init__(self) -> None:
-        self.id_to_token = {i: t for t, i in self.token_to_id.items()}
-        self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        self.byte_decoder = {c: b for b, c in self.byte_encoder.items()}
-        # pretoken -> its ids.  Sound because the table and merges never change
-        # after load; a plain attribute, so == and repr see only the fields.
-        self._pretoken_ids: dict[str, tuple[int, ...]] = {}
+    @cached_property
+    def id_to_token(self) -> dict[int, str]:
+        return {i: t for t, i in self.token_to_id.items()}
 
     @property
     def vocab_size(self) -> int:
         return len(self.token_to_id)
+
+    def _tokens(self, ids: list[int]) -> list[str]:
+        try:
+            return [self.id_to_token[token_id] for token_id in ids]
+        except KeyError as missing:
+            raise TokenRangeError(f"id {missing.args[0]} outside [0, {self.vocab_size})") from None
+
+
+@dataclass
+class Vocabulary(_TokenTable):
+    """Immutable token table plus ordered byte-pair merge rules."""
+
+    merges: list[tuple[str, str]]
+    byte_encoder: dict[int, str] = field(default_factory=byte_to_unicode)
+
+    def __post_init__(self) -> None:
+        self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
+        self.byte_decoder = {c: b for b, c in self.byte_encoder.items()}
+        # word or pretoken -> its ids (see `encode`).  Sound because the table and merges
+        # never change after load; a plain attribute, so == and repr see only the fields.
+        self._pretoken_ids: dict[str, tuple[int, ...]] = {}
 
     def encode(self, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
         return encode(self, text, max_len)
@@ -133,26 +149,45 @@ def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
     return Vocabulary(token_to_id=token_to_id, merges=merges)
 
 
-def _apply_merges(vocab: Vocabulary, symbols: list[str]) -> list[str]:
-    """Repeatedly merge the adjacent pair with the lowest rank."""
+def _merge(vocab: Vocabulary, pretoken: str) -> tuple[int, ...]:
+    """Ids of one pretoken: its bytes' stand-ins, adjacent pairs merged lowest rank first."""
+    symbols = [vocab.byte_encoder[b] for b in pretoken.encode("utf-8")]
     ranks = vocab.merge_ranks
     while len(symbols) > 1:
-        pairs = set(zip(symbols, symbols[1:]))
-        best = min(pairs, key=lambda p: ranks.get(p, float("inf")))
+        best = min(zip(symbols, symbols[1:]), key=lambda p: ranks.get(p, float("inf")))
         if best not in ranks:
             break
         left, right = best
         merged: list[str] = []
-        i = 0
-        while i < len(symbols):
-            if i < len(symbols) - 1 and symbols[i] == left and symbols[i + 1] == right:
-                merged.append(left + right)
-                i += 2
+        for symbol in symbols:  # left to right; a merged symbol never equals left
+            if merged and merged[-1] == left and symbol == right:
+                merged[-1] = left + right
             else:
-                merged.append(symbols[i])
-                i += 1
+                merged.append(symbol)
         symbols = merged
-    return symbols
+    try:
+        return tuple([vocab.token_to_id[symbol] for symbol in symbols])
+    except KeyError as missing:
+        raise VocabularyIntegrityError(f"symbol {missing.args[0]!r} not covered by the vocabulary") from None
+
+
+def _words(text: str) -> list[str]:
+    r"""Cut text before each space that precedes a non-whitespace character.  No pretoken spans
+    such a cut: `\s+(?!\S)` backtracks off the space; the rest take at most a leading space."""
+    chunks = text.split(" ")
+    words = [chunks[0]]
+    for chunk in chunks[1:]:
+        if chunk and not chunk[0].isspace():
+            words.append(" " + chunk)
+        else:
+            words[-1] += " " + chunk
+    return words
+
+
+def _remember(memo: dict[str, tuple[int, ...]], key: str, ids: tuple[int, ...]) -> tuple[int, ...]:
+    if len(memo) >= PRETOKEN_MEMO_SIZE:
+        memo.clear()
+    return memo.setdefault(key, ids)
 
 
 def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
@@ -160,8 +195,8 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list
 
     Deterministic: pretokenize, map each pretoken's bytes to the unicode
     stand-ins, apply lowest-rank-first merges within the pretoken, look the
-    resulting symbols up in the token table.  Each distinct pretoken is
-    merged once per vocabulary; later occurrences reuse its memoized ids.
+    resulting symbols up in the token table.  The memo maps each word (`_words`)
+    and pretoken met before to its ids; a word cut by max_len is not stored.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
@@ -169,22 +204,20 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list
         raise EmptyInputError("cannot encode an empty text")
     memo = vocab._pretoken_ids
     ids: list[int] = []
-    for pretoken in _PRETOKEN.findall(text):
-        pretoken_ids = memo.get(pretoken)
-        if pretoken_ids is None:
-            symbols = [vocab.byte_encoder[b] for b in pretoken.encode("utf-8")]
-            merged: list[int] = []
-            for symbol in _apply_merges(vocab, symbols):
-                try:
-                    merged.append(vocab.token_to_id[symbol])
-                except KeyError:
-                    raise VocabularyIntegrityError(
-                        f"symbol {symbol!r} not covered by the vocabulary"
-                    ) from None
-            if len(memo) >= PRETOKEN_MEMO_SIZE:
-                memo.clear()
-            pretoken_ids = memo[pretoken] = tuple(merged)
-        ids.extend(pretoken_ids)
+    for word in _words(text):
+        word_ids = memo.get(word)
+        if word_ids is None:
+            word_ids = []
+            for pretoken in _PRETOKEN.findall(word):
+                pretoken_ids = memo.get(pretoken)
+                if pretoken_ids is None:
+                    pretoken_ids = _remember(memo, pretoken, _merge(vocab, pretoken))
+                word_ids.extend(pretoken_ids)
+                if len(ids) + len(word_ids) >= max_len:
+                    break
+            else:
+                word_ids = _remember(memo, word, tuple(word_ids))
+        ids.extend(word_ids)
         if len(ids) >= max_len:
             break
     return ids[:max_len]
@@ -192,34 +225,19 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list
 
 def decode(vocab: Vocabulary, ids: list[int]) -> str:
     """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
-    chunks: list[str] = []
-    for token_id in ids:
-        token = vocab.id_to_token.get(token_id)
-        if token is None:
-            raise TokenRangeError(f"id {token_id} outside [0, {vocab.vocab_size})")
-        chunks.append(token)
-    data = bytes(vocab.byte_decoder[c] for c in "".join(chunks))
+    data = bytes(vocab.byte_decoder[c] for c in "".join(vocab._tokens(ids)))
     return data.decode("utf-8", errors="replace")
 
 
 @dataclass
-class WordVocabulary:
+class WordVocabulary(_TokenTable):
     """Whitespace word-level fallback with a corpus-built id map.
 
     Unknown words map to the reserved <unk> entry.  Round trips are exact
     only up to whitespace normalization; the BPE path is the lossless one.
     """
 
-    token_to_id: dict[str, int]
-
     UNK = "<unk>"
-
-    def __post_init__(self) -> None:
-        self.id_to_token = {i: t for t, i in self.token_to_id.items()}
-
-    @property
-    def vocab_size(self) -> int:
-        return len(self.token_to_id)
 
     def encode(self, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
         if max_len < 1:
@@ -231,13 +249,7 @@ class WordVocabulary:
         return [self.token_to_id.get(w, unk) for w in words[:max_len]]
 
     def decode(self, ids: list[int]) -> str:
-        words = []
-        for token_id in ids:
-            token = self.id_to_token.get(token_id)
-            if token is None:
-                raise TokenRangeError(f"id {token_id} outside [0, {self.vocab_size})")
-            words.append(token)
-        return " ".join(words)
+        return " ".join(self._tokens(ids))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

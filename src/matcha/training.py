@@ -298,9 +298,8 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
             delta = _adam_update(m, v, g, step, eps_hat)
             theta *= decay
             # The N_c projection blocks are consecutive rows (entries for the
-            # bias); conversion is a single block.
-            for start in range(0, theta.shape[0], m.shape[0]):
-                theta[start : start + m.shape[0]] -= delta
+            # bias) of the contiguous tensor; conversion is a single block.
+            theta.reshape(-1, *m.shape)[...] -= delta
     return params, state
 
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +182,136 @@ class TestPretokenMemo:
                 encode(vocab, "ab!c")
         assert "!" not in vocab._pretoken_ids
         assert vocab._pretoken_ids == {"ab": (0, 1)}
+
+
+# Every code point `str.isspace()` accepts; the cut rule in `tokenizer._words` relies
+# on it being exactly the set the pretoken pattern's `\s` matches.
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def _word_texts(rng, n_texts: int, spaces: list[str]) -> list[str]:
+    """Texts of spaces, letters, digits, 's, punctuation and the given whitespace."""
+    pool = [" ", " ", " ", "  ", "the", "cat", "é", "日本", "7", "42", "'s", "'t", ",", "!?", "_", "-"]
+    pool += spaces
+    return ["".join(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 40))))
+            for _ in range(n_texts)]
+
+
+class TestWordMemo:
+    """Encoding memoizes whole space-delimited words next to their pretokens; ids never change."""
+
+    @pytest.fixture()
+    def fresh_vocab(self, bpe_files):
+        return load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path)
+
+    def test_backslash_s_is_isspace(self):
+        assert re.findall(r"\s", "".join(map(chr, range(0x110000)))) == SPACES
+
+    @pytest.mark.parametrize("space", SPACES, ids=[f"U+{ord(c):04X}" for c in SPACES])
+    def test_words_split_the_pretokens(self, space):
+        rng = np.random.default_rng(ord(space))
+        for text in _word_texts(rng, 60, [space, space + space, space + " "]):
+            words = tokenizer._words(text)
+            assert "".join(words) == text
+            # cut before every space that precedes a non-whitespace character, and nowhere else
+            assert all(re.match(r" \S", w) for w in words[1:])
+            assert not any(re.search(r".(?= \S)", w, re.DOTALL) for w in words)
+            pieces = [p for word in words for p in tokenizer._PRETOKEN.findall(word)]
+            assert pieces == tokenizer._PRETOKEN.findall(text), text
+
+    @pytest.mark.parametrize("max_len", [1, 2, 5, 17, 512])
+    def test_cold_warm_and_cleared_match_naive(self, bpe_files, fresh_vocab, max_len, monkeypatch):
+        texts = _word_texts(np.random.default_rng(max_len), 80, SPACES)
+        expected = [bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, t, max_len) for t in texts]
+        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        monkeypatch.setattr(tokenizer, "PRETOKEN_MEMO_SIZE", 3)
+        fresh_vocab._pretoken_ids.clear()
+        for _ in range(2):
+            for text, ids in zip(texts, expected):
+                assert encode(fresh_vocab, text, max_len) == ids
+                assert len(fresh_vocab._pretoken_ids) <= 3
+
+    def test_warm_words_skip_the_pretokenizer(self, fresh_vocab, monkeypatch):
+        texts = _word_texts(np.random.default_rng(3), 40, ["\t", "\n", "　"])
+        cold = [encode(fresh_vocab, t) for t in texts]
+        assert " the" in fresh_vocab._pretoken_ids
+        calls = []
+
+        class Counting:
+            def findall(self, text):
+                calls.append(text)
+                return re.findall(tokenizer._PRETOKEN.pattern, text)
+
+        monkeypatch.setattr(tokenizer, "_PRETOKEN", Counting())
+        assert [encode(fresh_vocab, t) for t in texts] == cold
+        assert calls == []
+
+    def test_random_merge_lists_match_naive(self):
+        # Many merges over three letters, so merged symbols sit next to the pair being merged.
+        rng = np.random.default_rng(11)
+        byte_encoder = byte_to_unicode()
+        for _ in range(20):
+            tokens = [byte_encoder[b] for b in range(256)]
+            pieces, merges = list("abc"), []
+            while len(merges) < 30:
+                left, right = (pieces[int(i)] for i in rng.integers(0, len(pieces), 2))
+                if left + right not in pieces:
+                    pieces.append(left + right)
+                    merges.append((left, right))
+            token_to_id = {t: i for i, t in enumerate(tokens + [a + b for a, b in merges])}
+            vocab = Vocabulary(token_to_id=token_to_id, merges=merges)
+            texts = ["".join(rng.choice(list("abc  "), int(rng.integers(1, 30)))) for _ in range(30)]
+            expected = [bpe_encode_naive(merges, token_to_id, t, 512) for t in texts]
+            assert [encode(vocab, t) for t in texts] == expected
+            assert [encode(vocab, t) for t in texts] == expected
+
+    def _abc_vocab(self) -> Vocabulary:
+        byte_encoder = byte_to_unicode()
+        return Vocabulary(token_to_id={byte_encoder[b]: i for i, b in enumerate(b"abc ")}, merges=[])
+
+    def test_cut_word_with_uncovered_symbol_past_the_cut(self):
+        vocab = self._abc_vocab()
+        # words "ab" and " ca!b"; the cut falls inside " ca", before the uncovered "!"
+        for _ in range(2):
+            assert encode(vocab, "ab ca!b", max_len=4) == [0, 1, 3, 2]
+            assert encode(vocab, "ab ca!b", max_len=2) == [0, 1]
+        assert vocab._pretoken_ids == {"ab": (0, 1), " ca": (3, 2, 0)}
+        with pytest.raises(VocabularyIntegrityError, match="not covered"):
+            encode(vocab, "ab ca!b", max_len=6)
+        assert " ca!b" not in vocab._pretoken_ids
+
+    def test_word_with_uncovered_symbol_raises_every_time_and_is_not_stored(self):
+        vocab = self._abc_vocab()
+        for _ in range(3):
+            with pytest.raises(VocabularyIntegrityError, match="not covered"):
+                encode(vocab, "ab c!a ba")
+        assert vocab._pretoken_ids == {"ab": (0, 1), " c": (3, 2)}
+        assert encode(vocab, "ab ba") == [0, 1, 3, 1, 0]
+
+
+class TestLazyInverse:
+    """Both vocabularies build id -> token on first decode; == and repr see only the table."""
+
+    @pytest.mark.parametrize("kind", ["bpe", "word"])
+    def test_built_on_first_decode(self, bpe_files, tmp_path, kind):
+        if kind == "bpe":
+            first, second = (load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path) for _ in range(2))
+        else:
+            path = str(tmp_path / "w.json")
+            build_word_vocabulary(["the cat sat", "a dog"]).save(path)
+            first, second = WordVocabulary.load(path), WordVocabulary.load(path)
+        assert "id_to_token" not in vars(first)
+        ids = first.encode("the cat")
+        assert second.decode(ids) == first.decode(ids)
+        assert "id_to_token" in vars(first)
+        assert first.id_to_token == {i: t for t, i in first.token_to_id.items()}
+        assert first == second and repr(first) == repr(second)
+        with pytest.raises(TokenRangeError, match=f"id {first.vocab_size} outside"):
+            first.decode([0, first.vocab_size])
+
+    def test_word_load_is_a_classmethod(self):
+        assert isinstance(inspect.getattr_static(WordVocabulary, "load"), classmethod)
 
 
 class TestDecode:
