@@ -10,8 +10,11 @@ representations.  The midpoint rule therefore averages the cosine gradient
 over the `steps` points of that line and pulls it back once, through the
 block-mean projection W̄; every token row receives the same embedding
 gradient.  The fixed, attributed and baseline documents share one forward
-and one W̄.  The midpoint grid never evaluates at the baseline itself,
-which sidesteps the zero-norm cosine singularity of an all-zero start.
+and one W̄, and one cosine call against the fixed representation covers
+the `steps` midpoints and both endpoints, whose cosines are the score and
+the baseline score.  The midpoint grid never evaluates at the baseline
+itself, which sidesteps the zero-norm cosine singularity of an all-zero
+start.
 """
 
 from __future__ import annotations
@@ -79,36 +82,35 @@ def integrated_gradients(
     ids = vocab.encode(attributed_text, max_len)
     emb = embedding_rows(params, check_ids(params, ids))
     fixed = embedding_rows(params, check_ids(params, vocab.encode(fixed_text, max_len)))
-    baseline = np.zeros_like(emb) if baseline_kind == "zero" else emb
     # One forward for the fixed document, the attributed one and, unless it
-    # is the attributed document itself, the baseline.
+    # is the attributed document itself, the baseline: the zero baseline's
+    # mean embedding is the zero vector.
     rows = [fixed.mean(axis=0), emb.mean(axis=0)]
-    if baseline is not emb:
-        rows.append(baseline.mean(axis=0))
+    if baseline_kind == "zero":
+        rows.append(np.zeros(params.hyper.dim))
     means = block_means(params)
     _, h = forward(params, np.stack(rows), means)
     h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
+    # One cosine pass: the `steps` midpoints of the line, then both endpoints.
     alphas = (np.arange(steps) + 0.5) / steps
-    path = h_baseline + alphas[:, None] * (h_actual - h_baseline)
+    points = np.empty((steps + 2, h.shape[1]))
+    np.multiply(alphas[:, None], h_actual - h_baseline, out=points[:steps])
+    points[:steps] += h_baseline
+    points[steps], points[steps + 1] = h_actual, h_baseline
     try:
-        g_h = cosine_with_grads(h_fixed, path)[2].mean(axis=0)
+        sims, _, g_points = cosine_with_grads(h_fixed, points)
     except DegenerateRepresentationError as exc:
+        on_path = not np.linalg.norm(np.vstack((h_fixed, points[:steps])), axis=-1).all()
+        where = "along the interpolation path" if on_path else "at an interpolation endpoint"
         raise DegenerateRepresentationError(
-            f"zero-norm representation along the interpolation path; "
-            f"try a different baseline ({exc})"
+            f"zero-norm representation {where}; try a different baseline ({exc})"
         ) from exc
+    g_h = g_points[:steps].mean(axis=0)
+    score_actual, score_baseline = sims[steps], sims[steps + 1]
     # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
-    # gets the same embedding gradient.
+    # gets the same embedding gradient.  The input baseline's delta is zero.
     row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
-    per_token_values = (emb - baseline) @ row_grad
-    try:
-        score_actual = cosine_with_grads(h_fixed, h_actual)[0]
-        score_baseline = cosine_with_grads(h_fixed, h_baseline)[0]
-    except DegenerateRepresentationError as exc:
-        raise DegenerateRepresentationError(
-            f"zero-norm representation at an interpolation endpoint; "
-            f"try a different baseline ({exc})"
-        ) from exc
+    per_token_values = (emb if baseline_kind == "zero" else np.zeros_like(emb)) @ row_grad
     total = float(per_token_values.sum())
     pieces = {i: vocab.decode([i]) for i in set(ids)}
     return AttributionResult(

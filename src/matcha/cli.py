@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .attribution import DIRECTIONS, integrated_gradients
+from .attribution import BASELINE_KINDS, DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
 from .errors import ConfigError, MatchaError, read_json
@@ -294,6 +294,8 @@ def _validate(config: RunConfig) -> None:
         _require(problems, config.cand, "attribute requires --cand")
         if config.direction != "both" and config.direction not in DIRECTIONS:
             problems.append(f"--direction must be 'both' or one of {DIRECTIONS}")
+        if config.baseline not in BASELINE_KINDS:
+            problems.append(f"--baseline must be one of {BASELINE_KINDS}")
         if config.steps < 8:
             problems.append("--steps must be >= 8")
     if problems:

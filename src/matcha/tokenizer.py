@@ -225,7 +225,7 @@ def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list
 
 def decode(vocab: Vocabulary, ids: list[int]) -> str:
     """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
-    data = bytes(vocab.byte_decoder[c] for c in "".join(vocab._tokens(ids)))
+    data = bytes(map(vocab.byte_decoder.__getitem__, "".join(vocab._tokens(ids))))
     return data.decode("utf-8", errors="replace")
 
 

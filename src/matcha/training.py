@@ -197,10 +197,9 @@ def loss_and_grads(
     emb_mean = (counts @ embedding_rows(params, uniq)) / lengths[:, None]
     means = block_means(params)
     ctx, h = forward(params, emb_mean, means)
-    h_r, h_c, h_i = h[:n], h[n : 2 * n], h[2 * n :]
     try:
-        sim_c, g_r_c, g_c = cosine_with_grads(h_r, h_c)
-        sim_i, g_r_i, g_i = cosine_with_grads(h_r, h_i)
+        # Both candidate sets against the references in one call.
+        (sim_c, sim_i), (g_r_c, g_r_i), (g_c, g_i) = cosine_with_grads(h[:n], h[n:].reshape(2, n, dim))
     except DegenerateRepresentationError as exc:
         item = int(np.flatnonzero((np.linalg.norm(h, axis=1) == 0.0).reshape(3, n).any(axis=0))[0])
         raise DegenerateRepresentationError(

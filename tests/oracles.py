@@ -10,6 +10,10 @@ and epsilon) and the gradient container it returns.  The one exception is
 `evaluation_report_assembled`, the report assembly as the CLI once wrote
 it: it calls the package's `separation_report` and `ccc`, which have
 oracles of their own, and gates how the report selects and assembles them.
+Likewise `integrated_gradients_three_pass`, integrated gradients as the
+package once computed it, calls the package's forward and cosine: it gates
+the one-pass rewrite for bit equality, while `integrated_gradients_tiled`
+checks the values themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from matcha.errors import (
     NumericError,
     ShapeError,
 )
-from matcha.model import Hyper, ModelParams
+from matcha.attribution import AttributionResult
+from matcha.model import Hyper, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 from matcha.evaluation import _WORD, MetricRange, ScoreTable, ccc, separation_report
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
 from matcha.training import BETA1, BETA2, EPSILON, TENSOR_NAMES, Gradients
@@ -242,6 +247,59 @@ def integrated_gradients_tiled(params, attributed: list[int], fixed: list[int], 
     row_grad = params.proj_weight.T @ (np.tile(d_ctx, n_ctx) / n_ctx) / len(attributed)
     return ((emb - baseline) @ row_grad, _cosine_with_grads_one(h_fixed, h_actual)[0],
             _cosine_with_grads_one(h_fixed, h_baseline)[0])
+
+
+def integrated_gradients_three_pass(params, reference: str, candidate: str, vocab, direction: str,
+                                    steps: int, baseline_kind: str) -> AttributionResult:
+    """`integrated_gradients` with three cosine calls: the `steps` midpoints, then each endpoint on its own.
+
+    The zero baseline is a (tokens, dim) array of zeros whose mean is
+    forwarded.  A zero-norm fixed document or midpoint fails in the first
+    call, a zero-norm endpoint in the second or third.
+    """
+    max_len = params.hyper.max_len
+    attributed_text, fixed_text = (
+        (candidate, reference) if direction == "toward_candidate" else (reference, candidate)
+    )
+    ids = vocab.encode(attributed_text, max_len)
+    emb = embedding_rows(params, check_ids(params, ids))
+    fixed = embedding_rows(params, check_ids(params, vocab.encode(fixed_text, max_len)))
+    baseline = np.zeros_like(emb) if baseline_kind == "zero" else emb
+    rows = [fixed.mean(axis=0), emb.mean(axis=0)]
+    if baseline is not emb:
+        rows.append(baseline.mean(axis=0))
+    means = block_means(params)
+    _, h = forward(params, np.stack(rows), means)
+    h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
+    alphas = (np.arange(steps) + 0.5) / steps
+    path = h_baseline + alphas[:, None] * (h_actual - h_baseline)
+    try:
+        g_h = cosine_with_grads(h_fixed, path)[2].mean(axis=0)
+    except DegenerateRepresentationError as exc:
+        raise DegenerateRepresentationError(
+            f"zero-norm representation along the interpolation path; "
+            f"try a different baseline ({exc})"
+        ) from exc
+    row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
+    per_token_values = (emb - baseline) @ row_grad
+    try:
+        score_actual = cosine_with_grads(h_fixed, h_actual)[0]
+        score_baseline = cosine_with_grads(h_fixed, h_baseline)[0]
+    except DegenerateRepresentationError as exc:
+        raise DegenerateRepresentationError(
+            f"zero-norm representation at an interpolation endpoint; "
+            f"try a different baseline ({exc})"
+        ) from exc
+    total = float(per_token_values.sum())
+    return AttributionResult(
+        direction=direction,
+        per_token=[(vocab.decode([i]), v) for i, v in zip(ids, per_token_values.tolist())],
+        total=total,
+        completeness_residual=abs(total - (score_actual - score_baseline)),
+        steps=steps,
+        score=score_actual,
+        baseline_score=score_baseline,
+    )
 
 
 def zero_gradients(params, train_embeddings: bool = True) -> Gradients:

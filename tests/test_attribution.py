@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from matcha.attribution import (
     BASELINE_KINDS,
+    DEFAULT_STEPS,
     DIRECTIONS,
     AttributionResult,
     attribution_gap,
@@ -11,8 +14,41 @@ from matcha.attribution import (
 from matcha.errors import DegenerateRepresentationError
 from matcha.model import score
 from matcha.tokenizer import build_word_vocabulary
-from oracles import integrated_gradients_tiled, path_integral_attributions, represent_layered, score_grad_tiled
-from test_model import random_params
+from oracles import (
+    integrated_gradients_three_pass,
+    integrated_gradients_tiled,
+    path_integral_attributions,
+    represent_layered,
+    score_grad_tiled,
+)
+from test_model import manual_params, random_params
+
+
+STEPS = (8, 64, 257)
+PATH_MESSAGE = (
+    "zero-norm representation along the interpolation path; "
+    "try a different baseline (zero-norm document representation)"
+)
+ENDPOINT_MESSAGE = (
+    "zero-norm representation at an interpolation endpoint; "
+    "try a different baseline (zero-norm document representation)"
+)
+
+
+def _same_output(params, vocab, reference, candidate, direction, steps, baseline_kind):
+    """One-pass and three-pass results serialise to the same JSON text, so every float has the same bits."""
+    args = (params, reference, candidate, vocab, direction, steps, baseline_kind)
+    got = integrated_gradients(*args).to_dict()
+    expected = integrated_gradients_three_pass(*args).to_dict()
+    assert json.dumps(got) == json.dumps(expected)
+
+
+def _raises_as_three_pass(message, *args):
+    """Both versions raise DegenerateRepresentationError with exactly `message`."""
+    for ig in (integrated_gradients, integrated_gradients_three_pass):
+        with pytest.raises(DegenerateRepresentationError) as info:
+            ig(*args)
+        assert str(info.value) == message
 
 
 class TestPathIntegral:
@@ -158,8 +194,8 @@ class TestIntegratedGradients:
     def test_zero_bias_baseline_degenerate(self, small_model):
         params, vocab = small_model
         params.proj_bias[:] = 0.0
-        with pytest.raises(DegenerateRepresentationError, match="baseline"):
-            integrated_gradients(params, "the door is open", "not quite", vocab)
+        _raises_as_three_pass(ENDPOINT_MESSAGE, params, "the door is open", "not quite", vocab,
+                              "toward_candidate", DEFAULT_STEPS, "zero")
 
     def test_step_floor(self, small_model):
         params, vocab = small_model
@@ -170,6 +206,56 @@ class TestIntegratedGradients:
         params, vocab = small_model
         with pytest.raises(ValueError):
             integrated_gradients(params, "a", "b", vocab, direction="sideways")
+
+
+class TestOnePassMatchesThreePass:
+    """`integrated_gradients` gives the bits of the three-cosine-call version it replaces."""
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_desk_model(self, desk_model, direction, baseline_kind, steps):
+        for record in desk_model.held_records[:4]:
+            for candidate in (record.correct, record.incorrect):
+                _same_output(desk_model.params, desk_model.vocab, record.reference, candidate,
+                             direction, steps, baseline_kind)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_random_wide_model(self, desk_model, direction, baseline_kind, steps):
+        vocab = desk_model.vocab
+        params = random_params(np.random.default_rng(256), vocab.vocab_size, 256, 16, scale=0.1)
+        params.hyper.max_len = desk_model.max_len
+        assert np.abs(params.proj_bias).min() > 0.0
+        for record in desk_model.held_records[:4]:
+            _same_output(params, vocab, record.reference, record.correct, direction, steps, baseline_kind)
+
+
+class TestZeroNormMessages:
+    """A zero fixed representation or midpoint raises the three-pass version's path message."""
+
+    @staticmethod
+    def line_model(fixed_row, attributed_row):
+        # D=2, N_c=1, W = C = I: h = e + b exactly for a one-token document "f" or "a".
+        vocab = build_word_vocabulary(["f a"])
+        bias = np.array([0.75, -0.5])
+        embedding = np.zeros((vocab.vocab_size, 2))
+        embedding[vocab.token_to_id["f"]] = fixed_row(bias)
+        embedding[vocab.token_to_id["a"]] = attributed_row(bias)
+        return manual_params(embedding, np.eye(2), bias, np.eye(2)), vocab
+
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    def test_zero_fixed_document(self, baseline_kind):
+        params, vocab = self.line_model(lambda b: -b, lambda b: np.array([0.25, 1.0]))
+        _raises_as_three_pass(PATH_MESSAGE, params, "f", "a", vocab, "toward_candidate", 8, baseline_kind)
+
+    def test_path_through_the_origin(self):
+        # h_0 = b and h_1 = -2b + b = -b: the midpoint alpha = 4.5 / 9 = 0.5 of 9 steps is exactly 0.
+        params, vocab = self.line_model(lambda b: np.array([0.25, 1.0]), lambda b: -2.0 * b)
+        _raises_as_three_pass(PATH_MESSAGE, params, "f", "a", vocab, "toward_candidate", 9, "zero")
+        # With an even step count no midpoint lands on alpha = 0.5.
+        _same_output(params, vocab, "f", "a", "toward_candidate", 8, "zero")
 
 
 class TestAttributionGap:

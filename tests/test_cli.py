@@ -380,3 +380,12 @@ class TestAttributeCommand:
         )
         assert code == 2
         assert "--steps" in capsys.readouterr().err
+
+    def test_baseline_validated_before_any_file_is_opened(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ckpt")
+        code = main(
+            ["attribute", "--ckpt", missing, "--vocab", str(tmp_path / "missing.vocab.json"),
+             "--ref", "a", "--cand", "b", "--baseline", "bogus"]
+        )
+        assert code == 2
+        assert "config error: --baseline must be one of ('zero', 'input')" in capsys.readouterr().err

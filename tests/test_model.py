@@ -300,6 +300,32 @@ class TestCosine:
                 assert np.allclose(g1[k], g1_k, rtol=0, atol=1e-15)
                 assert np.allclose(g2[k], g2_k, rtol=0, atol=1e-15)
 
+    @staticmethod
+    def assert_same_bits(got, expected):
+        for a, b in zip(got, expected):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
+    def test_stacked_call_equals_call_per_slice(self, dim, n):
+        # The trainer's one call: references against both candidate sets as a (2, n, dim) view.
+        h = np.random.default_rng(dim * 100 + n).normal(0, 1, (3 * n, dim))
+        stacked = cosine_with_grads(h[:n], h[n:].reshape(2, n, dim))
+        for k in range(2):
+            self.assert_same_bits([part[k] for part in stacked], cosine_with_grads(h[:n], h[(k + 1) * n : (k + 2) * n]))
+
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
+    def test_rows_call_equals_call_per_row(self, dim, n):
+        # Integrated gradients' one call: a fixed vector against every path point and both endpoints.
+        rng = np.random.default_rng(dim * 100 + n + 1)
+        vector, rows = rng.normal(0, 1, dim), rng.normal(0, 1, (n + 2, dim))
+        together = cosine_with_grads(vector, rows)
+        self.assert_same_bits([part[:n] for part in together], cosine_with_grads(vector, rows[:n]))
+        for k in range(n + 2):
+            self.assert_same_bits([part[k] for part in together], cosine_with_grads(vector, rows[k]))
+
     def test_row_wise_zero_norm(self):
         h = np.ones((3, 4))
         h[1] = 0.0

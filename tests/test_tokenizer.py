@@ -326,6 +326,13 @@ class TestDecode:
         with pytest.raises(TokenRangeError):
             decode(bpe_vocab, [bpe_vocab.vocab_size])
 
+    def test_token_outside_byte_alphabet(self):
+        # A token table is not checked against the byte alphabet; decoding such a token raises KeyError.
+        vocab = Vocabulary({"a": 0, "\u2603": 1}, [])
+        assert decode(vocab, [0, 0]) == "aa"
+        with pytest.raises(KeyError, match="\u2603"):
+            decode(vocab, [0, 1])
+
     def test_round_trip_random_strings(self, bpe_vocab):
         rng = np.random.default_rng(123)
         for _ in range(1000):
