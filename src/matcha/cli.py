@@ -1,9 +1,11 @@
 """Command-line entry points: tokenize, train, score, evaluate, attribute.
 
-A single JSON config file can seed the train command; explicit flags
-override file values, which override built-in defaults.  All file outputs
-are written atomically (temp file + rename) and every report embeds the
-seed, a hash of the effective config, and the package version.
+Each flag is declared once, in the parser, under the name of the
+`RunConfig` or `TrainConfig` field it fills.  A single JSON config file can
+seed the train command; explicit flags override file values, which override
+built-in defaults.  All file outputs are written atomically (temp file +
+rename) and every report embeds the seed, a hash of the effective config,
+and the package version.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,7 +38,7 @@ DEFAULT_MAX_LEN = 512
 
 @dataclass
 class RunConfig:
-    """Validated arguments of one CLI invocation."""
+    """Effective arguments of one CLI invocation, hashed into every report's config_hash."""
 
     command: str
     vocab: str | None = None
@@ -106,11 +108,6 @@ def _manifests_for(data_path: str) -> list[DatasetManifest]:
         return load_registry(data_path)
     name = os.path.splitext(os.path.basename(data_path))[0]
     return [DatasetManifest(name=name, path=data_path, has_contrastive=False)]
-
-
-def _require(problems: list[str], value, message: str) -> None:
-    if not value:
-        problems.append(message)
 
 
 def _cmd_tokenize(config: RunConfig) -> int:
@@ -191,6 +188,8 @@ def _parse_metric_ranges(entries: list[str]) -> dict[str, MetricRange]:
 
 
 def _cmd_evaluate(config: RunConfig) -> int:
+    if config.ckpt and not config.vocab:
+        raise ConfigError("evaluate with --ckpt requires --vocab")
     cfg = config.train
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
@@ -246,6 +245,8 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 
 def _cmd_attribute(config: RunConfig) -> int:
+    if config.steps < 8:
+        raise ConfigError("--steps must be >= 8")
     params = load_checkpoint(config.ckpt)
     vocab = _load_tokenizer(config)
     directions = list(DIRECTIONS) if config.direction == "both" else [config.direction]
@@ -269,42 +270,8 @@ def _cmd_attribute(config: RunConfig) -> int:
     return 0
 
 
-def _validate(config: RunConfig) -> None:
-    problems: list[str] = []
-    if config.command == "tokenize":
-        _require(problems, config.vocab, "tokenize requires --vocab")
-        _require(problems, config.text, "tokenize requires a text argument")
-    elif config.command == "score":
-        _require(problems, config.ckpt, "score requires --ckpt")
-        _require(problems, config.vocab, "score requires --vocab")
-        _require(problems, config.ref, "score requires --ref")
-        _require(problems, config.cand, "score requires --cand")
-    elif config.command == "train":
-        _require(problems, config.data, "train requires --data")
-        _require(problems, config.out, "train requires --out")
-    elif config.command == "evaluate":
-        _require(problems, config.data, "evaluate requires --data")
-        _require(problems, config.out, "evaluate requires --out")
-        if config.ckpt and not config.vocab:
-            problems.append("evaluate with --ckpt requires --vocab")
-    elif config.command == "attribute":
-        _require(problems, config.ckpt, "attribute requires --ckpt")
-        _require(problems, config.vocab, "attribute requires --vocab")
-        _require(problems, config.ref, "attribute requires --ref")
-        _require(problems, config.cand, "attribute requires --cand")
-        if config.direction != "both" and config.direction not in DIRECTIONS:
-            problems.append(f"--direction must be 'both' or one of {DIRECTIONS}")
-        if config.baseline not in BASELINE_KINDS:
-            problems.append(f"--baseline must be one of {BASELINE_KINDS}")
-        if config.steps < 8:
-            problems.append("--steps must be >= 8")
-    if problems:
-        raise ConfigError("; ".join(problems))
-
-
 def run(config: RunConfig) -> int:
-    """Execute one validated command; outputs land atomically."""
-    _validate(config)
+    """Execute one command; outputs land atomically."""
     handler = {
         "tokenize": _cmd_tokenize,
         "score": _cmd_score,
@@ -315,69 +282,92 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError, as a bad --config file is."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _nonempty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
+def _comma_list(value: str) -> list[str]:
+    return [s for s in value.split(",") if s]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="matcha", description="Contrastive semantic matching metric")
+    """Each flag's dest is the RunConfig or TrainConfig field it fills; an unset flag is left out."""
+    parser = _Parser(prog="matcha", description="Contrastive semantic matching metric")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_vocab_flags(p):
-        p.add_argument("--vocab", help="token vocabulary: BPE JSON (with --merges) or word-level JSON")
+    def add_command(name, help, vocab_required):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--vocab", required=vocab_required, type=_nonempty if vocab_required else str,
+                       help="token vocabulary: BPE JSON (with --merges) or word-level JSON")
         p.add_argument("--merges", help="BPE merges file (header line + 'left right' lines)")
-        p.add_argument("--max-len", type=int, default=None, help=f"sequence length cap (default: {DEFAULT_MAX_LEN})")
+        return p
 
-    p = sub.add_parser("tokenize", help="print token ids for a text")
-    add_vocab_flags(p)
-    p.add_argument("text", help="text to tokenize")
+    def add_pair(p):
+        p.add_argument("--ckpt", required=True, type=_nonempty, help="model checkpoint")
+        p.add_argument("--ref", required=True, type=_nonempty, help="reference text")
+        p.add_argument("--cand", required=True, type=_nonempty, help="candidate text")
 
-    p = sub.add_parser("train", help="train from a corpus and write a checkpoint")
-    add_vocab_flags(p)
+    p = add_command("tokenize", "print token ids for a text", vocab_required=True)
+    p.add_argument("--max-len", type=int, help=f"sequence length cap (default: {DEFAULT_MAX_LEN})")
+    p.add_argument("text", type=_nonempty, help="text to tokenize")
+
+    p = add_command("train", "train from a corpus and write a checkpoint", vocab_required=False)
+    p.add_argument("--max-len", type=int, help=f"sequence length cap (default: {DEFAULT_MAX_LEN})")
     p.add_argument("--config", help="JSON file of training settings; flags override it")
-    p.add_argument("--data", help="registry.json, its directory, or a single JSONL corpus")
-    p.add_argument("--out", help="checkpoint output path")
+    p.add_argument("--data", required=True, type=_nonempty,
+                   help="registry.json, its directory, or a single JSONL corpus")
+    p.add_argument("--out", required=True, type=_nonempty, help="checkpoint output path")
     p.add_argument("--report", help="per-epoch JSONL report path (default: <out>.train.jsonl)")
     p.add_argument("--init-ckpt", help="start from this checkpoint (e.g. an imported embedding table)")
-    p.add_argument("--dim", type=int, default=None, help=f"embedding width for fresh models (default: {DEFAULT_DIM})")
-    p.add_argument("--n-ctx", type=int, default=None, help="context vectors per token (default: 16)")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default: 15)")
-    p.add_argument("--batch-size", type=int, default=None, help="triplets per batch (default: 128)")
-    p.add_argument("--grad-accum", type=int, default=None, help="micro-batches per optimizer step (default: 8)")
-    p.add_argument("--lr", type=float, default=None, help="base learning rate (default: 1e-4)")
-    p.add_argument("--weight-decay", type=float, default=None, help="decoupled weight decay (default: 0.05)")
-    p.add_argument("--margin", type=float, default=None, help="contrastive margin (default: 1.0)")
-    p.add_argument("--seed", type=int, default=None, help="run seed (default: 42)")
-    p.add_argument("--schedule", default=None, choices=sorted(SCHEDULE_STRATEGIES),
-                   help="batch schedule strategy (default: interleaved)")
-    p.add_argument("--gamma", type=float, default=None, help="per-epoch exponential lr decay (default: 0.9)")
-    p.add_argument("--curriculum-order", default=None, help="comma-separated dataset order for curriculum")
-    p.add_argument("--freeze-embeddings", action="store_const", const=True, default=None,
+    p.add_argument("--dim", type=int, help=f"embedding width for fresh models (default: {DEFAULT_DIM})")
+    p.add_argument("--n-ctx", type=int, help=f"context vectors per token (default: {DEFAULT_N_CTX})")
+    p.add_argument("--epochs", type=int, help=f"training epochs (default: {TrainConfig.epochs})")
+    p.add_argument("--batch-size", type=int, help=f"triplets per batch (default: {TrainConfig.batch_size})")
+    p.add_argument("--grad-accum", dest="grad_accum_steps", metavar="GRAD_ACCUM", type=int,
+                   help=f"micro-batches per optimizer step (default: {TrainConfig.grad_accum_steps})")
+    p.add_argument("--lr", type=float, help=f"base learning rate (default: {TrainConfig.lr})")
+    p.add_argument("--weight-decay", type=float,
+                   help=f"decoupled weight decay (default: {TrainConfig.weight_decay})")
+    p.add_argument("--margin", type=float, help=f"contrastive margin (default: {TrainConfig.margin})")
+    p.add_argument("--seed", type=int, help=f"run seed (default: {TrainConfig.seed})")
+    p.add_argument("--schedule", dest="schedule_strategy", choices=sorted(SCHEDULE_STRATEGIES),
+                   help=f"batch schedule strategy (default: {TrainConfig.schedule_strategy})")
+    p.add_argument("--gamma", dest="lr_decay", metavar="GAMMA", type=float,
+                   help=f"per-epoch exponential lr decay (default: {TrainConfig.lr_decay})")
+    p.add_argument("--curriculum-order", type=_comma_list, help="comma-separated dataset order for curriculum")
+    p.add_argument("--freeze-embeddings", dest="train_embeddings", action="store_false",
                    help="do not update the embedding table")
 
-    p = sub.add_parser("score", help="similarity of a reference/candidate pair")
-    add_vocab_flags(p)
-    p.add_argument("--ckpt", help="model checkpoint")
-    p.add_argument("--ref", help="reference text")
-    p.add_argument("--cand", help="candidate text")
+    p = add_command("score", "similarity of a reference/candidate pair", vocab_required=True)
+    add_pair(p)
 
-    p = sub.add_parser("evaluate", help="separation and human-agreement report over a corpus")
-    add_vocab_flags(p)
-    p.add_argument("--data", help="registry.json, its directory, or a single JSONL corpus")
+    p = add_command("evaluate", "separation and human-agreement report over a corpus", vocab_required=False)
+    p.add_argument("--data", required=True, type=_nonempty,
+                   help="registry.json, its directory, or a single JSONL corpus")
     p.add_argument("--ckpt", help="score the corpus with this checkpoint as metric 'matcha'")
-    p.add_argument("--scores", action="append", default=[],
-                   help="external metric scores JSONL {id, metric, score}; repeatable")
-    p.add_argument("--metrics", action="append", default=[],
+    p.add_argument("--scores", action="append", help="external metric scores JSONL {id, metric, score}; repeatable")
+    p.add_argument("--metrics", action="append",
                    help="metric range declaration name=cosine_like|unit|percent; repeatable")
     p.add_argument("--rouge", action="store_true", help="also compute rouge1/rouge2/rougeL baselines")
-    p.add_argument("--out", help="report JSON output path")
+    p.add_argument("--out", required=True, type=_nonempty, help="report JSON output path")
     p.add_argument("--csv", help="optional CSV export of threshold curves")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in the report (default: 42)")
+    p.add_argument("--seed", type=int, help=f"seed recorded in the report (default: {TrainConfig.seed})")
 
-    p = sub.add_parser("attribute", help="integrated-gradients token attribution for a pair")
-    add_vocab_flags(p)
-    p.add_argument("--ckpt", help="model checkpoint")
-    p.add_argument("--ref", help="reference text")
-    p.add_argument("--cand", help="candidate text")
-    p.add_argument("--direction", default="both", help="both, toward_candidate, or toward_reference")
-    p.add_argument("--steps", type=int, default=64, help="Riemann steps (default: 64)")
-    p.add_argument("--baseline", default="zero", help="baseline kind (default: zero)")
+    p = add_command("attribute", "integrated-gradients token attribution for a pair", vocab_required=True)
+    add_pair(p)
+    p.add_argument("--direction", choices=("both", *DIRECTIONS),
+                   help=f"attribution direction (default: {RunConfig.direction})")
+    p.add_argument("--steps", type=int, help=f"Riemann steps (default: {RunConfig.steps})")
+    p.add_argument("--baseline", choices=BASELINE_KINDS, help=f"baseline kind (default: {RunConfig.baseline})")
     p.add_argument("--out", help="write JSON here instead of stdout")
     return parser
 
@@ -399,75 +389,27 @@ def _fits(hint, value) -> bool:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    train_cfg = TrainConfig()
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        file_values = read_json(args.config, ConfigError)
+    """Built-in defaults, overridden by the --config file, overridden by the flags given."""
+    values = vars(args)
+    path = values.pop("config", None)
+    if path:
+        file_values = read_json(path, ConfigError)
         if not isinstance(file_values, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
+            raise ConfigError(f"{path}: expected a JSON object")
         unknown = set(file_values) - set(_CONFIG_FILE_TYPES)
         if unknown:
-            raise ConfigError(f"{args.config}: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
         for key, value in file_values.items():
             hint = _CONFIG_FILE_TYPES[key]
             if not _fits(hint, value):
                 raise ConfigError(
-                    f"{args.config}: key {key!r} must be {getattr(hint, '__name__', hint)}, "
+                    f"{path}: key {key!r} must be {getattr(hint, '__name__', hint)}, "
                     f"got {json.dumps(value)}"
                 )
-            if hasattr(train_cfg, key):
-                setattr(train_cfg, key, value)
-
-    flag_map = {
-        "epochs": "epochs",
-        "batch_size": "batch_size",
-        "grad_accum": "grad_accum_steps",
-        "lr": "lr",
-        "weight_decay": "weight_decay",
-        "margin": "margin",
-        "seed": "seed",
-        "schedule": "schedule_strategy",
-        "gamma": "lr_decay",
-    }
-    for flag, attr in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(train_cfg, attr, value)
-    if getattr(args, "freeze_embeddings", None):
-        train_cfg.train_embeddings = False
-    if getattr(args, "curriculum_order", None):
-        train_cfg.curriculum_order = [s for s in args.curriculum_order.split(",") if s]
-
-    def pick(flag: str, default):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return value
-        return file_values.get(flag, default)
-
-    return RunConfig(
-        command=args.command,
-        vocab=getattr(args, "vocab", None),
-        merges=getattr(args, "merges", None),
-        data=getattr(args, "data", None),
-        ckpt=getattr(args, "ckpt", None),
-        init_ckpt=getattr(args, "init_ckpt", None),
-        out=getattr(args, "out", None),
-        report=getattr(args, "report", None),
-        csv=getattr(args, "csv", None),
-        text=getattr(args, "text", None),
-        ref=getattr(args, "ref", None),
-        cand=getattr(args, "cand", None),
-        direction=getattr(args, "direction", "both"),
-        steps=getattr(args, "steps", 64),
-        baseline=getattr(args, "baseline", "zero"),
-        scores=list(getattr(args, "scores", []) or []),
-        metrics=list(getattr(args, "metrics", []) or []),
-        rouge=bool(getattr(args, "rouge", False)),
-        max_len=int(pick("max_len", DEFAULT_MAX_LEN)),
-        dim=int(pick("dim", DEFAULT_DIM)),
-        n_ctx=int(pick("n_ctx", DEFAULT_N_CTX)),
-        train=train_cfg,
-    )
+        values = file_values | values
+    train_keys = {f.name for f in fields(TrainConfig)}
+    train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
+    return RunConfig(**{k: v for k, v in values.items() if k not in train_keys}, train=train)
 
 
 _ERROR_CATEGORIES = [
@@ -479,10 +421,8 @@ _ERROR_CATEGORIES = [
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return run(_config_from_args(_build_parser().parse_args(argv)))
     except tuple(cls for cls, _, _ in _ERROR_CATEGORIES) as exc:
         for cls, label, code in _ERROR_CATEGORIES:
             if isinstance(exc, cls):

@@ -91,7 +91,7 @@ class TestScoreCommand:
         path, _, _ = word_vocab_file
         code = main(["score", "--vocab", path, "--ref", "a", "--cand", "b"])
         assert code == 2
-        assert "score requires --ckpt" in capsys.readouterr().err
+        assert "config error: the following arguments are required: --ckpt" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -388,4 +388,108 @@ class TestAttributeCommand:
              "--ref", "a", "--cand", "b", "--baseline", "bogus"]
         )
         assert code == 2
-        assert "config error: --baseline must be one of ('zero', 'input')" in capsys.readouterr().err
+        assert "config error: argument --baseline: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+class TestBadCommandLine:
+    """Every malformed command line exits 2 with one `config error:` line and no usage text."""
+
+    PAIR = ["--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "a", "--cand", "b"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "c.jsonl", "--out", "m.ckpt", "--epochs", "x"],
+         "argument --epochs: invalid int value: 'x'"),
+        (["attribute", *PAIR, "--direction", "sideways"], "argument --direction: invalid choice: 'sideways'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["train", "--data", "c.jsonl"], "the following arguments are required: --out"),
+        (["score", "--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "", "--cand", "b"],
+         "argument --ref: must not be empty"),
+    ], ids=["bad-int", "bad-choice", "unknown-command", "missing-flag", "empty-ref"])
+    def test_one_config_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
+        assert "usage:" not in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["score", *PAIR], ["attribute", *PAIR],
+                                      ["evaluate", "--data", "c", "--out", "r"]], ids=["score", "attribute", "evaluate"])
+    def test_max_len_only_where_it_is_used(self, capsys, argv):
+        assert main([*argv, "--max-len", "4"]) == 2
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --max-len 4\n"
+
+
+def run_config(monkeypatch, argv):
+    """The RunConfig that `main(argv)` hands to `run`, without running the command."""
+    captured = []
+    monkeypatch.setattr(matcha.cli, "run", lambda config: captured.append(config) or 0)
+    assert main(argv) == 0
+    return captured[0]
+
+
+class TestRunConfig:
+    FILE = {"epochs": 2, "batch_size": 8, "grad_accum_steps": 1, "lr": 0.01, "weight_decay": 0, "margin": 2.0,
+            "seed": 3, "schedule_strategy": "sequential", "lr_decay": 1.0, "train_embeddings": True,
+            "curriculum_order": ["A"], "dim": 12, "n_ctx": 3, "max_len": 32}
+    TRAIN = ["train", "--data", "c.jsonl", "--out", "m.ckpt"]
+    PAIR = ["--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "a b", "--cand", "a c"]
+
+    # config_hash of each argv, as the reports record it; CONFIG stands for a file holding FILE.
+    @pytest.mark.parametrize("argv, config_hash", [
+        (["tokenize", "--vocab", "v.json", "the door"], "76e6b4d4dce98504"),
+        (["tokenize", "--vocab", "v.json", "--merges", "m.txt", "--max-len", "8", "x y"], "e848023c0a8607a8"),
+        (TRAIN, "6eb89a5f3a992f85"),
+        ([*TRAIN, "--vocab", "v.json", "--merges", "m.txt", "--max-len", "64", "--report", "r.jsonl",
+          "--init-ckpt", "i.ckpt", "--dim", "32", "--n-ctx", "4", "--epochs", "3", "--batch-size", "16",
+          "--grad-accum", "2", "--lr", "0.001", "--weight-decay", "0.01", "--margin", "0.5", "--seed", "7",
+          "--schedule", "curriculum", "--gamma", "0.8", "--curriculum-order", "A,,B", "--freeze-embeddings"],
+         "cf7522e02c6065fe"),
+        ([*TRAIN, "--config", "CONFIG"], "06bf898b4d9152d3"),
+        ([*TRAIN, "--config", "CONFIG", "--epochs", "5", "--grad-accum", "4", "--gamma", "0.5",
+          "--schedule", "interleaved", "--dim", "16", "--max-len", "20", "--seed", "11",
+          "--curriculum-order", "B,C", "--freeze-embeddings", "--lr", "1"], "d98a0238cca1cf35"),
+        (["score", "--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "the door is open",
+          "--cand", "the door is closed"], "b35a46231d5de6f3"),
+        (["evaluate", "--data", "c.jsonl", "--out", "r.json"], "aa888b54eb5680ae"),
+        (["evaluate", "--data", "reg.json", "--ckpt", "m.ckpt", "--vocab", "v.json", "--merges", "m.txt",
+          "--scores", "s1.jsonl", "--scores", "s2.jsonl", "--metrics", "a=unit", "--metrics", "b=percent",
+          "--rouge", "--out", "r.json", "--csv", "c.csv", "--seed", "5"], "adba6ee05e6ece1b"),
+        (["attribute", *PAIR], "848f8d13e076a2c2"),
+        (["attribute", *PAIR, "--merges", "m.txt", "--direction", "toward_reference", "--steps", "16",
+          "--baseline", "input", "--out", "a.json"], "6cab0cc5d1516969"),
+    ])
+    def test_config_hash_is_pinned(self, tmp_path, monkeypatch, argv, config_hash):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.FILE))
+        config = run_config(monkeypatch, [str(path) if arg == "CONFIG" else arg for arg in argv])
+        assert matcha.cli._provenance(config.train.seed, config)["config_hash"] == config_hash
+
+    # (key, file value, flags, value with those flags over the file)
+    @pytest.mark.parametrize("key, file_value, flags, flag_value", [
+        ("epochs", 2, ["--epochs", "3"], 3),
+        ("batch_size", 8, ["--batch-size", "16"], 16),
+        ("grad_accum_steps", 2, ["--grad-accum", "3"], 3),
+        ("lr", 0.01, ["--lr", "0.02"], 0.02),
+        ("weight_decay", 0.1, ["--weight-decay", "0.2"], 0.2),
+        ("margin", 2.0, ["--margin", "3"], 3.0),
+        ("seed", 1, ["--seed", "2"], 2),
+        ("schedule_strategy", "sequential", ["--schedule", "curriculum"], "curriculum"),
+        ("lr_decay", 0.5, ["--gamma", "0.6"], 0.6),
+        ("train_embeddings", False, [], False),
+        ("train_embeddings", True, ["--freeze-embeddings"], False),
+        ("curriculum_order", ["A"], ["--curriculum-order", "B,C"], ["B", "C"]),
+        ("curriculum_order", ["A"], ["--curriculum-order", ""], []),
+        ("dim", 12, ["--dim", "16"], 16),
+        ("n_ctx", 3, ["--n-ctx", "4"], 4),
+        ("max_len", 32, ["--max-len", "20"], 20),
+    ])
+    def test_defaults_then_file_then_flags(self, tmp_path, monkeypatch, key, file_value, flags, flag_value):
+        def field_value(config):
+            return getattr(config.train if hasattr(config.train, key) else config, key)
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: file_value}))
+        default = field_value(matcha.cli.RunConfig(command="train"))
+        assert field_value(run_config(monkeypatch, self.TRAIN)) == default
+        assert field_value(run_config(monkeypatch, [*self.TRAIN, "--config", str(path)])) == file_value
+        assert field_value(run_config(monkeypatch, [*self.TRAIN, "--config", str(path), *flags])) == flag_value
