@@ -9,10 +9,12 @@ maps to the straight line h_α = h_0 + α(h_1 - h_0) between the endpoint
 representations.  The midpoint rule therefore averages the cosine gradient
 over the `steps` points of that line and pulls it back once, through the
 block-mean projection W̄; every token row receives the same embedding
-gradient.  The fixed, attributed and baseline documents share one forward
-and one W̄, and one cosine call against the fixed representation covers
-the `steps` midpoints and both endpoints, whose cosines are the score and
-the baseline score.  The midpoint grid never evaluates at the baseline
+gradient.  The fixed and attributed documents' rows come from one gather,
+the three documents share one forward and one W̄, and one
+`model.cosine_grad` call against the fixed representation covers the
+`steps` midpoints and both endpoints, whose cosines are the score and the
+baseline score; it forms only the gradient with respect to the moving
+side, the one IG uses.  The midpoint grid never evaluates at the baseline
 itself, which sidesteps the zero-norm cosine singularity of an all-zero
 start.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRepresentationError
-from .model import ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
+from .model import ModelParams, block_means, check_ids, cosine_grad, embedding_rows, forward
 
 DIRECTIONS = ("toward_candidate", "toward_reference")
 BASELINE_KINDS = ("zero", "input")
@@ -80,16 +82,19 @@ def integrated_gradients(
         (candidate, reference) if direction == "toward_candidate" else (reference, candidate)
     )
     ids = vocab.encode(attributed_text, max_len)
-    emb = embedding_rows(params, check_ids(params, ids))
-    fixed = embedding_rows(params, check_ids(params, vocab.encode(fixed_text, max_len)))
+    # One gather: the attributed document's rows, then the fixed document's.
+    # `encode` raises on an empty text and gives at least one id otherwise.
+    rows = embedding_rows(params, check_ids(params, ids + vocab.encode(fixed_text, max_len)))
+    emb, fixed = rows[: len(ids)], rows[len(ids) :]
     # One forward for the fixed document, the attributed one and, unless it
     # is the attributed document itself, the baseline: the zero baseline's
-    # mean embedding is the zero vector.
-    rows = [fixed.mean(axis=0), emb.mean(axis=0)]
-    if baseline_kind == "zero":
-        rows.append(np.zeros(params.hyper.dim))
+    # mean embedding is the zero row.  Sum over count gives the bits of
+    # .mean(axis=0), without its wrapper.
+    emb_means = np.zeros((3 if baseline_kind == "zero" else 2, params.hyper.dim))
+    emb_means[0] = np.add.reduce(fixed) / len(fixed)
+    emb_means[1] = np.add.reduce(emb) / len(emb)
     means = block_means(params)
-    _, h = forward(params, np.stack(rows), means)
+    _, h = forward(params, emb_means, means)
     h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
     # One cosine pass: the `steps` midpoints of the line, then both endpoints.
     alphas = (np.arange(steps) + 0.5) / steps
@@ -98,14 +103,14 @@ def integrated_gradients(
     points[:steps] += h_baseline
     points[steps], points[steps + 1] = h_actual, h_baseline
     try:
-        sims, _, g_points = cosine_with_grads(h_fixed, points)
+        sims, g_points = cosine_grad(h_fixed, points)
     except DegenerateRepresentationError as exc:
         on_path = not np.linalg.norm(np.vstack((h_fixed, points[:steps])), axis=-1).all()
         where = "along the interpolation path" if on_path else "at an interpolation endpoint"
         raise DegenerateRepresentationError(
             f"zero-norm representation {where}; try a different baseline ({exc})"
         ) from exc
-    g_h = g_points[:steps].mean(axis=0)
+    g_h = np.add.reduce(g_points[:steps]) / steps
     score_actual, score_baseline = sims[steps], sims[steps + 1]
     # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
     # gets the same embedding gradient.  The input baseline's delta is zero.

@@ -11,6 +11,7 @@ and the package version.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -125,6 +126,8 @@ def _cmd_score(config: RunConfig) -> int:
 
 
 def _cmd_train(config: RunConfig) -> int:
+    if config.merges and not config.vocab:
+        raise ConfigError("train with --merges requires --vocab")
     cfg = config.train
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
@@ -190,6 +193,8 @@ def _parse_metric_ranges(entries: list[str]) -> dict[str, MetricRange]:
 def _cmd_evaluate(config: RunConfig) -> int:
     if config.ckpt and not config.vocab:
         raise ConfigError("evaluate with --ckpt requires --vocab")
+    if not config.ckpt and (config.vocab or config.merges):
+        raise ConfigError("evaluate with --vocab or --merges requires --ckpt")
     cfg = config.train
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
@@ -299,8 +304,12 @@ def _comma_list(value: str) -> list[str]:
     return [s for s in value.split(",") if s]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """Each flag's dest is the RunConfig or TrainConfig field it fills; an unset flag is left out."""
+    """Each flag's dest is the RunConfig or TrainConfig field it fills; an unset flag is left out.
+
+    Built once per process: `parse_args` fills a new namespace on every call.
+    """
     parser = _Parser(prog="matcha", description="Contrastive semantic matching metric")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -251,21 +251,36 @@ def cosine(h1: np.ndarray, h2: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis: the bits of np.linalg.norm(x, axis=-1), without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _cosine_core(h1: np.ndarray, h2: np.ndarray):
+    """(n1, n2, n1·n2, unclamped cosine) over the last axis; a zero norm on either side raises."""
+    n1, n2 = _norms(h1), _norms(h2)
+    if not (n1.all() and n2.all()):
+        raise DegenerateRepresentationError("zero-norm document representation")
+    n12 = n1 * n2
+    return n1, n2, n12, np.einsum("...d,...d->...", h1, h2) / n12
+
+
 def cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unclamped cosine of h1 and h2 over the last axis, with its gradients with respect to each.
 
     Leading axes broadcast, so (n, dim) inputs give n cosines in one call;
     1-d inputs give a scalar cosine.
     """
-    n1 = np.linalg.norm(h1, axis=-1)
-    n2 = np.linalg.norm(h2, axis=-1)
-    if np.any(n1 == 0.0) or np.any(n2 == 0.0):
-        raise DegenerateRepresentationError("zero-norm document representation")
-    n12 = n1 * n2
-    sim = np.einsum("...d,...d->...", h1, h2) / n12
+    n1, n2, n12, sim = _cosine_core(h1, h2)
     g1 = h2 / n12[..., None] - (sim / n1**2)[..., None] * h1
     g2 = h1 / n12[..., None] - (sim / n2**2)[..., None] * h2
     return sim, g1, g2
+
+
+def cosine_grad(h_fixed: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sim, g): `cosine_with_grads(h_fixed, h)` without the gradient with respect to h_fixed."""
+    _, n, n12, sim = _cosine_core(h_fixed, h)
+    return sim, h_fixed / n12[..., None] - (sim / n**2)[..., None] * h
 
 
 def score(params: ModelParams, reference, candidate, vocab):

@@ -493,3 +493,60 @@ class TestRunConfig:
         assert field_value(run_config(monkeypatch, self.TRAIN)) == default
         assert field_value(run_config(monkeypatch, [*self.TRAIN, "--config", str(path)])) == file_value
         assert field_value(run_config(monkeypatch, [*self.TRAIN, "--config", str(path), *flags])) == flag_value
+
+
+class TestOneParserPerProcess:
+    """`main` builds the parser once per process, and successive calls share no state."""
+
+    EVALUATE = ["evaluate", "--data", "c.jsonl", "--out", "r.json"]
+    TRAIN = ["train", "--data", "c.jsonl", "--out", "m.ckpt"]
+
+    def test_parser_is_built_once(self):
+        assert matcha.cli._build_parser() is matcha.cli._build_parser()
+
+    def test_repeatable_flags_do_not_accumulate(self, monkeypatch):
+        first = run_config(monkeypatch, [*self.EVALUATE, "--scores", "a.jsonl", "--metrics", "a=unit"])
+        second = run_config(monkeypatch, [*self.EVALUATE, "--scores", "b.jsonl", "--metrics", "b=percent",
+                                          "--metrics", "c=unit"])
+        assert (first.scores, first.metrics) == (["a.jsonl"], ["a=unit"])
+        assert (second.scores, second.metrics) == (["b.jsonl"], ["b=percent", "c=unit"])
+
+    def test_a_flag_set_once_is_absent_from_the_next_call(self, monkeypatch):
+        run_config(monkeypatch, [*self.EVALUATE, "--scores", "a.jsonl", "--metrics", "a=unit", "--rouge",
+                                 "--csv", "c.csv", "--ckpt", "m.ckpt", "--vocab", "v.json", "--seed", "9"])
+        assert run_config(monkeypatch, self.EVALUATE) == matcha.cli.RunConfig(
+            command="evaluate", data="c.jsonl", out="r.json")
+
+    def test_freeze_embeddings_does_not_stick(self, monkeypatch):
+        frozen = run_config(monkeypatch, [*self.TRAIN, "--freeze-embeddings", "--epochs", "3"])
+        assert not frozen.train.train_embeddings and frozen.train.epochs == 3
+        assert run_config(monkeypatch, self.TRAIN) == matcha.cli.RunConfig(
+            command="train", data="c.jsonl", out="m.ckpt")
+
+
+class TestIgnoredVocabularyFlags:
+    """Vocabulary flags a command would not use are a config error, raised before any file is opened."""
+
+    EVALUATE = ["evaluate", "--data", "missing.jsonl", "--out", "r.json"]
+    EVALUATE_MESSAGE = "evaluate with --vocab or --merges requires --ckpt"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "missing.jsonl", "--out", "m.ckpt", "--merges", "m.txt"],
+         "train with --merges requires --vocab"),
+        ([*EVALUATE, "--vocab", "v.json"], EVALUATE_MESSAGE),
+        ([*EVALUATE, "--merges", "m.txt"], EVALUATE_MESSAGE),
+        ([*EVALUATE, "--vocab", "v.json", "--merges", "m.txt"], EVALUATE_MESSAGE),
+    ], ids=["train-merges", "evaluate-vocab", "evaluate-merges", "evaluate-both"])
+    def test_config_error_before_any_file_is_opened(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_with_vocab_and_merges_still_runs(self, tmp_path, bpe_files):
+        corpus = write_corpus(tmp_path / "corpus.jsonl", make_synthetic_corpus(16, seed=5))
+        out = str(tmp_path / "bpe.ckpt")
+        assert main(["train", "--data", corpus, "--out", out, "--vocab", bpe_files.vocab_path,
+                     "--merges", bpe_files.merges_path, "--epochs", "1", "--batch-size", "8",
+                     "--dim", "8", "--n-ctx", "2"]) == 0
+        assert load_checkpoint(out).vocab_size == len(bpe_files.token_to_id)

@@ -13,6 +13,7 @@ from matcha.model import (
     block_means,
     check_ids,
     cosine,
+    cosine_grad,
     cosine_with_grads,
     forward,
     init_params,
@@ -335,6 +336,50 @@ class TestCosine:
     def test_clamped(self):
         h = np.array([1e-8, 1.0])
         assert -1.0 <= cosine(h, -h) <= 1.0
+
+
+class TestCosineKernels:
+    """`cosine_grad` is `cosine_with_grads` without g1; both share the norms and the zero-norm check."""
+
+    @staticmethod
+    def shapes(dim, n):
+        rng = np.random.default_rng(dim * 1000 + n)
+        vector, rows, other, stack = (rng.normal(0, 1, shape) for shape in ((dim,), (n, dim), (n, dim), (2, n, dim)))
+        # A vector against rows (integrated gradients), rows against rows, rows against a stack (training).
+        return {"vector-rows": (vector, rows), "rows-rows": (rows, other), "rows-stack": (rows, stack)}
+
+    @pytest.mark.parametrize("n", [1, 7, 66])
+    @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
+    def test_cosine_grad_is_sim_and_g2(self, dim, n):
+        for name, (h_fixed, h) in self.shapes(dim, n).items():
+            sim, _, g2 = cosine_with_grads(h_fixed, h)
+            got = cosine_grad(h_fixed, h)
+            for a, b in zip(got, (sim, g2)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("n", [1, 7, 66])
+    @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
+    def test_norms_are_linalg_norm_bits(self, dim, n):
+        for pair in self.shapes(dim, n).values():
+            for x in pair:
+                assert matcha.model._norms(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+
+    @pytest.mark.parametrize("side", ["fixed", "moving"])
+    @pytest.mark.parametrize("shape", ["vector-rows", "rows-rows", "rows-stack"])
+    def test_zero_norm_on_either_side(self, shape, side):
+        h_fixed, h = self.shapes(5, 7)[shape]
+        # The zero vector, or one zero row, on one side only.
+        zeroed = h_fixed if side == "fixed" else h
+        if zeroed.ndim == 1:
+            zeroed[:] = 0.0
+        else:
+            zeroed[..., 2, :] = 0.0
+        messages = set()
+        for kernel in (cosine_with_grads, cosine_grad):
+            with pytest.raises(DegenerateRepresentationError) as info:
+                kernel(h_fixed, h)
+            messages.add(str(info.value))
+        assert messages == {"zero-norm document representation"}
 
 
 class TestScore:
