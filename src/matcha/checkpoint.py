@@ -5,9 +5,11 @@ Layout, all little-endian:
   then per tensor: u32 name length | name | u32 rank | rank x u64 dims |
   row-major float32 data.
 The same container carries pre-trained embedding imports and training
-checkpoints.  Writes are atomic (temp file + rename).  A load reads the
-file once, each tensor straight into its own array (the embedding stays
-float32); a save writes each tensor's float32 buffer once.
+checkpoints.  Each tensor streams in blocks of BLOCK float32 entries
+(1 MiB), checked for NaN and inf while in cache: a save converts them in one
+reusable buffer, a load reads them into the tensor's own array (the
+embedding stays float32).  Writes are atomic: the temp file is opened first
+and removed on any error, NumericError included.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ MAGIC = b"MTCH"
 VERSION = 1
 TENSOR_ORDER = ("embedding", "proj_weight", "proj_bias", "conversion")
 MAX_RANK = 64  # the most dimensions a NumPy array can have
+BLOCK = 1 << 18  # float32 entries per streamed block: a 1 MiB buffer
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    return math.isfinite(values.min()) and math.isfinite(values.max())  # NaN propagates; no mask is built
 
 
 def _manifest_bytes(params: ModelParams) -> bytes:
@@ -41,22 +48,24 @@ def _manifest_bytes(params: ModelParams) -> bytes:
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
-    """Serialize all tensors as float32, atomically; a value beyond float32's range raises NumericError first."""
+    """Serialize all tensors as float32, atomically; a value beyond float32's range raises NumericError."""
     params.validate()
     manifest = _manifest_bytes(params)
-    chunks: list = [MAGIC, struct.pack("<IQ", VERSION, len(manifest)), manifest]
-    for name in TENSOR_ORDER:
-        with np.errstate(over="ignore"):
-            tensor = np.ascontiguousarray(getattr(params, name), dtype="<f4")
-        if not np.isfinite(tensor).all():
-            raise NumericError(f"{path}: tensor {name!r} has entries that are not finite as float32")
-        encoded, rank = name.encode("utf-8"), tensor.ndim
-        chunks += [struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape), tensor]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ckpt-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh, np.errstate(over="ignore"):
+            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(manifest)) + manifest)
+            buf = np.empty(BLOCK, dtype="<f4")
+            for name in TENSOR_ORDER:
+                tensor = getattr(params, name)
+                encoded, rank, flat = name.encode("utf-8"), tensor.ndim, tensor.reshape(-1)
+                fh.write(struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape))
+                for start in range(0, flat.size, BLOCK):
+                    block = buf[: min(BLOCK, flat.size - start)]
+                    np.copyto(block, flat[start : start + BLOCK], casting="unsafe")
+                    if not _all_finite(block):
+                        raise NumericError(f"{path}: tensor {name!r} has entries that are not finite as float32")
+                    fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,10 +91,15 @@ class _Reader:
         self._advance(count, len(chunk))
         return chunk
 
-    def floats(self, count: int) -> np.ndarray:
-        """The next `count` float32 values, read straight into a new (so aligned) array."""
+    def floats(self, count: int, name: str) -> np.ndarray:
+        """The next `count` float32 values of tensor `name`, read and checked block by block into one new array."""
         out = np.empty(count, dtype="<f4")
-        self._advance(4 * count, self.fh.readinto(out) if 4 * count <= self.remaining() else 0)
+        for start in range(0, count, BLOCK):
+            block, at = out[start : start + BLOCK], self.offset
+            self._advance(block.nbytes, self.fh.readinto(block) if block.nbytes <= self.remaining() else 0)
+            if not _all_finite(block):
+                at += 4 * int(np.isfinite(block).argmin())
+                raise CheckpointIntegrityError(f"{self.path}: tensor {name!r} has a non-finite float32 at byte {at}")
         return out
 
     def remaining(self) -> int:
@@ -155,10 +169,7 @@ def load_checkpoint(path: str) -> ModelParams:
                     f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
                     f"but only {reader.remaining()} bytes remain"
                 )
-            raw = reader.floats(nbytes // 4)
-            if not np.isfinite(raw).all():
-                at = reader.offset - nbytes + 4 * int(np.isfinite(raw).argmin())
-                raise CheckpointIntegrityError(f"{path}: tensor {name!r} has a non-finite float32 at byte {at}")
+            raw = reader.floats(nbytes // 4, name)
             # Every gather upcasts its embedding rows; the other tensors are read whole.
             flat = raw if name == "embedding" else raw.astype(np.float64)
             # Frozen before the reshape, so the view can never be made writeable again.

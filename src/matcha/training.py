@@ -259,7 +259,8 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
     - decay reaches every embedding row, but moments and steps are computed
       only on the live rows.  Any other row has m = v = g = 0, where the
       dense step 0 / (0 + eps_hat) is exactly 0.
-    Tensors with no gradient (frozen) are neither moved nor decayed.
+    Tensors with no gradient (frozen) are neither moved nor decayed.  A read-only
+    table is left untouched: params.embedding becomes its decayed float64 successor.
     """
     state.step_count += 1
     t = state.step_count
@@ -289,7 +290,10 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
                 v = state.second_moment[name] = _rows_into(grown, live, v)
                 state.live_rows = live = grown
             delta = _adam_update(m, v, _rows_into(live, rows, g), step, eps_hat)
-            theta *= decay
+            if theta.flags.writeable:
+                theta *= decay
+            else:  # the same bits as upcasting a copy and decaying it, in one pass
+                theta = params.embedding = np.multiply(theta, decay, dtype=np.float64)
             theta[live] -= delta
         else:
             if g.shape != m.shape:
@@ -406,11 +410,11 @@ def train(
 
     Gradients are averaged over grad_accum_steps micro-batches before each
     optimizer step; a shorter window left at the end of an epoch still steps.
-    Fully reproducible from config.seed.
+    Fully reproducible from config.seed.  A read-only table (a loaded checkpoint's) is shared: the
+    first optimizer step writes its float64 successor; with no step (epochs=0) it is returned as is.
     """
     config.validate()
-    # A read-only table (a loaded checkpoint's) that training will not write is shared, not copied.
-    params = params_init.copy(share_embedding=not (config.train_embeddings or params_init.embedding.flags.writeable))
+    params = params_init.copy(share_embedding=not params_init.embedding.flags.writeable)
     params.hyper.margin = config.margin
     state = init_optimizer(
         params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -298,3 +299,114 @@ class TestCorruption:
         open(path, "wb").write(bytes(data[: rank_at + 4]) + struct.pack("<QQ", *dims) + bytes(data[rank_at + 20 :]))
         with pytest.raises(CheckpointFormatError, match=rf"p.ckpt: tensor 'embedding' at byte {rank_at} has dims"):
             load_checkpoint(path)
+
+
+def tensor_data(data):
+    """{name: (byte offset of the tensor's float32 data, entry count)}, walking the container."""
+    at, found = first_tensor_offset(data), {}
+    while at < len(data):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        name = data[at + 4 : at + 4 + name_len].decode()
+        at += 4 + name_len
+        (rank,) = struct.unpack_from("<I", data, at)
+        dims = struct.unpack_from(f"<{rank}Q", data, at + 4)
+        at += 4 + 8 * rank
+        count = math.prod(dims)
+        found[name] = (at, count)
+        at += 4 * count
+    return found
+
+
+def block_positions(count, block):
+    """An entry in the first, a middle and the last block of a tensor of `count` entries."""
+    last = (count - 1) // block
+    return sorted({min(k * block + (block - 1) // 2, count - 1) for k in (0, last // 2, last)})
+
+
+@pytest.fixture(params=[1, 7, 1000])
+def small_block(request, monkeypatch):
+    monkeypatch.setattr(matcha.checkpoint, "BLOCK", request.param)
+    return request.param
+
+
+class TestBlocks:
+    """Save and load stream tensors in BLOCK-entry blocks; any block size gives the same bytes and errors."""
+
+    @pytest.mark.parametrize("vocab, dim, n_ctx", [(1, 1, 1), (7, 3, 5), (33, 16, 4), (5000, 64, 2)])
+    def test_bytes_and_tensors_match_oracle(self, tmp_path, small_block, vocab, dim, n_ctx):
+        rng = np.random.default_rng(vocab)
+        params = init_params(vocab, dim, n_ctx, max_len=42, margin=0.5, seed=vocab)
+        params.proj_bias = rng.normal(0, 10.0, params.proj_bias.shape)
+        new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
+        save_checkpoint(params, new)
+        save_checkpoint_buffered(params, old)
+        assert open(new, "rb").read() == open(old, "rb").read()
+        loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
+        assert loaded.hyper == loaded_ref.hyper
+        for name in TENSOR_NAMES:
+            assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
+            assert getattr(loaded, name).flags.aligned and getattr(loaded, name).flags.c_contiguous, name
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_load_names_the_first_non_finite_entry(self, tmp_path, small_block, value):
+        path, _ = roundtrip(tmp_path, init_params(33, 16, 4, max_len=42, seed=3))
+        clean = open(path, "rb").read()
+        for name, (start, count) in tensor_data(clean).items():
+            for entry in block_positions(count, small_block):
+                data = bytearray(clean)
+                # A second bad entry further on, in the same or a later block: the first one is named.
+                for index in {entry, count - 1}:
+                    struct.pack_into("<f", data, start + 4 * index, value)
+                values = np.frombuffer(bytes(data), dtype="<f4", count=count, offset=start)
+                at = start + 4 * int(np.flatnonzero(~np.isfinite(values))[0])
+                open(path, "wb").write(bytes(data))
+                with pytest.raises(CheckpointIntegrityError,
+                                   match=f"p.ckpt: tensor '{name}' has a non-finite float32 at byte {at}$"):
+                    load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e39, -3.5e38])
+    def test_save_of_a_non_finite_entry_keeps_the_old_file(self, tmp_path, small_block, value):
+        path, _ = roundtrip(tmp_path, init_params(33, 16, 4, max_len=42, seed=3))
+        before = open(path, "rb").read()
+        sizes = {name: getattr(init_params(33, 16, 4), name).size for name in TENSOR_NAMES}
+        for name in TENSOR_NAMES:
+            for entry in block_positions(sizes[name], small_block):
+                params = init_params(33, 16, 4, max_len=42, seed=4)
+                getattr(params, name).flat[entry] = value
+                with pytest.raises(NumericError, match=f"p.ckpt: tensor '{name}' has entries that are not finite "
+                                                       "as float32$"):
+                    save_checkpoint(params, path)
+                assert open(path, "rb").read() == before
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["p.ckpt"]
+
+
+class TestMemory:
+    def test_save_peak_is_one_block_not_the_table(self, tmp_path, monkeypatch):
+        # The float64 table's float32 copy and its mask would peak at 1.25 times the float32 table.
+        params = init_params(20000, 32, 1, seed=5)
+        path = str(tmp_path / "p.ckpt")
+        table = params.embedding.size * 4
+        for block in (matcha.checkpoint.BLOCK, 1 << 14):
+            monkeypatch.setattr(matcha.checkpoint, "BLOCK", block)
+            tracemalloc.start()
+            try:
+                save_checkpoint(params, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * block + 64 * 1024 and peak < table / 2, (block, peak)
+            if block == 1 << 14:
+                assert peak < table / 4, peak
+        assert np.array_equal(load_checkpoint(path).embedding, params.embedding)
+
+    def test_load_peak_is_the_table(self, tmp_path):
+        # A whole-table mask of the finiteness check would add a quarter of the table.
+        path, _ = roundtrip(tmp_path, init_params(20000, 32, 1, seed=5))
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        others = sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
+        assert loaded.embedding.nbytes <= peak < 1.05 * loaded.embedding.nbytes + 2 * others

@@ -383,6 +383,27 @@ class TestAdamStep:
                                       dense_moments(state_ref, params_ref, "embedding")):
             assert np.array_equal(moment, moment_ref)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_only_table_gets_a_decayed_successor(self, dtype):
+        params = random_params(np.random.default_rng(8), vocab_size=30, dim=6, n_ctx=3)
+        params.embedding = params.embedding.astype(dtype)
+        params.embedding.flags.writeable = False
+        table, before = params.embedding, params.embedding.copy()
+        batch = random_batch(np.random.default_rng(9), 30, 4)
+        _, grads = loss_and_grads(params, batch)
+        reference = params.copy()
+        _, state = adam_step(init_optimizer(params, lr=1e-2), params, copy.deepcopy(grads))
+        adam_step(init_optimizer(reference, lr=1e-2), reference, grads)
+        assert params.embedding is not table
+        assert params.embedding.dtype == np.float64 and params.embedding.flags.writeable
+        assert table.tobytes() == before.tobytes() and not table.flags.writeable
+        for name in TENSOR_NAMES:
+            assert getattr(params, name).tobytes() == getattr(reference, name).tobytes(), name
+        # Later steps update the successor in place.
+        successor = params.embedding
+        adam_step(state, params, loss_and_grads(params, batch)[1])
+        assert params.embedding is successor
+
     def test_effective_lr_schedule(self):
         state = OptimizerState(first_moment={}, second_moment={}, base_lr=1e-4, decay_rate=0.9)
         for epoch in range(5):
@@ -688,6 +709,36 @@ class TestTrain:
         save_checkpoint(trained, out_a)
         save_checkpoint(from_copy, out_b)
         assert open(out_a, "rb").read() == open(out_b, "rb").read()
+
+    @pytest.mark.parametrize("train_embeddings", [True, False])
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_read_only_table_trains_as_its_copy(self, tmp_path, epochs, grad_accum, train_embeddings):
+        params, datasets = desk_setup()
+        path = str(tmp_path / "init.ckpt")
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        table = loaded.embedding.copy()
+        config = TrainConfig(epochs=epochs, batch_size=8, grad_accum_steps=grad_accum, seed=7,
+                             train_embeddings=train_embeddings)
+        shared, report = train(config, datasets, loaded)
+        copied, report_ref = train(config, datasets, loaded.copy())
+        assert report == report_ref
+        for name in TENSOR_NAMES:
+            got, want = getattr(shared, name), getattr(copied, name)
+            # An untouched shared table is float32; its values are the float64 copy's bit for bit.
+            assert got.astype(np.float64).tobytes() == want.tobytes(), name
+        stepped = epochs > 0 and train_embeddings
+        assert (shared.embedding is loaded.embedding) != stepped
+        assert shared.embedding.dtype == (np.float64 if stepped else np.float32)
+        assert loaded.embedding.dtype == np.float32 and not loaded.embedding.flags.writeable
+        assert loaded.embedding.tobytes() == table.tobytes()
+        out_a, out_b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(shared, out_a)
+        save_checkpoint(copied, out_b)
+        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        if epochs == 0:
+            assert open(out_a, "rb").read() == open(path, "rb").read()
 
     def test_margin_config_propagates(self):
         params, datasets = desk_setup()
