@@ -18,11 +18,10 @@ import json
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError
+from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, open_atomic
 from .model import Hyper, ModelParams
 
 MAGIC = b"MTCH"
@@ -51,26 +50,19 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     """Serialize all tensors as float32, atomically; a value beyond float32's range raises NumericError."""
     params.validate()
     manifest = _manifest_bytes(params)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh, np.errstate(over="ignore"):
-            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(manifest)) + manifest)
-            buf = np.empty(BLOCK, dtype="<f4")
-            for name in TENSOR_ORDER:
-                tensor = getattr(params, name)
-                encoded, rank, flat = name.encode("utf-8"), tensor.ndim, tensor.reshape(-1)
-                fh.write(struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape))
-                for start in range(0, flat.size, BLOCK):
-                    block = buf[: min(BLOCK, flat.size - start)]
-                    np.copyto(block, flat[start : start + BLOCK], casting="unsafe")
-                    if not _all_finite(block):
-                        raise NumericError(f"{path}: tensor {name!r} has entries that are not finite as float32")
-                    fh.write(block)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open_atomic(path, "wb") as fh, np.errstate(over="ignore"):
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(manifest)) + manifest)
+        buf = np.empty(BLOCK, dtype="<f4")
+        for name in TENSOR_ORDER:
+            tensor = getattr(params, name)
+            encoded, rank, flat = name.encode("utf-8"), tensor.ndim, tensor.reshape(-1)
+            fh.write(struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape))
+            for start in range(0, flat.size, BLOCK):
+                block = buf[: min(BLOCK, flat.size - start)]
+                np.copyto(block, flat[start : start + BLOCK], casting="unsafe")
+                if not _all_finite(block):
+                    raise NumericError(f"{path}: tensor {name!r} has entries that are not finite as float32")
+                fh.write(block)
 
 
 class _Reader:

@@ -16,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
@@ -26,8 +25,8 @@ from . import __version__
 from .attribution import BASELINE_KINDS, DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
-from .errors import ConfigError, MatchaError, read_json
-from .evaluation import MetricRange, ScoreRow, ScoreTable, evaluation_report, rouge_table
+from .errors import ConfigError, MatchaError, open_atomic, read_json
+from .evaluation import MetricRange, ScoreTable, evaluation_report, rouge_table
 from .model import init_params, score
 from .tokenizer import WordVocabulary, build_word_vocabulary, load_vocabulary
 from .training import SCHEDULE_STRATEGIES, TrainConfig, train
@@ -63,19 +62,6 @@ class RunConfig:
     dim: int = DEFAULT_DIM
     n_ctx: int = DEFAULT_N_CTX
     train: TrainConfig = field(default_factory=TrainConfig)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _provenance(seed: int, config: RunConfig) -> dict:
@@ -167,7 +153,10 @@ def _cmd_train(config: RunConfig) -> int:
         tokenize_records(m.name, records, vocab, params.hyper.max_len, m.has_contrastive)
         for m, records in per_dataset
     ]
-    params, report = train(cfg, datasets, params)
+    # Handed over with no reference left here, so `train` frees a loaded table once its first step replaces it.
+    initial = [params]
+    del params
+    params, report = train(cfg, datasets, initial.pop())
     save_checkpoint(params, config.out)
 
     report_path = config.report or config.out + ".train.jsonl"
@@ -175,7 +164,8 @@ def _cmd_train(config: RunConfig) -> int:
     for row in report:
         lines.append(json.dumps(row))
         print(f"epoch {row['epoch']}: mean_loss={row['mean_loss']:.6f} lr={row['lr']:.3g} batches={row['batches']}")
-    _write_atomic(report_path, "\n".join(lines) + "\n")
+    with open_atomic(report_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"checkpoint written to {config.out}")
     return 0
 
@@ -209,27 +199,20 @@ def _cmd_evaluate(config: RunConfig) -> int:
         if manifest.rating_scale is not None:
             rating_scales[manifest.name] = manifest.rating_scale
         records = load_dataset(manifest, rng, complete_triplets=False)
-        rows, references, candidates = [], [], []
-        for rec in records:
-            sides = [("correct", rec.correct)] + (
-                [("incorrect", rec.incorrect)] if rec.incorrect else []
-            )
-            for label, candidate in sides:
-                row = ScoreRow(
-                    id=rec.id,
-                    label=label,
-                    dataset=manifest.name,
-                    human_score=rec.human_score if label == "correct" else None,
-                )
-                rows.append(row)
-                references.append(rec.reference)
-                candidates.append(candidate)
+        fields = {name: np.array([getattr(rec, name) for rec in records], dtype=object)
+                  for name in ("id", "reference", "correct", "incorrect", "human_score")}
+        # One row per candidate: each record's correct one, then its incorrect one if it has one.
+        owner = np.repeat(np.arange(len(records)), 1 + fields["incorrect"].astype(bool))
+        rows = {name: column[owner] for name, column in fields.items()}
+        correct = np.diff(owner, prepend=-1) > 0
+        rated = correct & (rows["human_score"] != None)  # noqa: E711 (elementwise over an object array)
+        references = rows["reference"].tolist()
+        candidates = np.where(correct, rows["correct"], rows["incorrect"]).tolist()
         columns = rouge_table(references, candidates) if config.rouge else {}
         if params is not None:
-            columns["matcha"] = score(params, references, candidates, vocab).tolist()
-        for k, row in enumerate(rows):
-            row.scores.update((name, column[k]) for name, column in columns.items())
-        table.rows.extend(rows)
+            columns["matcha"] = score(params, references, candidates, vocab)
+        table.extend(ScoreTable(rows["id"], np.full(owner.size, manifest.name, dtype=object), correct,
+                                np.where(rated, rows["human_score"], 0.0), rated, columns))
     for path in config.scores:
         table.merge_external(path)
 
@@ -237,14 +220,16 @@ def _cmd_evaluate(config: RunConfig) -> int:
         "provenance": _provenance(cfg.seed, config),
         **evaluation_report(table, _parse_metric_ranges(config.metrics), rating_scales),
     }
-    _write_atomic(config.out, json.dumps(document, indent=2) + "\n")
+    with open_atomic(config.out) as fh:
+        fh.write(json.dumps(document, indent=2) + "\n")
     if config.csv:
         lines = ["dataset,metric,threshold,percentage"]
         for ds, per_metric in document["separation"].items():
             for metric, rep in per_metric.items():
                 for threshold, pct in rep["threshold_curve"]:
                     lines.append(f"{ds},{metric},{threshold},{pct}")
-        _write_atomic(config.csv, "\n".join(lines) + "\n")
+        with open_atomic(config.csv) as fh:
+            fh.write("\n".join(lines) + "\n")
     print(f"report written to {config.out}")
     return 0
 
@@ -269,7 +254,8 @@ def _cmd_attribute(config: RunConfig) -> int:
     }
     text = json.dumps(document, indent=2)
     if config.out:
-        _write_atomic(config.out, text + "\n")
+        with open_atomic(config.out) as fh:
+            fh.write(text + "\n")
     else:
         print(text)
     return 0

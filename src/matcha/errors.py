@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all matcha modules, and the file readers that raise it."""
+"""Exception hierarchy shared by all matcha modules, the file readers that raise it, and the atomic writer."""
 
+import contextlib
 import json
+import os
 
 
 class MatchaError(Exception):
@@ -89,3 +91,23 @@ def read_json(path: str, error: type[MatchaError]):
         return json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+
+
+@contextlib.contextmanager
+def open_atomic(path: str, mode: str = "w"):
+    """Write `path` through a new file beside it ("w" text in UTF-8, or "wb").
+
+    The file replaces `path` when the block ends and is removed if the block
+    raises, so `path` is never left half written.  It is created with mode
+    0o666 less the umask, as `open` would create `path` itself.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".matcha-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

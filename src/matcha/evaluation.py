@@ -1,6 +1,9 @@
 """Separation and human-agreement statistics, plus lexical overlap baselines.
 
-Scores enter on each metric's native scale and are mapped to [0, 1] for the
+Scores sit in a columnar `ScoreTable`: per row an id, a dataset, a label
+and a human rating, and per metric one float array with its own presence
+mask, so every statistic is a mask or index operation over arrays.  Scores
+enter on each metric's native scale and are mapped to [0, 1] for the
 statistics that need a common footing.  Table-style outputs follow the x100
 reporting convention throughout.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +51,7 @@ def rescale(scores, metric_range: MetricRange):
     values = np.asarray(scores, dtype=np.float64)
     if values.size == 0:
         raise ValueError("score list must be non-empty")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("scores must be finite")
     if metric_range.kind == "cosine_like":
         values = (values + 1.0) / 2.0
@@ -56,73 +60,162 @@ def rescale(scores, metric_range: MetricRange):
     return float(values) if values.ndim == 0 else values
 
 
-@dataclass
-class ScoreRow:
-    """Scores of one (reference, candidate) pair under every computed metric."""
+# Columns that hold one entry per row, in constructor order.
+_ROW_COLUMNS = ("ids", "datasets", "correct", "human", "rated")
 
-    id: str
-    label: str  # "correct" | "incorrect"
-    dataset: str = ""
-    scores: dict[str, float] = field(default_factory=dict)
-    human_score: float | None = None
+
+@dataclass(eq=False)
+class ScoreTable:
+    """Scores of labeled (reference, candidate) pairs, one array per column.
+
+    Row k holds the candidate of pair `ids[k]` in dataset `datasets[k]`, the
+    correct one where `correct[k]`.  `human[k]` counts only where `rated[k]`,
+    and `scores[metric][k]` only where `present[metric][k]`: absence is a
+    mask, so a NaN human score is still a rating and a non-finite metric
+    score still fails the statistics.  Left out, `rated` is true on every row
+    when `human` is given and false when it is not, and a metric's mask is
+    true on every row.  The constructor copies each column and makes `ids`
+    and `datasets` read-only.
+    """
+
+    ids: np.ndarray = ()
+    datasets: np.ndarray = ()
+    correct: np.ndarray = ()
+    human: np.ndarray | None = None
+    rated: np.ndarray | None = None
+    scores: dict[str, np.ndarray] = field(default_factory=dict)
+    present: dict[str, np.ndarray] = field(default_factory=dict)
+    _pairs: tuple | None = field(default=None, init=False, repr=False)  # (ids, datasets, codes)
 
     def __post_init__(self) -> None:
-        if self.label not in ("correct", "incorrect"):
-            raise ValueError(f"label must be 'correct' or 'incorrect', got {self.label!r}")
+        n = len(self.ids)
+        self.ids, self.datasets = np.array(self.ids, dtype=object), np.array(self.datasets, dtype=object)
+        self.ids.flags.writeable = self.datasets.flags.writeable = False
+        self.correct = np.array(self.correct, dtype=bool)
+        self.rated = np.full(n, self.human is not None) if self.rated is None else np.array(self.rated, dtype=bool)
+        self.human = np.zeros(n) if self.human is None else np.array(self.human, dtype=np.float64)
+        if self.present.keys() - self.scores.keys():
+            raise ValueError(f"masks for unscored metrics {sorted(self.present.keys() - self.scores.keys())}")
+        self.present = {m: np.array(self.present[m], dtype=bool) if m in self.present else np.ones(n, dtype=bool)
+                        for m in self.scores}
+        self.scores = {m: np.array(column, dtype=np.float64) for m, column in self.scores.items()}
+        for column in (*(getattr(self, name) for name in _ROW_COLUMNS), *self.scores.values(), *self.present.values()):
+            if column.shape != (n,):
+                raise ValueError(f"a column of shape {column.shape} in a table of {n} rows")
 
+    def __len__(self) -> int:
+        return self.ids.size
 
-@dataclass
-class ScoreTable:
-    rows: list[ScoreRow] = field(default_factory=list)
+    def take(self, rows) -> ScoreTable:
+        """The table of `rows`, a boolean mask or row indices."""
+        return ScoreTable(*(getattr(self, name)[rows] for name in _ROW_COLUMNS),
+                          *({m: column[rows] for m, column in d.items()} for d in (self.scores, self.present)))
 
-    def labeled_scores(self, metric: str, label: str) -> list[float]:
-        return [r.scores[metric] for r in self.rows if r.label == label and metric in r.scores]
+    def extend(self, other: ScoreTable) -> None:
+        """Append the rows of `other`; a metric one side lacks is absent on that side's rows."""
+        names, both = dict.fromkeys([*self.scores, *other.scores]), (self, other)
+        absent = {t: (np.zeros(len(t)), np.zeros(len(t), dtype=bool)) for t in both}
+        self.__init__(*(np.concatenate([getattr(t, name) for t in both]) for name in _ROW_COLUMNS),
+                      {m: np.concatenate([t.scores.get(m, absent[t][0]) for t in both]) for m in names},
+                      {m: np.concatenate([t.present.get(m, absent[t][1]) for t in both]) for m in names})
+
+    def _pair_codes(self) -> np.ndarray:
+        """Per row, the index of the last row of its (dataset, id); kept while `ids` and `datasets` are."""
+        if self._pairs is None or self._pairs[0] is not self.ids or self._pairs[1] is not self.datasets:
+            keys = list(zip(self.datasets.tolist(), self.ids.tolist()))
+            last = dict(zip(keys, range(len(keys))))
+            self._pairs = (self.ids, self.datasets, np.fromiter(map(last.__getitem__, keys), np.int64, len(keys)))
+        return self._pairs[2]
+
+    def labeled_scores(self, metric: str, label: str) -> np.ndarray:
+        """`metric`'s scores on the rows labeled `label` ("correct" or "incorrect"), in row order."""
+        if metric not in self.scores or label not in ("correct", "incorrect"):
+            return np.empty(0)
+        return self.scores[metric][self.present[metric] & (self.correct == (label == "correct"))]
 
     def paired_gaps(self, metric: str, metric_range: MetricRange) -> np.ndarray:
-        """Rescaled correct-minus-incorrect gap for every id carrying both labels, in first-seen order."""
-        correct: dict[tuple[str, str], float] = {}
-        incorrect: dict[tuple[str, str], float] = {}
-        for row in self.rows:
-            if metric not in row.scores:
-                continue
-            side = correct if row.label == "correct" else incorrect
-            side[(row.dataset, row.id)] = row.scores[metric]
-        keys = [key for key in correct if key in incorrect]
-        if not keys:
+        """Rescaled correct-minus-incorrect gap for every (dataset, id) scored on both labels.
+
+        As if each label's scores were written into a dict keyed by (dataset,
+        id) in row order: a key sits where its first correct row is, and each
+        label gives the last score written.
+        """
+        if metric not in self.scores:
             return np.empty(0)
-        return rescale([correct[k] for k in keys], metric_range) - rescale([incorrect[k] for k in keys], metric_range)
+        codes, n, has = self._pair_codes(), len(self), self.present[metric]
+        correct_rows, incorrect_rows = np.flatnonzero(has & self.correct), np.flatnonzero(has & ~self.correct)
+        first, last_correct, last_incorrect = np.full(n, n), np.full(n, -1), np.full(n, -1)
+        np.minimum.at(first, codes[correct_rows], correct_rows)
+        np.maximum.at(last_correct, codes[correct_rows], correct_rows)
+        np.maximum.at(last_incorrect, codes[incorrect_rows], incorrect_rows)
+        both = np.flatnonzero((last_correct >= 0) & (last_incorrect >= 0))
+        if not both.size:
+            return np.empty(0)
+        both = both[np.argsort(first[both])]
+        column = self.scores[metric]
+        return rescale(column[last_correct[both]], metric_range) - rescale(column[last_incorrect[both]], metric_range)
 
     def merge_external(self, path: str) -> None:
-        """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset")."""
-        index = {(r.dataset, r.id, r.label): r for r in self.rows}
-        for lineno, line in read_lines(path, SchemaError):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
-                raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
-            score = obj["score"]
-            # NaN fails the comparison; an int beyond the float range would overflow float().
-            if isinstance(score, bool) or not isinstance(score, (int, float)) or not abs(score) <= sys.float_info.max:
-                raise SchemaError(f"{path}: line {lineno}: 'score' must be a finite number, got {json.dumps(score)}")
-            label = obj.get("label", "correct")
-            if label not in ("correct", "incorrect"):
-                raise SchemaError(
-                    f"{path}: line {lineno}: 'label' must be 'correct' or 'incorrect', got {json.dumps(label)}"
-                )
-            dataset = obj.get("dataset", "")
-            if not isinstance(dataset, str):
-                raise SchemaError(f"{path}: line {lineno}: 'dataset' must be a string, got {json.dumps(dataset)}")
-            key = (dataset, str(obj["id"]), label)
-            row = index.get(key)
-            if row is None:
-                row = ScoreRow(id=str(obj["id"]), label=label, dataset=dataset)
-                self.rows.append(row)
-                index[key] = row
-            row.scores[str(obj["metric"])] = float(score)
+        """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset").
+
+        A score goes to the last row of its (dataset, id, label), else to a
+        new row appended in file order; a later line for the same row and
+        metric wins.  Lines read before a bad one stay merged.
+        """
+        n, index = len(self), {}  # (dataset, correct) -> {id: row}
+        for row, key in enumerate(zip(self.datasets.tolist(), self.correct.tolist(), self.ids.tolist())):
+            index.setdefault(key[:2], {})[key[2]] = row
+        added = ([], [], [])  # ids, datasets and labels of the rows from n on
+        pending: dict[str, tuple[array, array]] = {}  # metric -> (row - n, score) per line for a new row
+        try:
+            for lineno, line in read_lines(path, SchemaError):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
+                    raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
+                score = obj["score"]
+                # NaN fails the comparison; an int beyond the float range would overflow float().
+                if (isinstance(score, bool) or not isinstance(score, (int, float))
+                        or not abs(score) <= sys.float_info.max):
+                    raise SchemaError(
+                        f"{path}: line {lineno}: 'score' must be a finite number, got {json.dumps(score)}"
+                    )
+                label = obj.get("label", "correct")
+                if label not in ("correct", "incorrect"):
+                    raise SchemaError(
+                        f"{path}: line {lineno}: 'label' must be 'correct' or 'incorrect', got {json.dumps(label)}"
+                    )
+                dataset = obj.get("dataset", "")
+                if not isinstance(dataset, str):
+                    raise SchemaError(f"{path}: line {lineno}: 'dataset' must be a string, got {json.dumps(dataset)}")
+                key = (str(obj["id"]), dataset, label == "correct")
+                row = index.setdefault(key[1:], {}).setdefault(key[0], n + len(added[0]))
+                if row == n + len(added[0]):
+                    for column, value in zip(added, key):
+                        column.append(value)
+                if row < n:
+                    self._set(row, str(obj["metric"]), float(score))
+                else:
+                    rows, scores = pending.setdefault(str(obj["metric"]), (array("q"), array("d")))
+                    rows.append(row - n)
+                    scores.append(float(score))
+        finally:
+            if added[0]:
+                new = ScoreTable(*added)
+                for metric, (rows, scores) in pending.items():
+                    for row, score in zip(rows, scores):
+                        new._set(row, metric, score)
+                self.extend(new)
+
+    def _set(self, row: int, metric: str, score: float) -> None:
+        """Write one score, adding `metric` absent from every row if the table has no such column."""
+        if metric not in self.scores:
+            self.scores[metric], self.present[metric] = np.zeros(len(self)), np.zeros(len(self), dtype=bool)
+        self.scores[metric][row], self.present[metric][row] = score, True
 
 
 def n_delta(correct, incorrect, metric_range: MetricRange) -> float:
@@ -155,12 +248,12 @@ def macro_f1_midpoint(correct, incorrect, metric_range: MetricRange) -> float:
 
 def threshold_curve(pair_gaps, grid=None) -> list[tuple[float, float]]:
     """Percentage of pairs whose rescaled gap strictly exceeds each threshold."""
-    gaps = np.asarray(list(pair_gaps), dtype=np.float64)
+    gaps = np.asarray(pair_gaps, dtype=np.float64)
     if gaps.size == 0:
         raise ValueError("pair gap list must be non-empty")
-    if grid is None:
-        grid = DEFAULT_THRESHOLD_GRID
-    return [(float(t), float(100.0 * np.count_nonzero(gaps > t) / gaps.size)) for t in grid]
+    grid = np.asarray(DEFAULT_THRESHOLD_GRID if grid is None else grid, dtype=np.float64)
+    counts = np.count_nonzero(gaps > grid[:, None], axis=1)
+    return list(zip(grid.tolist(), (100.0 * counts / gaps.size).tolist()))
 
 
 def wasserstein_1d(a, b) -> float:
@@ -169,8 +262,8 @@ def wasserstein_1d(a, b) -> float:
     Computed as the area between the empirical CDFs over the merged support;
     for equal sizes this reduces to the mean absolute gap of sorted samples.
     """
-    a = np.sort(np.asarray(list(a), dtype=np.float64))
-    b = np.sort(np.asarray(list(b), dtype=np.float64))
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     points = np.concatenate([a, b])
@@ -183,33 +276,40 @@ def wasserstein_1d(a, b) -> float:
 
 def agreement_columns(
     table: ScoreTable, metrics: list[MetricRange], rating_scales: dict | None = None
-) -> tuple[dict[str, list[float]], list[float]]:
-    """Each metric's rescaled scores and the rescaled human scores, one entry per row, validated."""
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each metric's rescaled scores and the rescaled human scores, one entry per row, validated.
+
+    The first row that is unrated or lacks a metric's score raises MatchaError.
+    """
     if not metrics:
         raise ValueError("metrics list must be non-empty")
-    if not table.rows:
+    if not len(table):
         raise ValueError("score table is empty")
-    humans = []
-    for row in table.rows:
-        if row.human_score is None:
-            raise MatchaError(f"row {row.id!r} ({row.label}) has no human score")
-        missing = [m for m in metrics if m.name not in row.scores]
-        if missing:
-            raise MatchaError(f"row {row.id!r} lacks scores for {[m.name for m in missing]}")
-        lo, hi = (rating_scales or {}).get(row.dataset, (0.0, 1.0))
-        humans.append((row.human_score - lo) / (hi - lo))
-    columns = {m.name: rescale([row.scores[m.name] for row in table.rows], m).tolist() for m in metrics}
-    return columns, humans
+    missing = np.array([~table.present[m.name] if m.name in table.present else np.ones(len(table), dtype=bool)
+                        for m in metrics])
+    faulty = ~table.rated | missing.any(axis=0)
+    if faulty.any():
+        row = int(faulty.argmax())
+        name = table.ids[row]
+        if not table.rated[row]:
+            raise MatchaError(f"row {name!r} ({'correct' if table.correct[row] else 'incorrect'}) has no human score")
+        raise MatchaError(f"row {name!r} lacks scores for {[m.name for m, miss in zip(metrics, missing) if miss[row]]}")
+    lo, hi = np.zeros(len(table)), np.ones(len(table))
+    for dataset, (low, high) in (rating_scales or {}).items():
+        rows = table.datasets == dataset
+        lo[rows], hi[rows] = low, high
+    columns = {m.name: rescale(table.scores[m.name], m) for m in metrics}
+    return columns, (table.human - lo) / (hi - lo)
 
 
-def rank_at_1(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float]:
+def rank_at_1(columns: dict[str, np.ndarray], humans: np.ndarray) -> dict[str, float]:
     """Percentage of rows on which each metric is (tied-)closest to the human rating."""
     diffs = np.abs(np.array(list(columns.values())) - np.array(humans))
     wins = np.count_nonzero(diffs == diffs.min(axis=0), axis=1)
     return {name: 100.0 * int(count) / len(humans) for name, count in zip(columns, wins)}
 
 
-def dcg(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float]:
+def dcg(columns: dict[str, np.ndarray], humans: np.ndarray) -> dict[str, float]:
     """Average rank-discounted closeness-to-human credit per metric.
 
     Metrics are ranked per row by absolute distance to the human rating
@@ -229,8 +329,8 @@ def dcg(columns: dict[str, list[float]], humans: list[float]) -> dict[str, float
 
 def ccc(x, y) -> float:
     """Concordance correlation: agreement in both ordering and scale, in [-1, 1]."""
-    x = np.asarray(list(x), dtype=np.float64)
-    y = np.asarray(list(y), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
@@ -359,16 +459,7 @@ class SeparationReport:
     threshold_curve: list[tuple[float, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "pairs": self.pairs,
-            "mean_correct": self.mean_correct,
-            "mean_incorrect": self.mean_incorrect,
-            "n_delta": self.n_delta,
-            "macro_f1": self.macro_f1,
-            "wasserstein": self.wasserstein,
-            "threshold_curve": [[t, p] for t, p in self.threshold_curve],
-        }
+        return {**vars(self), "threshold_curve": [[t, p] for t, p in self.threshold_curve]}
 
 
 def separation_report(
@@ -377,7 +468,7 @@ def separation_report(
     """Assemble every separation statistic for one metric over a labeled table."""
     correct = table.labeled_scores(metric, "correct")
     incorrect = table.labeled_scores(metric, "incorrect")
-    if not correct or not incorrect:
+    if not correct.size or not incorrect.size:
         raise ValueError(f"table has no labeled {metric!r} scores on both sides")
     gaps = table.paired_gaps(metric, metric_range)
     return SeparationReport(
@@ -413,23 +504,23 @@ def evaluation_report(
     ranges = {**DEFAULT_RANGES, **(ranges or {})}
     metrics = [
         MetricRange(name, ranges[name].kind if name in ranges else "unit")
-        for name in sorted({name for r in table.rows for name in r.scores})
+        for name in sorted(name for name, has in table.present.items() if has.any())
     ]
     separation: dict[str, dict[str, dict]] = {}
-    for ds in sorted({r.dataset for r in table.rows}):
-        sub = ScoreTable(rows=[r for r in table.rows if r.dataset == ds])
+    for ds in sorted(set(table.datasets.tolist())):
+        sub = table.take(table.datasets == ds)
         per_metric = {
             m.name: separation_report(sub, m.name, m).to_dict()
             for m in metrics
-            if sub.labeled_scores(m.name, "correct") and sub.labeled_scores(m.name, "incorrect")
+            if (sub.present[m.name] & sub.correct).any() and (sub.present[m.name] & ~sub.correct).any()
         }
         if per_metric:
             separation[ds] = per_metric
 
     agreement: dict[str, dict[str, float]] = {}
-    rated = ScoreTable(rows=[r for r in table.rows if r.human_score is not None])
-    covered = [m for m in metrics if all(m.name in r.scores for r in rated.rows)]
-    if rated.rows and covered:
+    rated = table.take(table.rated)
+    covered = [m for m in metrics if rated.present[m.name].all()]
+    if len(rated) and covered:
         columns, humans = agreement_columns(rated, covered, rating_scales)
         agreement = {
             "rank_at_1": rank_at_1(columns, humans),

@@ -412,9 +412,12 @@ def train(
     optimizer step; a shorter window left at the end of an epoch still steps.
     Fully reproducible from config.seed.  A read-only table (a loaded checkpoint's) is shared: the
     first optimizer step writes its float64 successor; with no step (epochs=0) it is returned as is.
+    This call drops its reference to params_init at once, so a shared table the caller does not
+    hold is freed once replaced.
     """
     config.validate()
     params = params_init.copy(share_embedding=not params_init.embedding.flags.writeable)
+    del params_init
     params.hyper.margin = config.margin
     state = init_optimizer(
         params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay

@@ -6,11 +6,14 @@ pool, the full (n_ctx, L, dim) tensor included) rather than folded, and the
 trainer one triplet and one document at a time.  None of it shares code with
 the implementations under test beyond fixed published constants (the byte
 alphabet, the pretoken split, the ROUGE word pattern, Adam's beta1, beta2
-and epsilon) and the gradient container it returns.  The one exception is
-`evaluation_report_assembled`, the report assembly as the CLI once wrote
-it: it calls the package's `separation_report` and `ccc`, which have
-oracles of their own, and gates how the report selects and assembles them.
-Likewise `integrated_gradients_three_pass`, integrated gradients as the
+and epsilon) and the gradient container it returns.  The exceptions are
+the evaluation report paths.  `evaluation_report_rows` is the report as the
+package computed it over `ScoreRow` objects before the columnar
+`ScoreTable`; it and `evaluation_report_assembled`, the report assembly as
+the CLI once wrote it, call the package's statistics (`n_delta`,
+`macro_f1_midpoint`, `wasserstein_1d`, `rank_at_1`, `dcg`, `ccc`), which
+have oracles of their own, and gate how the report selects, pairs and
+assembles them.  Likewise `integrated_gradients_three_pass`, integrated gradients as the
 package once computed it, calls the package's forward and cosine: it gates
 the one-pass rewrite for bit equality, while `integrated_gradients_tiled`
 checks the values themselves.
@@ -22,8 +25,10 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +38,29 @@ from matcha.errors import (
     CheckpointIntegrityError,
     DegenerateRepresentationError,
     EmptyInputError,
+    MatchaError,
     NumericError,
+    SchemaError,
     ShapeError,
+    read_lines,
 )
 from matcha.attribution import AttributionResult
 from matcha.model import Hyper, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
-from matcha.evaluation import _WORD, MetricRange, ScoreTable, ccc, separation_report
+from matcha.evaluation import (
+    _WORD,
+    DEFAULT_RANGES,
+    DEFAULT_THRESHOLD_GRID,
+    MetricRange,
+    ScoreTable,
+    SeparationReport,
+    ccc,
+    dcg,
+    macro_f1_midpoint,
+    n_delta,
+    rank_at_1,
+    rescale,
+    wasserstein_1d,
+)
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
 from matcha.training import BETA1, BETA2, EPSILON, TENSOR_NAMES, Gradients
 
@@ -854,12 +876,12 @@ def evaluation_report_assembled(table, metric_ranges: dict, rating_scales: dict)
 
     separation: dict[str, dict[str, dict]] = {}
     for ds in dataset_names:
-        sub = ScoreTable(rows=[r for r in table.rows if r.dataset == ds])
+        sub = RowTable(rows=[r for r in table.rows if r.dataset == ds])
         per_metric = {}
         for metric in metric_names:
             r = ranges.get(metric, MetricRange(metric, "unit"))
             if sub.labeled_scores(metric, "correct") and sub.labeled_scores(metric, "incorrect"):
-                per_metric[metric] = separation_report(sub, metric, r).to_dict()
+                per_metric[metric] = separation_report_rows(sub, metric, r).to_dict()
         if per_metric:
             separation[ds] = per_metric
 
@@ -869,7 +891,7 @@ def evaluation_report_assembled(table, metric_ranges: dict, rating_scales: dict)
         covered = [m for m in metric_names if all(m in r.scores for r in human_rows)]
         if covered:
             range_list = [ranges.get(m, MetricRange(m, "unit")) for m in covered]
-            rows = agreement_rows_scalar(ScoreTable(rows=human_rows), range_list, rating_scales)
+            rows = agreement_rows_scalar(RowTable(rows=human_rows), range_list, rating_scales)
             agreement["rank_at_1"] = rank_at_1_rows(rows, range_list)
             agreement["dcg"] = dcg_rows(rows, range_list)
             ccc_scores = {}
@@ -881,4 +903,184 @@ def evaluation_report_assembled(table, metric_ranges: dict, rating_scales: dict)
                     values.append(rescale_scalar(row.scores[metric_range.name], metric_range))
                 ccc_scores[metric_range.name] = ccc(values, humans) * 100.0
             agreement["ccc"] = ccc_scores
+    return {"separation": separation, "agreement": agreement}
+
+
+# --- The row-based score table and report, as the package had them before
+# the columnar ScoreTable: one ScoreRow object per scored pair.
+
+
+@dataclass
+class ScoreRow:
+    """Scores of one (reference, candidate) pair under every computed metric."""
+
+    id: str
+    label: str  # "correct" | "incorrect"
+    dataset: str = ""
+    scores: dict[str, float] = field(default_factory=dict)
+    human_score: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.label not in ("correct", "incorrect"):
+            raise ValueError(f"label must be 'correct' or 'incorrect', got {self.label!r}")
+
+
+@dataclass
+class RowTable:
+    rows: list[ScoreRow] = field(default_factory=list)
+
+    def labeled_scores(self, metric: str, label: str) -> list[float]:
+        return [r.scores[metric] for r in self.rows if r.label == label and metric in r.scores]
+
+    def paired_gaps(self, metric: str, metric_range: MetricRange) -> np.ndarray:
+        """Rescaled correct-minus-incorrect gap for every id carrying both labels, in first-seen order."""
+        correct: dict[tuple[str, str], float] = {}
+        incorrect: dict[tuple[str, str], float] = {}
+        for row in self.rows:
+            if metric not in row.scores:
+                continue
+            side = correct if row.label == "correct" else incorrect
+            side[(row.dataset, row.id)] = row.scores[metric]
+        keys = [key for key in correct if key in incorrect]
+        if not keys:
+            return np.empty(0)
+        return rescale([correct[k] for k in keys], metric_range) - rescale([incorrect[k] for k in keys], metric_range)
+
+    def merge_external(self, path: str) -> None:
+        """Merge a JSONL of {"id", "metric", "score"} rows (optional "label", "dataset")."""
+        index = {(r.dataset, r.id, r.label): r for r in self.rows}
+        for lineno, line in read_lines(path, SchemaError):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
+                raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
+            score = obj["score"]
+            if isinstance(score, bool) or not isinstance(score, (int, float)) or not abs(score) <= sys.float_info.max:
+                raise SchemaError(f"{path}: line {lineno}: 'score' must be a finite number, got {json.dumps(score)}")
+            label = obj.get("label", "correct")
+            if label not in ("correct", "incorrect"):
+                raise SchemaError(
+                    f"{path}: line {lineno}: 'label' must be 'correct' or 'incorrect', got {json.dumps(label)}"
+                )
+            dataset = obj.get("dataset", "")
+            if not isinstance(dataset, str):
+                raise SchemaError(f"{path}: line {lineno}: 'dataset' must be a string, got {json.dumps(dataset)}")
+            key = (dataset, str(obj["id"]), label)
+            row = index.get(key)
+            if row is None:
+                row = ScoreRow(id=str(obj["id"]), label=label, dataset=dataset)
+                self.rows.append(row)
+                index[key] = row
+            row.scores[str(obj["metric"])] = float(score)
+
+
+def columnar(table: RowTable) -> ScoreTable:
+    """The columnar ScoreTable of a row table, row for row."""
+    rows = table.rows
+    metrics = list(dict.fromkeys(name for r in rows for name in r.scores))
+    return ScoreTable(
+        ids=[r.id for r in rows],
+        datasets=[r.dataset for r in rows],
+        correct=[r.label == "correct" for r in rows],
+        human=[0.0 if r.human_score is None else r.human_score for r in rows],
+        rated=[r.human_score is not None for r in rows],
+        scores={m: [r.scores.get(m, 0.0) for r in rows] for m in metrics},
+        present={m: [m in r.scores for r in rows] for m in metrics},
+    )
+
+
+def rows_of(table: ScoreTable) -> list[ScoreRow]:
+    """A columnar table's rows as ScoreRow objects, each holding only its present scores."""
+    return [
+        ScoreRow(
+            id=table.ids[k],
+            label="correct" if table.correct[k] else "incorrect",
+            dataset=table.datasets[k],
+            scores={m: float(column[k]) for m, column in table.scores.items() if table.present[m][k]},
+            human_score=float(table.human[k]) if table.rated[k] else None,
+        )
+        for k in range(len(table))
+    ]
+
+
+def threshold_curve_loop(pair_gaps, grid=None) -> list[tuple[float, float]]:
+    """Percentage of pairs whose rescaled gap strictly exceeds each threshold, one threshold at a time."""
+    gaps = np.asarray(list(pair_gaps), dtype=np.float64)
+    if gaps.size == 0:
+        raise ValueError("pair gap list must be non-empty")
+    if grid is None:
+        grid = DEFAULT_THRESHOLD_GRID
+    return [(float(t), float(100.0 * np.count_nonzero(gaps > t) / gaps.size)) for t in grid]
+
+
+def separation_report_rows(table: RowTable, metric: str, metric_range: MetricRange, grid=None) -> SeparationReport:
+    """Every separation statistic for one metric over a row table."""
+    correct = table.labeled_scores(metric, "correct")
+    incorrect = table.labeled_scores(metric, "incorrect")
+    if not correct or not incorrect:
+        raise ValueError(f"table has no labeled {metric!r} scores on both sides")
+    gaps = table.paired_gaps(metric, metric_range)
+    return SeparationReport(
+        metric=metric,
+        pairs=len(gaps),
+        mean_correct=float(np.mean(correct)) * 100.0,
+        mean_incorrect=float(np.mean(incorrect)) * 100.0,
+        n_delta=n_delta(correct, incorrect, metric_range),
+        macro_f1=macro_f1_midpoint(correct, incorrect, metric_range),
+        wasserstein=wasserstein_1d(rescale(correct, metric_range), rescale(incorrect, metric_range)) * 100.0,
+        threshold_curve=threshold_curve_loop(gaps, grid) if gaps.size else [],
+    )
+
+
+def agreement_columns_rows(table: RowTable, metrics: list[MetricRange], rating_scales: dict | None = None):
+    """Each metric's rescaled scores and the rescaled human scores, one entry per row, validated."""
+    if not metrics:
+        raise ValueError("metrics list must be non-empty")
+    if not table.rows:
+        raise ValueError("score table is empty")
+    humans = []
+    for row in table.rows:
+        if row.human_score is None:
+            raise MatchaError(f"row {row.id!r} ({row.label}) has no human score")
+        missing = [m for m in metrics if m.name not in row.scores]
+        if missing:
+            raise MatchaError(f"row {row.id!r} lacks scores for {[m.name for m in missing]}")
+        lo, hi = (rating_scales or {}).get(row.dataset, (0.0, 1.0))
+        humans.append((row.human_score - lo) / (hi - lo))
+    columns = {m.name: rescale([row.scores[m.name] for row in table.rows], m).tolist() for m in metrics}
+    return columns, humans
+
+
+def evaluation_report_rows(table: RowTable, ranges=None, rating_scales=None) -> dict[str, dict]:
+    """`evaluation.evaluation_report` over a row table, as the package computed it before the columnar table."""
+    ranges = {**DEFAULT_RANGES, **(ranges or {})}
+    metrics = [
+        MetricRange(name, ranges[name].kind if name in ranges else "unit")
+        for name in sorted({name for r in table.rows for name in r.scores})
+    ]
+    separation: dict[str, dict[str, dict]] = {}
+    for ds in sorted({r.dataset for r in table.rows}):
+        sub = RowTable(rows=[r for r in table.rows if r.dataset == ds])
+        per_metric = {
+            m.name: separation_report_rows(sub, m.name, m).to_dict()
+            for m in metrics
+            if sub.labeled_scores(m.name, "correct") and sub.labeled_scores(m.name, "incorrect")
+        }
+        if per_metric:
+            separation[ds] = per_metric
+
+    agreement: dict[str, dict[str, float]] = {}
+    rated = RowTable(rows=[r for r in table.rows if r.human_score is not None])
+    covered = [m for m in metrics if all(m.name in r.scores for r in rated.rows)]
+    if rated.rows and covered:
+        columns, humans = agreement_columns_rows(rated, covered, rating_scales)
+        agreement = {
+            "rank_at_1": rank_at_1(columns, humans),
+            "dcg": dcg(columns, humans),
+            "ccc": {name: ccc(column, humans) * 100.0 for name, column in columns.items()},
+        }
     return {"separation": separation, "agreement": agreement}

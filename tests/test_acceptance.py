@@ -260,10 +260,10 @@ def test_c08_ccc_rouge_dcg_oracles():
     for ref, cand, expected in lcs_fixture:
         assert rouge_l_f1(ref, cand) == pytest.approx(expected, abs=1e-12), (ref, cand)
 
-    from matcha.evaluation import ScoreRow, ScoreTable
+    from oracles import RowTable, ScoreRow, columnar
 
     metrics = [MetricRange("best", "unit")] + [MetricRange(f"x{i}", "unit") for i in range(8)]
-    top = ScoreTable(
+    top = RowTable(
         rows=[
             ScoreRow(
                 id="r",
@@ -273,8 +273,8 @@ def test_c08_ccc_rouge_dcg_oracles():
             )
         ]
     )
-    assert dcg(*agreement_columns(top, metrics, None))["best"] == pytest.approx(100.0, abs=1e-6)
-    bottom = ScoreTable(
+    assert dcg(*agreement_columns(columnar(top), metrics, None))["best"] == pytest.approx(100.0, abs=1e-6)
+    bottom = RowTable(
         rows=[
             ScoreRow(
                 id="r",
@@ -284,7 +284,7 @@ def test_c08_ccc_rouge_dcg_oracles():
             )
         ]
     )
-    worst = dcg(*agreement_columns(bottom, metrics, None))["best"]
+    worst = dcg(*agreement_columns(columnar(bottom), metrics, None))["best"]
     assert worst == pytest.approx(100.0 / (9 * np.log2(10)), abs=1e-6)
     report(8, "ccc, rouge, dcg oracles", started)
 

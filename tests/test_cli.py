@@ -1,10 +1,16 @@
+import gc
 import json
+import os
+import stat
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import matcha.cli
 import matcha.evaluation
+import matcha.training
 from matcha import __version__
 from matcha.checkpoint import load_checkpoint, save_checkpoint
 from matcha.cli import main
@@ -163,6 +169,55 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert str(config) in err and repr(next(iter(values))) in err
+
+
+class TestWrittenFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_modes_follow_the_umask(self, tmp_path, umask):
+        # Each file gets the mode `open` would give it: 0o666 less the umask.
+        records = make_synthetic_corpus(24, seed=5)
+        corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+        ckpt, vocab = str(tmp_path / "m.ckpt"), str(tmp_path / "m.ckpt.vocab.json")
+        previous = os.umask(umask)
+        try:
+            assert main(["train", "--data", corpus, "--out", ckpt, "--epochs", "1", "--batch-size", "8",
+                         "--dim", "8", "--n-ctx", "2"]) == 0
+            assert main(["evaluate", "--data", corpus, "--ckpt", ckpt, "--vocab", vocab,
+                         "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "c.csv")]) == 0
+            assert main(["attribute", "--ckpt", ckpt, "--vocab", vocab, "--ref", records[0].reference,
+                         "--cand", records[0].correct, "--out", str(tmp_path / "a.json")]) == 0
+        finally:
+            os.umask(previous)
+        written = ["a.json", "c.csv", "m.ckpt", "m.ckpt.train.jsonl", "m.ckpt.vocab.json", "r.json"]
+        modes = {name: oct(stat.S_IMODE(os.stat(tmp_path / name).st_mode)) for name in written}
+        assert modes == {name: oct(0o666 & ~umask) for name in written}
+        # No temporary file is left beside them.
+        assert sorted(os.listdir(tmp_path)) == sorted(written + ["corpus.jsonl"])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 the caller's stack holds the call's arguments until it returns")
+    def test_init_ckpt_table_is_freed_after_the_first_step(self, tmp_path, word_vocab_file, tiny_ckpt, monkeypatch):
+        path, _, records = word_vocab_file
+        corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+        loaded, alive = [], []
+
+        def load(ckpt):
+            params = load_checkpoint(ckpt)
+            loaded.append(weakref.ref(params.embedding))
+            return params
+
+        def step(*args):
+            result = adam_step(*args)
+            gc.collect()
+            alive.append(loaded[0]() is not None)
+            return result
+
+        adam_step = matcha.training.adam_step
+        monkeypatch.setattr(matcha.cli, "load_checkpoint", load)
+        monkeypatch.setattr(matcha.training, "adam_step", step)
+        assert main(["train", "--data", corpus, "--init-ckpt", tiny_ckpt, "--vocab", path, "--epochs", "1",
+                     "--batch-size", "8", "--grad-accum", "1", "--out", str(tmp_path / "t.ckpt")]) == 0
+        assert len(alive) == 3 and not any(alive)
 
 
 class TestEvaluateCommand:

@@ -10,7 +10,6 @@ from matcha.errors import MatchaError, SchemaError
 from matcha.evaluation import (
     MetricRange,
     _lcs_length,
-    ScoreRow,
     ScoreTable,
     agreement_columns,
     ccc,
@@ -29,9 +28,13 @@ from matcha.evaluation import (
 )
 from matcha.synthetic import make_synthetic_corpus
 from oracles import (
+    RowTable,
+    ScoreRow,
     ccc_direct,
+    columnar,
     dcg_table,
     evaluation_report_assembled,
+    evaluation_report_rows,
     lcs_length_dp,
     macro_f1_confusion,
     paired_gaps_scalar,
@@ -39,6 +42,7 @@ from oracles import (
     rescale_scalar,
     rouge_l_f1_dp,
     rouge_n_f1_counter,
+    rows_of,
     wasserstein_quantile_bruteforce,
 )
 
@@ -221,7 +225,7 @@ def agreement_table():
                 human_score=human,
             )
         )
-    return ScoreTable(rows=rows), {"d": (1.0, 5.0)}
+    return columnar(RowTable(rows=rows)), {"d": (1.0, 5.0)}
 
 
 METRICS = [MetricRange("m1", "unit"), MetricRange("m2", "unit"), MetricRange("m3", "unit")]
@@ -246,12 +250,12 @@ class TestRankAt1:
 
     def test_ties_award_all(self):
         row = ScoreRow(id="x", label="correct", scores={"a": 0.5, "b": 0.5}, human_score=0.5)
-        table = ScoreTable(rows=[row])
+        table = columnar(RowTable(rows=[row]))
         result = rank_at_1(*agreement_columns(table, [MetricRange("a", "unit"), MetricRange("b", "unit")]))
         assert result == {"a": 100.0, "b": 100.0}
 
     def test_missing_human_is_error(self):
-        table = ScoreTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5})])
+        table = columnar(RowTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5})]))
         with pytest.raises(MatchaError, match="human"):
             agreement_columns(table, [MetricRange("a", "unit")])
 
@@ -272,7 +276,7 @@ class TestDcg:
             )
         ]
         metrics = [MetricRange("best", "unit")] + [MetricRange(f"x{i}", "unit") for i in range(8)]
-        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
+        result = dcg(*agreement_columns(columnar(RowTable(rows=rows)), metrics))
         assert result["best"] == pytest.approx(100.0)
 
     def test_always_rank_9_of_9(self):
@@ -285,7 +289,7 @@ class TestDcg:
             )
         ]
         metrics = [MetricRange("worst", "unit")] + [MetricRange(f"x{i}", "unit") for i in range(8)]
-        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
+        result = dcg(*agreement_columns(columnar(RowTable(rows=rows)), metrics))
         expected = 100.0 * (1 / 9) / np.log2(10)
         assert result["worst"] == pytest.approx(expected, abs=1e-6)
         assert result["worst"] == pytest.approx(3.34, abs=0.01)
@@ -295,7 +299,7 @@ class TestDcg:
             ScoreRow(id="r0", label="correct", scores={"a": 0.6, "b": 0.6}, human_score=0.5)
         ]
         metrics = [MetricRange("a", "unit"), MetricRange("b", "unit")]
-        result = dcg(*agreement_columns(ScoreTable(rows=rows), metrics))
+        result = dcg(*agreement_columns(columnar(RowTable(rows=rows)), metrics))
         # "a" wins the tie: rank 1 -> 100; "b" rank 2 -> 100*(1/2)/log2(3)
         assert result["a"] == pytest.approx(100.0)
         assert result["b"] == pytest.approx(100.0 * 0.5 / np.log2(3))
@@ -309,15 +313,15 @@ class TestAgreementColumns:
             # Scores on a coarse grid, so metrics tie on many rows.
             for row in table.rows:
                 row.scores = {name: round(value, 1) for name, value in row.scores.items()}
-        rated = ScoreTable(rows=[r for r in table.rows if r.human_score is not None])
+        rated = RowTable(rows=[r for r in table.rows if r.human_score is not None])
         metrics = [MetricRange("matcha", "cosine_like"), MetricRange("raw", "unit"), MetricRange("rouge1", "percent")]
         scales = {"a": (1.0, 5.0), "b": (0.0, 100.0)}
-        columns, humans = agreement_columns(rated, metrics, scales)
+        columns, humans = agreement_columns(columnar(rated), metrics, scales)
         assert rank_at_1(columns, humans) == rank_at_1_table(rated, metrics, scales)
         assert dcg(columns, humans) == dcg_table(rated, metrics, scales)
 
     def test_missing_metric_score_is_error(self):
-        table = ScoreTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5}, human_score=0.5)])
+        table = columnar(RowTable(rows=[ScoreRow(id="x", label="correct", scores={"a": 0.5}, human_score=0.5)]))
         with pytest.raises(MatchaError, match=r"lacks scores for \['b'\]"):
             agreement_columns(table, [MetricRange("a", "unit"), MetricRange("b", "unit")])
 
@@ -501,12 +505,12 @@ def build_pair_table(correct_scores, incorrect_scores, metric="m"):
     for i, (c, inc) in enumerate(zip(correct_scores, incorrect_scores)):
         rows.append(ScoreRow(id=f"p{i}", label="correct", scores={metric: c}))
         rows.append(ScoreRow(id=f"p{i}", label="incorrect", scores={metric: inc}))
-    return ScoreTable(rows=rows)
+    return RowTable(rows=rows)
 
 
 class TestSeparationReport:
     def test_single_pair_equal_scores(self):
-        table = build_pair_table([0.4], [0.4])
+        table = columnar(build_pair_table([0.4], [0.4]))
         report = separation_report(table, "m", UNIT)
         assert report.n_delta == 0.0
         assert report.wasserstein == 0.0
@@ -515,7 +519,7 @@ class TestSeparationReport:
         rng = np.random.default_rng(7)
         correct = rng.uniform(0.4, 1.0, 30)
         incorrect = rng.uniform(-0.2, 0.5, 30)
-        table = build_pair_table(correct, incorrect)
+        table = columnar(build_pair_table(correct, incorrect))
         report = separation_report(table, "m", COSINE)
         assert report.pairs == 30
         assert report.mean_correct == pytest.approx(correct.mean() * 100)
@@ -538,7 +542,7 @@ class TestSeparationReport:
         spread = np.linspace(-0.05, 0.05, 20)
         correct = 0.7114 + spread
         incorrect = 0.0124 + spread
-        report = separation_report(build_pair_table(correct, incorrect), "m", COSINE)
+        report = separation_report(columnar(build_pair_table(correct, incorrect)), "m", COSINE)
         assert report.mean_correct == pytest.approx(71.14, abs=1e-6)
         assert report.mean_incorrect == pytest.approx(1.24, abs=1e-6)
         assert report.n_delta == pytest.approx(34.95, abs=0.01)
@@ -546,12 +550,12 @@ class TestSeparationReport:
         assert report.wasserstein == pytest.approx(report.n_delta, abs=1e-9)
 
     def test_missing_side_is_error(self):
-        table = ScoreTable(rows=[ScoreRow(id="x", label="correct", scores={"m": 0.5})])
+        table = columnar(RowTable(rows=[ScoreRow(id="x", label="correct", scores={"m": 0.5})]))
         with pytest.raises(ValueError):
             separation_report(table, "m", UNIT)
 
 
-def random_report_table(seed: int) -> ScoreTable:
+def random_report_table(seed: int) -> RowTable:
     """Two datasets of random rows: "a" has both labels, "b" only correct ones.
 
     Correct rows carry human ratings on each dataset's scale; the external
@@ -576,7 +580,7 @@ def random_report_table(seed: int) -> ScoreTable:
                     scores["ext"] = float(rng.uniform(0, 100))
                 human = float(rng.uniform(lo, hi)) if label == "correct" else None
                 rows.append(ScoreRow(id=f"r{i}", label=label, dataset=dataset, scores=scores, human_score=human))
-    return ScoreTable(rows=rows)
+    return RowTable(rows=rows)
 
 
 class TestEvaluationReport:
@@ -587,7 +591,7 @@ class TestEvaluationReport:
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_assembled_oracle(self, seed):
         table = random_report_table(seed)
-        report = evaluation_report(table, self.RANGES, self.SCALES)
+        report = evaluation_report(columnar(table), self.RANGES, self.SCALES)
         assert report == evaluation_report_assembled(table, self.RANGES, self.SCALES)
         # "b" has no incorrect rows; "ext" is missing from some rated rows.
         assert set(report["separation"]) == {"a"}
@@ -600,28 +604,128 @@ class TestEvaluationReport:
         for row in table.rows:
             if row.human_score is not None:
                 row.scores.setdefault("ext", 50.0)
-        report = evaluation_report(table, self.RANGES, self.SCALES)
+        report = evaluation_report(columnar(table), self.RANGES, self.SCALES)
         assert report == evaluation_report_assembled(table, self.RANGES, self.SCALES)
         assert "ext" in report["agreement"]["ccc"]
 
     def test_no_ratings_no_agreement(self):
         table = build_pair_table([0.9, 0.8], [0.1, 0.3])
-        report = evaluation_report(table)
+        report = evaluation_report(columnar(table))
         assert report == evaluation_report_assembled(table, {}, {})
         assert report["agreement"] == {} and set(report["separation"][""]) == {"m"}
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("metric_range", [COSINE, UNIT, PERCENT])
     def test_paired_gaps_equal_scalar_oracle(self, seed, metric_range):
+        # Duplicated keys put a pair at its first correct row and give it each side's last score.
+        for table in (random_report_table(seed), with_duplicates(random_report_table(seed), seed)):
+            for metric in ("matcha", "ext", "absent"):
+                gaps = columnar(table).paired_gaps(metric, metric_range)
+                assert gaps.tolist() == paired_gaps_scalar(table, metric, metric_range)
+
+
+def with_duplicates(table: RowTable, seed: int) -> RowTable:
+    """`table` plus a second row for every other (dataset, id, label), with other scores
+    (some metrics dropped) and another rating, each inserted at a random place."""
+    rng = np.random.default_rng(seed)
+    rows = list(table.rows)
+    for row in table.rows[::2]:
+        scores = {name: value + float(rng.normal(0, 0.2)) for name, value in row.scores.items() if rng.random() < 0.8}
+        human = None if row.human_score is None else row.human_score + float(rng.random())
+        rows.insert(int(rng.integers(len(rows) + 1)), ScoreRow(row.id, row.label, row.dataset, scores, human))
+    return RowTable(rows=rows)
+
+
+class TestScoreTable:
+    def test_extend_marks_a_metric_absent_where_one_side_lacks_it(self):
+        table = ScoreTable(["a"], ["d"], [True], scores={"x": [0.1]})
+        table.extend(ScoreTable(["b"], ["e"], [False], human=[float("nan")], scores={"y": [0.2]}))
+        rows = rows_of(table)
+        assert rows[0] == ScoreRow("a", "correct", "d", {"x": 0.1})
+        assert (rows[1].id, rows[1].label, rows[1].scores) == ("b", "incorrect", {"y": 0.2})
+        assert np.isnan(rows[1].human_score) and table.rated.tolist() == [False, True]
+
+    def test_ragged_columns_and_masks_of_unscored_metrics_raise(self):
+        with pytest.raises(ValueError, match="shape"):
+            ScoreTable(["a", "b"], ["d"], [True, False])
+        with pytest.raises(ValueError, match="shape"):
+            ScoreTable(["a"], ["d"], [True], scores={"x": [0.1, 0.2]})
+        with pytest.raises(ValueError, match="unscored"):
+            ScoreTable(["a"], ["d"], [True], scores={"x": [0.1]}, present={"y": [True]})
+
+    def test_labeled_scores_follow_the_label_and_mask(self):
+        table = ScoreTable(["a", "a", "b"], ["d"] * 3, [True, False, True], scores={"x": [0.1, 0.2, 0.3]},
+                           present={"x": [True, True, False]})
+        assert table.labeled_scores("x", "correct").tolist() == [0.1]
+        assert table.labeled_scores("x", "incorrect").tolist() == [0.2]
+        assert table.labeled_scores("x", "maybe").size == table.labeled_scores("y", "correct").size == 0
+
+    def test_ids_and_datasets_are_read_only(self):
+        table = ScoreTable(["a"], ["d"], [True])
+        with pytest.raises(ValueError):
+            table.ids[0] = "b"
+
+
+class TestColumnarReport:
+    """The columnar report writes the JSON of the row-based report it replaced."""
+
+    RANGES = {"ext": MetricRange("ext", "percent"), "rouge1": MetricRange("rouge1", "cosine_like")}
+    SCALES = {"a": (1.0, 5.0), "b": (0.0, 100.0)}
+
+    def assert_same_json(self, table: RowTable, ours: ScoreTable | None = None) -> dict:
+        report = evaluation_report(columnar(table) if ours is None else ours, self.RANGES, self.SCALES)
+        assert json.dumps(report) == json.dumps(evaluation_report_rows(table, self.RANGES, self.SCALES))
+        return report
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_tables(self, seed):
         table = random_report_table(seed)
-        for metric in ("matcha", "ext", "absent"):
-            gaps = table.paired_gaps(metric, metric_range)
-            assert gaps.tolist() == paired_gaps_scalar(table, metric, metric_range)
+        if seed % 2:
+            # Scores on a coarse grid: metrics tie on many rows and gaps fall on thresholds.
+            for row in table.rows:
+                row.scores = {name: round(value, 1) for name, value in row.scores.items()}
+        self.assert_same_json(table)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows(self, seed):
+        self.assert_same_json(with_duplicates(random_report_table(seed), seed))
+
+    def test_nan_human_score_is_a_rating(self):
+        table = random_report_table(5)
+        [r for r in table.rows if r.human_score is not None][1].human_score = float("nan")
+        report = self.assert_same_json(table)
+        assert all(np.isnan(value) for value in report["agreement"]["ccc"].values())
+
+    def test_non_finite_score_raises(self):
+        table = random_report_table(6)
+        table.rows[0].scores["matcha"] = float("inf")
+        for report, tab in ((evaluation_report, columnar(table)), (evaluation_report_rows, table)):
+            with pytest.raises(ValueError, match="scores must be finite"):
+                report(tab, self.RANGES, self.SCALES)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_merge_external_new_and_existing_keys(self, tmp_path, seed):
+        table = with_duplicates(random_report_table(seed), seed)
+        rng = np.random.default_rng(seed)
+        path = tmp_path / "ext.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for _ in range(300):
+                # Dataset "c" and ids from r30 up are new; every other key exists.
+                row = {"id": f"r{rng.integers(36)}", "metric": ("ext", "matcha", "bert")[rng.integers(3)],
+                       "score": round(float(rng.uniform(-1, 1)), 3), "label": ("correct", "incorrect")[rng.integers(2)],
+                       "dataset": "abc"[rng.integers(3)]}
+                fh.write(json.dumps(row) + "\n")
+            fh.write('{"id": "r1", "metric": "bert", "score": 1}\n')  # label and dataset by default
+        ours = columnar(table)
+        ours.merge_external(str(path))
+        table.merge_external(str(path))
+        assert rows_of(ours) == table.rows
+        self.assert_same_json(table, ours)
 
 
 class TestMergeExternal:
     def test_merges_by_id_and_label(self, tmp_path):
-        table = build_pair_table([0.9], [0.1])
+        table = columnar(build_pair_table([0.9], [0.1]))
         path = tmp_path / "ext.jsonl"
         path.write_text(
             '{"id": "p0", "metric": "bert", "score": 0.8}\n'
@@ -629,8 +733,8 @@ class TestMergeExternal:
             encoding="utf-8",
         )
         table.merge_external(str(path))
-        correct = [r for r in table.rows if r.label == "correct"][0]
-        incorrect = [r for r in table.rows if r.label == "incorrect"][0]
+        correct = [r for r in rows_of(table) if r.label == "correct"][0]
+        incorrect = [r for r in rows_of(table) if r.label == "incorrect"][0]
         assert correct.scores["bert"] == 0.8
         assert incorrect.scores["bert"] == 0.7
 
@@ -639,15 +743,15 @@ class TestMergeExternal:
         path = tmp_path / "ext.jsonl"
         path.write_text('{"id": "z", "metric": "x", "score": 0.5}\n', encoding="utf-8")
         table.merge_external(str(path))
-        assert len(table.rows) == 1
-        assert table.rows[0].scores == {"x": 0.5}
+        assert len(table) == 1
+        assert rows_of(table)[0].scores == {"x": 0.5}
 
     def test_integer_score_accepted(self, tmp_path):
         table = ScoreTable()
         path = tmp_path / "ext.jsonl"
         path.write_text('{"id": "z", "metric": "x", "score": 1, "label": "incorrect"}\n', encoding="utf-8")
         table.merge_external(str(path))
-        assert table.rows[0].scores == {"x": 1.0} and table.rows[0].label == "incorrect"
+        assert rows_of(table)[0].scores == {"x": 1.0} and rows_of(table)[0].label == "incorrect"
 
     @pytest.mark.parametrize("field, value", [
         ("score", "[1]"), ("score", '"x"'), ("score", "NaN"), ("score", "Infinity"),
@@ -680,7 +784,7 @@ class TestMergeExternal:
         table = ScoreTable()
         with pytest.raises(SchemaError, match=r"ext\.jsonl: line 5: invalid JSON"):
             table.merge_external(str(path))
-        assert [(r.id, r.scores) for r in table.rows] == [("a", {"x": 0.1}), ("b", {"x": 0.2}), ("c", {"x": 0.3})]
+        assert [(r.id, r.scores) for r in rows_of(table)] == [("a", {"x": 0.1}), ("b", {"x": 0.2}), ("c", {"x": 0.3})]
 
     def test_reads_the_file_line_by_line(self, tmp_path):
         # About 1 MB of scores, five metrics per candidate as an external
@@ -697,13 +801,13 @@ class TestMergeExternal:
                         fh.write(json.dumps(row) + "\n")
         size = path.stat().st_size
         assert 0.9e6 < size < 1.2e6
-        table = ScoreTable(rows=[ScoreRow(id=f"item-{i:05d}", label=label, dataset="eval")
-                                 for i in range(1000) for label in ("correct", "incorrect")])
+        table = columnar(RowTable(rows=[ScoreRow(id=f"item-{i:05d}", label=label, dataset="eval")
+                                        for i in range(1000) for label in ("correct", "incorrect")]))
         tracemalloc.start()
         try:
             table.merge_external(str(path))
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(len(row.scores) == len(metrics) for row in table.rows) and len(table.rows) == 2000
+        assert all(len(row.scores) == len(metrics) for row in rows_of(table)) and len(table) == 2000
         assert peak - held < 0.25 * size, (peak - held) / size
