@@ -46,15 +46,7 @@ class AttributionResult:
     baseline_score: float
 
     def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "per_token": [[tok, val] for tok, val in self.per_token],
-            "total": self.total,
-            "completeness_residual": self.completeness_residual,
-            "steps": self.steps,
-            "score": self.score,
-            "baseline_score": self.baseline_score,
-        }
+        return {**vars(self), "per_token": [[tok, val] for tok, val in self.per_token]}
 
 
 def integrated_gradients(
@@ -143,19 +135,10 @@ def attribution_gap(
     """
     if not pairs:
         raise ValueError("pair list must be non-empty")
-    correct_totals = []
-    incorrect_totals = []
-    for reference, correct, incorrect in pairs:
-        correct_totals.append(
-            integrated_gradients(
-                params, reference, correct, vocab, "toward_candidate", steps, baseline_kind
-            ).total
-        )
-        incorrect_totals.append(
-            integrated_gradients(
-                params, reference, incorrect, vocab, "toward_candidate", steps, baseline_kind
-            ).total
-        )
-    mean_correct = float(np.mean(correct_totals)) * 100.0
-    mean_incorrect = float(np.mean(incorrect_totals)) * 100.0
+    totals = [
+        [integrated_gradients(params, reference, candidate, vocab, "toward_candidate", steps, baseline_kind).total
+         for candidate in (correct, incorrect)]
+        for reference, correct, incorrect in pairs
+    ]
+    mean_correct, mean_incorrect = (float(np.mean(side)) * 100.0 for side in zip(*totals))
     return mean_correct, mean_incorrect, mean_correct - mean_incorrect

@@ -22,11 +22,10 @@ import struct
 import numpy as np
 
 from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, open_atomic
-from .model import Hyper, ModelParams
+from .model import TENSOR_NAMES, Hyper, ModelParams
 
 MAGIC = b"MTCH"
 VERSION = 1
-TENSOR_ORDER = ("embedding", "proj_weight", "proj_bias", "conversion")
 MAX_RANK = 64  # the most dimensions a NumPy array can have
 BLOCK = 1 << 18  # float32 entries per streamed block: a 1 MiB buffer
 
@@ -53,7 +52,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
     with open_atomic(path, "wb") as fh, np.errstate(over="ignore"):
         fh.write(MAGIC + struct.pack("<IQ", VERSION, len(manifest)) + manifest)
         buf = np.empty(BLOCK, dtype="<f4")
-        for name in TENSOR_ORDER:
+        for name in TENSOR_NAMES:
             tensor = getattr(params, name)
             encoded, rank, flat = name.encode("utf-8"), tensor.ndim, tensor.reshape(-1)
             fh.write(struct.pack(f"<I{len(encoded)}sI{rank}Q", len(encoded), encoded, rank, *tensor.shape))
@@ -167,10 +166,10 @@ def load_checkpoint(path: str) -> ModelParams:
             # Frozen before the reshape, so the view can never be made writeable again.
             flat.flags.writeable = False
             tensors[name] = flat.reshape(dims)
-    missing = [n for n in TENSOR_ORDER if n not in tensors]
+    missing = [n for n in TENSOR_NAMES if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")
-    extra = [n for n in tensors if n not in TENSOR_ORDER]
+    extra = [n for n in tensors if n not in TENSOR_NAMES]
     if extra:
         raise CheckpointIntegrityError(f"{path}: unexpected tensors {extra}")
 
@@ -186,17 +185,7 @@ def load_checkpoint(path: str) -> ModelParams:
             raise CheckpointIntegrityError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, manifest implies {shape}"
             )
-    params = ModelParams(
-        embedding=tensors["embedding"],
-        proj_weight=tensors["proj_weight"],
-        proj_bias=tensors["proj_bias"],
-        conversion=tensors["conversion"],
-        hyper=Hyper(
-            dim=d,
-            n_ctx=n_ctx,
-            max_len=manifest["max_len"],
-            margin=float(manifest["margin"]),
-        ),
-    )
+    hyper = Hyper(dim=d, n_ctx=n_ctx, max_len=manifest["max_len"], margin=float(manifest["margin"]))
+    params = ModelParams(**tensors, hyper=hyper)
     params.validate()
     return params

@@ -22,18 +22,17 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .attribution import BASELINE_KINDS, DIRECTIONS, integrated_gradients
+from .attribution import BASELINE_KINDS, DEFAULT_STEPS, DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
 from .errors import ConfigError, MatchaError, open_atomic, read_json
 from .evaluation import MetricRange, ScoreTable, evaluation_report, rouge_table
 from .model import init_params, score
-from .tokenizer import WordVocabulary, build_word_vocabulary, load_vocabulary
+from .tokenizer import DEFAULT_MAX_LEN, WordVocabulary, build_word_vocabulary, load_vocabulary
 from .training import SCHEDULE_STRATEGIES, TrainConfig, train
 
 DEFAULT_DIM = 64
 DEFAULT_N_CTX = 16
-DEFAULT_MAX_LEN = 512
 
 
 @dataclass
@@ -53,7 +52,7 @@ class RunConfig:
     ref: str | None = None
     cand: str | None = None
     direction: str = "both"
-    steps: int = 64
+    steps: int = DEFAULT_STEPS
     baseline: str = "zero"
     scores: list[str] = field(default_factory=list)
     metrics: list[str] = field(default_factory=list)
@@ -402,6 +401,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                     f"got {json.dumps(value)}"
                 )
         values = file_values | values
+    # A loaded checkpoint brings its own D, N_c and length cap.
+    pinned = [key for key in ("dim", "n_ctx", "max_len") if key in values]
+    if values.get("init_ckpt") and pinned:
+        raise ConfigError(
+            f"--init-ckpt takes dim, n_ctx and max_len from the checkpoint; cannot set {', '.join(pinned)}"
+        )
     train_keys = {f.name for f in fields(TrainConfig)}
     train = TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
     return RunConfig(**{k: v for k, v in values.items() if k not in train_keys}, train=train)

@@ -29,6 +29,9 @@ EMBED_INIT_BOUND = 0.01
 # arrays with 2**14 and 4.9 MB with 2**18 (tracemalloc).
 MEAN_BLOCK_ENTRIES = 1 << 14
 
+# ModelParams' tensors, in the order checkpoints store them.
+TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
+
 
 @dataclass
 class Hyper:
@@ -81,19 +84,15 @@ class ModelParams:
 
     def freeze(self) -> "ModelParams":
         """Make the four tensors read-only, in place, and return self."""
-        for tensor in (self.embedding, self.proj_weight, self.proj_bias, self.conversion):
-            tensor.flags.writeable = False
+        for name in TENSOR_NAMES:
+            getattr(self, name).flags.writeable = False
         return self
 
     def copy(self, share_embedding: bool = False) -> "ModelParams":
         """Writeable float64 tensors; with share_embedding, the embedding array itself, uncopied."""
-        return ModelParams(
-            embedding=self.embedding if share_embedding else self.embedding.astype(np.float64),
-            proj_weight=self.proj_weight.astype(np.float64),
-            proj_bias=self.proj_bias.astype(np.float64),
-            conversion=self.conversion.astype(np.float64),
-            hyper=Hyper(**vars(self.hyper)),
-        )
+        copied = {name: getattr(self, name).astype(np.float64) for name in TENSOR_NAMES[1:]}
+        embedding = self.embedding if share_embedding else self.embedding.astype(np.float64)
+        return ModelParams(embedding, **copied, hyper=Hyper(**vars(self.hyper)))
 
 
 def _uniform(rng: np.random.Generator, shape, bound: float) -> np.ndarray:

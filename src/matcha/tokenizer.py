@@ -19,6 +19,7 @@ from .errors import (
     TokenRangeError,
     VocabularyFormatError,
     VocabularyIntegrityError,
+    open_atomic,
     read_json,
     read_text,
 )
@@ -252,7 +253,7 @@ class WordVocabulary(_TokenTable):
         return " ".join(self._tokens(ids))
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_atomic(path) as fh:
             json.dump({"kind": "word", "token_to_id": self.token_to_id}, fh, ensure_ascii=False)
 
     @classmethod

@@ -27,15 +27,14 @@ keeps its moments in the same shapes and updates them in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, zip_longest
 
 import numpy as np
 
 from .errors import DegenerateRepresentationError, EmptyInputError, NumericError, ShapeError
-from .model import ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
+from .model import TENSOR_NAMES, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 
-TENSOR_NAMES = ("embedding", "proj_weight", "proj_bias", "conversion")
 # Adam's moment decay rates and denominator floor.  EPSILON must stay > 0:
 # adam_step skips rows with m = v = g = 0, whose step m / (sqrt(v) + eps) is
 # exactly 0 only then (with eps = 0 it is 0/0 = NaN).
@@ -333,6 +332,12 @@ class BatchSchedule:
     curriculum          sequential over a user-supplied difficulty order
     contrastive_only    interleaved over datasets carrying real contradictions
     random_negative     interleaved over datasets with sampled negatives
+
+    `start_epoch` draws the epoch's permutations (the dataset order when
+    interleaving, then each dataset's items in that order) and lays out the
+    epoch's whole batch list once: the datasets' batches one after another,
+    or, interleaved, in rounds of one batch per dataset that skip datasets
+    already used up.  `next_batch` hands that list out one batch at a time.
     """
 
     def __init__(
@@ -365,40 +370,24 @@ class BatchSchedule:
         self.batch_size = batch_size
         self.strategy = strategy
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self._queues: list[list[TripletBatch]] = []
-        self._cursor = 0
+        self._plan = iter(())
 
     def start_epoch(self) -> None:
-        """Reshuffle every dataset (and, for interleaving, the dataset order)."""
-        order = list(range(len(self.datasets)))
-        if self.strategy in ("interleaved", "contrastive_only", "random_negative"):
-            order = [int(i) for i in self.rng.permutation(len(self.datasets))]
-        self._queues = []
+        """Reshuffle every dataset (and, for interleaving, the dataset order), then plan the epoch's batches."""
+        interleave = self.strategy not in ("sequential", "curriculum")
+        order = self.rng.permutation(len(self.datasets)).tolist() if interleave else range(len(self.datasets))
+        queues = []
         for pos in order:
             ds = self.datasets[pos]
-            perm = self.rng.permutation(len(ds.items))
-            items = [ds.items[int(i)] for i in perm]
-            batches = [
-                TripletBatch(items=items[i : i + self.batch_size], source_dataset=ds.name)
-                for i in range(0, len(items), self.batch_size)
-            ]
-            self._queues.append(batches)
-        self._cursor = 0
+            items = [ds.items[i] for i in self.rng.permutation(len(ds.items)).tolist()]
+            queues.append([TripletBatch(items[i : i + self.batch_size], ds.name)
+                           for i in range(0, len(items), self.batch_size)])
+        rounds = zip_longest(*queues) if interleave else queues
+        self._plan = iter([batch for batches in rounds for batch in batches if batch is not None])
 
     def next_batch(self) -> TripletBatch | None:
-        """Next batch under the strategy, or None once every dataset is exhausted."""
-        if self.strategy in ("sequential", "curriculum"):
-            for queue in self._queues:
-                if queue:
-                    return queue.pop(0)
-            return None
-        n = len(self._queues)
-        for offset in range(n):
-            idx = (self._cursor + offset) % n
-            if self._queues[idx]:
-                self._cursor = (idx + 1) % n
-                return self._queues[idx].pop(0)
-        return None
+        """Next batch of the epoch's plan, or None once it is used up."""
+        return next(self._plan, None)
 
 
 def train(
@@ -409,7 +398,8 @@ def train(
     """Run the full schedule; returns the trained parameters, frozen, and one report row per epoch.
 
     Gradients are averaged over grad_accum_steps micro-batches before each
-    optimizer step; a shorter window left at the end of an epoch still steps.
+    optimizer step, which falls after every grad_accum_steps-th micro-batch of an epoch; a shorter
+    window left at the end of an epoch is averaged over its own length and still steps.
     Fully reproducible from config.seed.  A read-only table (a loaded checkpoint's) is shared: the
     first optimizer step writes its float64 successor; with no step (epochs=0) it is returned as is.
     This call drops its reference to params_init at once, so a shared table the caller does not
@@ -436,7 +426,6 @@ def train(
         schedule.start_epoch()
         losses: list[float] = []
         accum: Gradients | None = None
-        accum_count = 0
         while (batch := schedule.next_batch()) is not None:
             loss, grads = loss_and_grads(params, batch, config.train_embeddings)
             losses.append(loss)
@@ -444,14 +433,12 @@ def train(
                 accum = grads
             else:
                 accum.add_(grads)
-            accum_count += 1
-            if accum_count == config.grad_accum_steps:
-                accum.scale_(1.0 / accum_count)
+            if len(losses) % config.grad_accum_steps == 0:
+                accum.scale_(1.0 / config.grad_accum_steps)
                 adam_step(state, params, accum)
                 accum = None
-                accum_count = 0
         if accum is not None:
-            accum.scale_(1.0 / accum_count)
+            accum.scale_(1.0 / (len(losses) % config.grad_accum_steps))
             adam_step(state, params, accum)
         report.append(
             {

@@ -16,7 +16,14 @@ have oracles of their own, and gate how the report selects, pairs and
 assembles them.  Likewise `integrated_gradients_three_pass`, integrated gradients as the
 package once computed it, calls the package's forward and cosine: it gates
 the one-pass rewrite for bit equality, while `integrated_gradients_tiled`
-checks the values themselves.
+checks the values themselves.  `attribution_gap_loop` is `attribution_gap`
+with its two `integrated_gradients` calls written out, and
+`attribution_result_dict` is `AttributionResult.to_dict` with its fields
+listed by hand, as the package once had them.  `BatchScheduleQueues` and `train_accumulating` are the batch
+schedule (per-dataset queues walked by a cursor) and the trainer loop (an
+accumulation counter) as the package wrote them before the per-epoch batch
+plan; the trainer calls the package's `loss_and_grads` and `adam_step`, so
+it gates the rewrite for bit equality.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from matcha.checkpoint import MAGIC, MAX_RANK, TENSOR_ORDER, VERSION, _check_manifest
+from matcha.checkpoint import MAGIC, MAX_RANK, VERSION, _check_manifest
 from matcha.errors import (
     CheckpointFormatError,
     CheckpointIntegrityError,
@@ -44,7 +51,7 @@ from matcha.errors import (
     ShapeError,
     read_lines,
 )
-from matcha.attribution import AttributionResult
+from matcha.attribution import AttributionResult, integrated_gradients
 from matcha.model import Hyper, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 from matcha.evaluation import (
     _WORD,
@@ -62,7 +69,18 @@ from matcha.evaluation import (
     wasserstein_1d,
 )
 from matcha.tokenizer import _PRETOKEN, byte_to_unicode
-from matcha.training import BETA1, BETA2, EPSILON, TENSOR_NAMES, Gradients
+from matcha.training import (
+    BETA1,
+    BETA2,
+    EPSILON,
+    SCHEDULE_STRATEGIES,
+    TENSOR_NAMES,
+    Gradients,
+    TripletBatch,
+    adam_step,
+    init_optimizer,
+    loss_and_grads,
+)
 
 
 def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
@@ -324,6 +342,139 @@ def integrated_gradients_three_pass(params, reference: str, candidate: str, voca
     )
 
 
+def attribution_result_dict(result: AttributionResult) -> dict:
+    """`AttributionResult.to_dict` with its seven fields listed by hand."""
+    return {
+        "direction": result.direction,
+        "per_token": [[tok, val] for tok, val in result.per_token],
+        "total": result.total,
+        "completeness_residual": result.completeness_residual,
+        "steps": result.steps,
+        "score": result.score,
+        "baseline_score": result.baseline_score,
+    }
+
+
+def attribution_gap_loop(params, pairs, vocab, steps: int, baseline_kind: str) -> tuple[float, float, float]:
+    """`attribution_gap` with one `integrated_gradients` call written out per candidate."""
+    if not pairs:
+        raise ValueError("pair list must be non-empty")
+    correct_totals = []
+    incorrect_totals = []
+    for reference, correct, incorrect in pairs:
+        correct_totals.append(
+            integrated_gradients(
+                params, reference, correct, vocab, "toward_candidate", steps, baseline_kind
+            ).total
+        )
+        incorrect_totals.append(
+            integrated_gradients(
+                params, reference, incorrect, vocab, "toward_candidate", steps, baseline_kind
+            ).total
+        )
+    mean_correct = float(np.mean(correct_totals)) * 100.0
+    mean_incorrect = float(np.mean(incorrect_totals)) * 100.0
+    return mean_correct, mean_incorrect, mean_correct - mean_incorrect
+
+
+class BatchScheduleQueues:
+    """`BatchSchedule` as per-dataset queues that `next_batch` walks with a cursor."""
+
+    def __init__(self, datasets, batch_size: int, strategy: str = "interleaved",
+                 curriculum_order: list[str] | None = None, rng: np.random.Generator | None = None) -> None:
+        if strategy not in SCHEDULE_STRATEGIES:
+            raise ValueError(f"unknown schedule strategy {strategy!r}")
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if strategy == "contrastive_only":
+            datasets = [d for d in datasets if d.has_contrastive]
+        elif strategy == "random_negative":
+            datasets = [d for d in datasets if not d.has_contrastive]
+        elif strategy == "curriculum":
+            if not curriculum_order:
+                raise ValueError("curriculum schedule requires curriculum_order")
+            by_name = {d.name: d for d in datasets}
+            missing = [n for n in curriculum_order if n not in by_name]
+            if missing:
+                raise ValueError(f"curriculum_order names unknown datasets: {missing}")
+            datasets = [by_name[n] for n in curriculum_order]
+        if not any(d.items for d in datasets):
+            raise ValueError(f"no non-empty dataset available for strategy {strategy!r}")
+        self.datasets = datasets
+        self.batch_size = batch_size
+        self.strategy = strategy
+        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._queues: list[list[TripletBatch]] = []
+        self._cursor = 0
+
+    def start_epoch(self) -> None:
+        order = list(range(len(self.datasets)))
+        if self.strategy in ("interleaved", "contrastive_only", "random_negative"):
+            order = [int(i) for i in self.rng.permutation(len(self.datasets))]
+        self._queues = []
+        for pos in order:
+            ds = self.datasets[pos]
+            perm = self.rng.permutation(len(ds.items))
+            items = [ds.items[int(i)] for i in perm]
+            batches = [
+                TripletBatch(items=items[i : i + self.batch_size], source_dataset=ds.name)
+                for i in range(0, len(items), self.batch_size)
+            ]
+            self._queues.append(batches)
+        self._cursor = 0
+
+    def next_batch(self) -> TripletBatch | None:
+        if self.strategy in ("sequential", "curriculum"):
+            for queue in self._queues:
+                if queue:
+                    return queue.pop(0)
+            return None
+        n = len(self._queues)
+        for offset in range(n):
+            idx = (self._cursor + offset) % n
+            if self._queues[idx]:
+                self._cursor = (idx + 1) % n
+                return self._queues[idx].pop(0)
+        return None
+
+
+def train_accumulating(config, datasets, params_init):
+    """`train` with an accumulation counter, over `BatchScheduleQueues`."""
+    config.validate()
+    params = params_init.copy(share_embedding=not params_init.embedding.flags.writeable)
+    params.hyper.margin = config.margin
+    state = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay)
+    schedule = BatchScheduleQueues(datasets, config.batch_size, config.schedule_strategy,
+                                   curriculum_order=config.curriculum_order,
+                                   rng=np.random.default_rng(config.seed))
+    report: list[dict] = []
+    for epoch in range(config.epochs):
+        state.epoch_index = epoch
+        schedule.start_epoch()
+        losses: list[float] = []
+        accum: Gradients | None = None
+        accum_count = 0
+        while (batch := schedule.next_batch()) is not None:
+            loss, grads = loss_and_grads(params, batch, config.train_embeddings)
+            losses.append(loss)
+            if accum is None:
+                accum = grads
+            else:
+                accum.add_(grads)
+            accum_count += 1
+            if accum_count == config.grad_accum_steps:
+                accum.scale_(1.0 / accum_count)
+                adam_step(state, params, accum)
+                accum = None
+                accum_count = 0
+        if accum is not None:
+            accum.scale_(1.0 / accum_count)
+            adam_step(state, params, accum)
+        report.append({"epoch": epoch, "mean_loss": float(np.mean(losses)) if losses else 0.0,
+                       "lr": state.effective_lr, "batches": len(losses)})
+    return params.freeze(), report
+
+
 def zero_gradients(params, train_embeddings: bool = True) -> Gradients:
     """Gradients over all rows of the table, every value zero."""
     dim = params.hyper.dim
@@ -520,7 +671,7 @@ def save_checkpoint_buffered(params, path: str) -> None:
     ).encode("utf-8")
     payload += struct.pack("<Q", len(manifest))
     payload += manifest
-    for name in TENSOR_ORDER:
+    for name in TENSOR_NAMES:
         tensor = np.ascontiguousarray(getattr(params, name), dtype=np.float64)
         encoded = name.encode("utf-8")
         payload += struct.pack("<I", len(encoded))
@@ -607,10 +758,10 @@ def load_checkpoint_bytes(path: str) -> ModelParams:
             )
         raw = reader.take(nbytes)
         tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(dims)
-    missing = [n for n in TENSOR_ORDER if n not in tensors]
+    missing = [n for n in TENSOR_NAMES if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")
-    extra = [n for n in tensors if n not in TENSOR_ORDER]
+    extra = [n for n in tensors if n not in TENSOR_NAMES]
     if extra:
         raise CheckpointIntegrityError(f"{path}: unexpected tensors {extra}")
 

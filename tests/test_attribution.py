@@ -15,6 +15,8 @@ from matcha.errors import DegenerateRepresentationError
 from matcha.model import score
 from matcha.tokenizer import build_word_vocabulary
 from oracles import (
+    attribution_gap_loop,
+    attribution_result_dict,
     integrated_gradients_three_pass,
     integrated_gradients_tiled,
     path_integral_attributions,
@@ -287,6 +289,13 @@ class TestAttributionGap:
         with pytest.raises(ValueError):
             attribution_gap(params, [], vocab)
 
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("steps", [8, 64])
+    def test_matches_per_candidate_loop(self, desk_model, steps, baseline_kind):
+        pairs = [(r.reference, r.correct, r.incorrect) for r in desk_model.held_records[:20]]
+        args = (desk_model.params, pairs, desk_model.vocab, steps, baseline_kind)
+        assert attribution_gap(*args) == attribution_gap_loop(*args)
+
 
 def test_result_serialization(small_model):
     params, vocab = small_model
@@ -297,3 +306,12 @@ def test_result_serialization(small_model):
         "steps", "score", "baseline_score",
     }
     assert isinstance(result, AttributionResult)
+
+
+@pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_to_dict_matches_field_by_field(desk_model, direction, baseline_kind):
+    record = desk_model.held_records[0]
+    result = integrated_gradients(desk_model.params, record.reference, record.incorrect, desk_model.vocab,
+                                  direction, 16, baseline_kind)
+    assert json.dumps(result.to_dict()) == json.dumps(attribution_result_dict(result))

@@ -139,6 +139,25 @@ class TestTrainCommand:
         assert json.loads(lines[0])["seed"] == 9  # from file
         assert len(lines) == 1 + 1  # provenance + one epoch (flag beat file)
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, flag, value", [("dim", "--dim", 8), ("n_ctx", "--n-ctx", 2),
+                                                  ("max_len", "--max-len", 16)])
+    def test_init_ckpt_rejects_model_shape(self, tmp_path, capsys, word_vocab_file, tiny_ckpt,
+                                           source, key, flag, value):
+        # The checkpoint's own D, N_c and max_len would win, so setting any of them is an error.
+        path, _, records = word_vocab_file
+        corpus = write_corpus(tmp_path / "corpus.jsonl", records)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "again.ckpt"
+        given = [flag, str(value)] if source == "flag" else ["--config", str(config)]
+        assert main(["train", "--data", corpus, "--init-ckpt", tiny_ckpt, "--vocab", path, "--epochs", "1",
+                     "--batch-size", "8", "--out", str(out), *given]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: --init-ckpt takes dim, n_ctx and max_len from the checkpoint; "
+                       f"cannot set {key}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, expected", [([], 4), (["--max-len", "6"], 6)])
     def test_config_file_max_len_reaches_checkpoint(self, tmp_path, flags, expected):
         corpus = write_corpus(tmp_path / "corpus.jsonl", make_synthetic_corpus(16, seed=5))
@@ -494,11 +513,11 @@ class TestRunConfig:
         (["tokenize", "--vocab", "v.json", "the door"], "76e6b4d4dce98504"),
         (["tokenize", "--vocab", "v.json", "--merges", "m.txt", "--max-len", "8", "x y"], "e848023c0a8607a8"),
         (TRAIN, "6eb89a5f3a992f85"),
-        ([*TRAIN, "--vocab", "v.json", "--merges", "m.txt", "--max-len", "64", "--report", "r.jsonl",
-          "--init-ckpt", "i.ckpt", "--dim", "32", "--n-ctx", "4", "--epochs", "3", "--batch-size", "16",
+        ([*TRAIN, "--vocab", "v.json", "--merges", "m.txt", "--report", "r.jsonl",
+          "--init-ckpt", "i.ckpt", "--epochs", "3", "--batch-size", "16",
           "--grad-accum", "2", "--lr", "0.001", "--weight-decay", "0.01", "--margin", "0.5", "--seed", "7",
           "--schedule", "curriculum", "--gamma", "0.8", "--curriculum-order", "A,,B", "--freeze-embeddings"],
-         "cf7522e02c6065fe"),
+         "845511bce841ffc2"),
         ([*TRAIN, "--config", "CONFIG"], "06bf898b4d9152d3"),
         ([*TRAIN, "--config", "CONFIG", "--epochs", "5", "--grad-accum", "4", "--gamma", "0.5",
           "--schedule", "interleaved", "--dim", "16", "--max-len", "20", "--seed", "11",

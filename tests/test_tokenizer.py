@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 
 import numpy as np
@@ -375,6 +376,17 @@ class TestWordVocabulary:
         vocab.save(path)
         loaded = WordVocabulary.load(path)
         assert loaded.token_to_id == vocab.token_to_id
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "word.json"
+        build_word_vocabulary(["the cat sat"]).save(str(path))
+        before = path.read_bytes()
+        # json.dump writes the entries before "b" and then raises on its id.
+        broken = WordVocabulary(token_to_id={WordVocabulary.UNK: 0, "a": 1, "b": object()})
+        with pytest.raises(TypeError):
+            broken.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["word.json"]
 
     def test_unknown_id_on_decode(self):
         vocab = build_word_vocabulary(["a"])

@@ -22,6 +22,7 @@ from matcha.model import cosine, init_params, represent
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
 from matcha.training import (
+    SCHEDULE_STRATEGIES,
     TENSOR_NAMES,
     BatchSchedule,
     Gradients,
@@ -36,6 +37,7 @@ from matcha.training import (
     train,
 )
 from oracles import (
+    BatchScheduleQueues,
     adam_step_dense,
     adam_step_loop,
     batch_loss,
@@ -43,6 +45,7 @@ from oracles import (
     densify,
     finite_difference_gradients,
     loss_and_grads_loop,
+    train_accumulating,
     zero_gradients,
 )
 from test_model import manual_params, random_params
@@ -573,6 +576,50 @@ class TestSchedules:
     def test_curriculum_requires_order(self):
         with pytest.raises(ValueError):
             BatchSchedule(make_datasets([1], 2), 2, "curriculum")
+
+
+class TestEpochPlanMatchesQueues:
+    """The epoch plan gives the batches, and leaves the generator state, of the queue-and-cursor schedule."""
+
+    @staticmethod
+    def datasets():
+        # Uneven batch counts at batch sizes 1 to 3, both kinds of negatives, and an empty dataset.
+        rng = np.random.default_rng(3)
+        shapes = [("A", 7, True), ("B", 4, False), ("C", 11, True), ("D", 0, False)]
+        return [TokenizedDataset(name, [tuple([int(rng.integers(9))] for _ in range(3)) for _ in range(n)], kind)
+                for name, n, kind in shapes]
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", sorted(SCHEDULE_STRATEGIES))
+    def test_same_batches_and_generator_state(self, strategy, batch_size):
+        datasets = self.datasets()
+        order = ["C", "D", "A", "B"] if strategy == "curriculum" else None
+        for seed in range(10):
+            plan = BatchSchedule(datasets, batch_size, strategy, order, rng=np.random.default_rng(seed))
+            queues = BatchScheduleQueues(datasets, batch_size, strategy, order, rng=np.random.default_rng(seed))
+            assert plan.next_batch() is None
+            for _ in range(3):
+                plan.start_epoch()
+                queues.start_epoch()
+                got, want = ([(b.source_dataset, [id(item) for item in b.items]) for b in iter(s.next_batch, None)]
+                             for s in (plan, queues))
+                assert got == want
+                assert plan.next_batch() is None
+                assert plan.rng.bit_generator.state == queues.rng.bit_generator.state
+
+    @pytest.mark.parametrize("grad_accum_steps", [1, 3, 8])
+    def test_train_matches_accumulating_loop(self, grad_accum_steps):
+        params, (whole,) = desk_setup(n_records=84)
+        # 5 + 4 + 2 = 11 micro-batches an epoch: windows of 3 and 8 leave 2 and 3 over.
+        datasets = [TokenizedDataset(name, whole.items[lo:hi]) for name, lo, hi in
+                    (("A", 0, 40), ("B", 40, 68), ("C", 68, 84))]
+        config = TrainConfig(epochs=3, batch_size=8, grad_accum_steps=grad_accum_steps, lr=1e-2, seed=6)
+        trained, report = train(config, datasets, params)
+        trained_ref, report_ref = train_accumulating(config, datasets, params)
+        assert [row["batches"] for row in report] == [11] * 3
+        assert report == report_ref
+        for name in TENSOR_NAMES:
+            assert np.array_equal(getattr(trained, name), getattr(trained_ref, name)), name
 
 
 def desk_setup(n_records=64, seed=0, dim=16, n_ctx=4):
