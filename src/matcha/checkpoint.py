@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, open_atomic
+from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, ShapeError, open_atomic
 from .model import TENSOR_NAMES, Hyper, ModelParams
 
 MAGIC = b"MTCH"
@@ -135,6 +135,12 @@ def load_checkpoint(path: str) -> ModelParams:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
         _check_manifest(manifest, path)
+        hyper = Hyper(manifest["D"], manifest["N_c"], manifest["max_len"], float(manifest["margin"]))
+        try:
+            hyper.validate()
+        except ShapeError as exc:
+            raise CheckpointIntegrityError(f"{path}: manifest out of range: {exc}") from exc
+        shapes = hyper.shapes(manifest["vocab_size"])
 
         tensors: dict[str, np.ndarray] = {}
         while reader.remaining():
@@ -145,7 +151,9 @@ def load_checkpoint(path: str) -> ModelParams:
                 raise CheckpointFormatError(f"{path}: tensor name at byte {start} is not UTF-8 ({exc})") from exc
             if name in tensors:
                 raise CheckpointIntegrityError(f"{path}: duplicate tensor {name!r}")
-            # Rank and dims are bounded by the bytes left before anything is allocated.
+            if name not in shapes:
+                raise CheckpointIntegrityError(f"{path}: unexpected tensors {[name]}")
+            # Rank and dims are bounded by the bytes left, then dims checked against the manifest, before any read.
             rank_at = reader.offset
             rank = reader.u32()
             if rank > MAX_RANK or 8 * rank > reader.remaining():
@@ -160,6 +168,9 @@ def load_checkpoint(path: str) -> ModelParams:
                     f"{path}: tensor {name!r} at byte {rank_at} has dims {dims} ({nbytes} bytes), "
                     f"but only {reader.remaining()} bytes remain"
                 )
+            if dims != shapes[name]:
+                raise CheckpointIntegrityError(
+                    f"{path}: tensor {name!r} has shape {dims}, manifest implies {shapes[name]}")
             raw = reader.floats(nbytes // 4, name)
             # Every gather upcasts its embedding rows; the other tensors are read whole.
             flat = raw if name == "embedding" else raw.astype(np.float64)
@@ -169,23 +180,4 @@ def load_checkpoint(path: str) -> ModelParams:
     missing = [n for n in TENSOR_NAMES if n not in tensors]
     if missing:
         raise CheckpointIntegrityError(f"{path}: missing tensors {missing}")
-    extra = [n for n in tensors if n not in TENSOR_NAMES]
-    if extra:
-        raise CheckpointIntegrityError(f"{path}: unexpected tensors {extra}")
-
-    d, n_ctx, vocab_size = manifest["D"], manifest["N_c"], manifest["vocab_size"]
-    expected = {
-        "embedding": (vocab_size, d),
-        "proj_weight": (n_ctx * d, d),
-        "proj_bias": (n_ctx * d,),
-        "conversion": (d, d),
-    }
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise CheckpointIntegrityError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, manifest implies {shape}"
-            )
-    hyper = Hyper(dim=d, n_ctx=n_ctx, max_len=manifest["max_len"], margin=float(manifest["margin"]))
-    params = ModelParams(**tensors, hyper=hyper)
-    params.validate()
-    return params
+    return ModelParams(**tensors, hyper=hyper)

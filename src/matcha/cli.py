@@ -129,8 +129,6 @@ def _cmd_train(config: RunConfig) -> int:
         if t
     ]
     vocab = _load_tokenizer(config, corpus_texts=texts)
-    if isinstance(vocab, WordVocabulary) and not config.vocab:
-        vocab.save(config.out + ".vocab.json")
 
     if config.init_ckpt:
         params = load_checkpoint(config.init_ckpt)
@@ -157,6 +155,9 @@ def _cmd_train(config: RunConfig) -> int:
     del params
     params, report = train(cfg, datasets, initial.pop())
     save_checkpoint(params, config.out)
+    # Only beside the checkpoint it was trained with: a run that fails leaves the old pair.
+    if isinstance(vocab, WordVocabulary) and not config.vocab:
+        vocab.save(config.out + ".vocab.json")
 
     report_path = config.report or config.out + ".train.jsonl"
     lines = [json.dumps(_provenance(cfg.seed, config))]

@@ -47,7 +47,7 @@ def _parse_line(obj: dict, lineno: int, default_dataset: str) -> Record:
     if incorrect is not None and (not isinstance(incorrect, str) or not incorrect.strip()):
         raise SchemaError(f"line {lineno}: 'incorrect' must be a non-empty string or null")
     human = obj.get("human_score")
-    if human is not None and not isinstance(human, (int, float)):
+    if human is not None and (isinstance(human, bool) or not isinstance(human, (int, float))):
         raise SchemaError(f"line {lineno}: 'human_score' must be a number or null")
     rec_id = obj.get("id")
     if rec_id is not None and not isinstance(rec_id, str):
@@ -150,13 +150,16 @@ def load_registry(path: str) -> list[DatasetManifest]:
                 raise SchemaError(f"{path}: manifest {name!r} rating_scale must be [min, max], got {scale!r}")
             scale = (float(scale[0]), float(scale[1]))
         cap = entry.get("sample_cap")
-        if cap is not None and (not isinstance(cap, int) or cap < 1):
-            raise SchemaError(f"{path}: manifest {name!r} sample_cap must be >= 1")
+        if cap is not None and (type(cap) is not int or cap < 1):  # a bool is no count
+            raise SchemaError(f"{path}: manifest {name!r} sample_cap must be an integer >= 1, got {cap!r}")
+        contrastive = entry.get("has_contrastive", False)
+        if not isinstance(contrastive, bool):
+            raise SchemaError(f"{path}: manifest {name!r} has_contrastive must be true or false, got {contrastive!r}")
         manifests.append(
             DatasetManifest(
                 name=name,
                 path=os.path.join(base, entry["path"]),
-                has_contrastive=bool(entry.get("has_contrastive", False)),
+                has_contrastive=contrastive,
                 rating_scale=scale,
                 sample_cap=cap,
             )

@@ -218,11 +218,9 @@ class ScoreTable:
         self.scores[metric][row], self.present[metric][row] = score, True
 
 
-def n_delta(correct, incorrect, metric_range: MetricRange) -> float:
-    """Mean rescaled correct score minus mean rescaled incorrect score, x100."""
-    return float(
-        (rescale(correct, metric_range).mean() - rescale(incorrect, metric_range).mean()) * 100.0
-    )
+def n_delta(correct, incorrect) -> float:
+    """Mean correct score minus mean incorrect score, x100, of scores already rescaled onto [0, 1]."""
+    return float((np.mean(correct) - np.mean(incorrect)) * 100.0)
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -231,14 +229,15 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
-def macro_f1_midpoint(correct, incorrect, metric_range: MetricRange) -> float:
+def macro_f1_midpoint(correct, incorrect) -> float:
     """Macro-F1 of the fixed classifier "positive iff rescaled score > 0.5", x100.
 
-    Correct-candidate scores are the positive instances, incorrect ones the
-    negative instances; a class with empty precision+recall scores 0.
+    Takes scores already rescaled onto [0, 1].  Correct-candidate scores are
+    the positive instances, incorrect ones the negative instances; a class
+    with empty precision+recall scores 0.
     """
-    pos = rescale(correct, metric_range) > 0.5
-    neg = rescale(incorrect, metric_range) > 0.5
+    pos = np.asarray(correct) > 0.5
+    neg = np.asarray(incorrect) > 0.5
     tp, fn = int(pos.sum()), int((~pos).sum())
     fp, tn = int(neg.sum()), int((~neg).sum())
     f1_positive = _f1(tp, fp, fn)
@@ -471,17 +470,15 @@ def separation_report(
     if not correct.size or not incorrect.size:
         raise ValueError(f"table has no labeled {metric!r} scores on both sides")
     gaps = table.paired_gaps(metric, metric_range)
+    scaled_correct, scaled_incorrect = rescale(correct, metric_range), rescale(incorrect, metric_range)
     return SeparationReport(
         metric=metric,
         pairs=len(gaps),
         mean_correct=float(np.mean(correct)) * 100.0,
         mean_incorrect=float(np.mean(incorrect)) * 100.0,
-        n_delta=n_delta(correct, incorrect, metric_range),
-        macro_f1=macro_f1_midpoint(correct, incorrect, metric_range),
-        wasserstein=wasserstein_1d(
-            rescale(correct, metric_range), rescale(incorrect, metric_range)
-        )
-        * 100.0,
+        n_delta=n_delta(scaled_correct, scaled_incorrect),
+        macro_f1=macro_f1_midpoint(scaled_correct, scaled_incorrect),
+        wasserstein=wasserstein_1d(scaled_correct, scaled_incorrect) * 100.0,
         threshold_curve=threshold_curve(gaps, grid) if gaps.size else [],
     )
 

@@ -48,6 +48,11 @@ class Hyper:
         if not self.margin > 0:
             raise ShapeError(f"margin must be > 0, got {self.margin}")
 
+    def shapes(self, vocab_size: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each of the TENSOR_NAMES tensors, in order, for a table of vocab_size rows."""
+        d, k = self.dim, self.n_ctx * self.dim
+        return {"embedding": (vocab_size, d), "proj_weight": (k, d), "proj_bias": (k,), "conversion": (d, d)}
+
 
 @dataclass
 class ModelParams:
@@ -71,16 +76,11 @@ class ModelParams:
 
     def validate(self) -> None:
         self.hyper.validate()
-        d, k = self.hyper.dim, self.hyper.n_ctx * self.hyper.dim
-        shapes = {
-            "embedding": (self.embedding.shape[1:], (d,)),
-            "proj_weight": (self.proj_weight.shape, (k, d)),
-            "proj_bias": (self.proj_bias.shape, (k,)),
-            "conversion": (self.conversion.shape, (d, d)),
-        }
-        for name, (got, want) in shapes.items():
-            if tuple(got) != want:
-                raise ShapeError(f"{name}: expected trailing shape {want}, got {tuple(got)}")
+        # A 0-d embedding has no rows to count, and no shape of Hyper.shapes matches it.
+        for name, want in self.hyper.shapes(len(self.embedding) if self.embedding.ndim else 0).items():
+            got = getattr(self, name).shape
+            if got != want:
+                raise ShapeError(f"{name}: expected shape {want}, got {got}")
 
     def freeze(self) -> "ModelParams":
         """Make the four tensors read-only, in place, and return self."""

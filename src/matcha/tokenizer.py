@@ -100,10 +100,41 @@ class Vocabulary(_TokenTable):
         self._pretoken_ids: dict[str, tuple[int, ...]] = {}
 
     def encode(self, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
-        return encode(self, text, max_len)
+        """Encode text to vocabulary ids, truncated to max_len tokens.
+
+        Deterministic: pretokenize, map each pretoken's bytes to the unicode
+        stand-ins, apply lowest-rank-first merges within the pretoken, look the
+        resulting symbols up in the token table.  The memo maps each word (`_words`)
+        and pretoken met before to its ids; a word cut by max_len is not stored.
+        """
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
+        if not text:
+            raise EmptyInputError("cannot encode an empty text")
+        memo = self._pretoken_ids
+        ids: list[int] = []
+        for word in _words(text):
+            word_ids = memo.get(word)
+            if word_ids is None:
+                word_ids = []
+                for pretoken in _PRETOKEN.findall(word):
+                    pretoken_ids = memo.get(pretoken)
+                    if pretoken_ids is None:
+                        pretoken_ids = _remember(memo, pretoken, _merge(self, pretoken))
+                    word_ids.extend(pretoken_ids)
+                    if len(ids) + len(word_ids) >= max_len:
+                        break
+                else:
+                    word_ids = _remember(memo, word, tuple(word_ids))
+            ids.extend(word_ids)
+            if len(ids) >= max_len:
+                break
+        return ids[:max_len]
 
     def decode(self, ids: list[int]) -> str:
-        return decode(self, ids)
+        """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
+        data = bytes(map(self.byte_decoder.__getitem__, "".join(self._tokens(ids))))
+        return data.decode("utf-8", errors="replace")
 
 
 def _token_ids(path: str, raw) -> dict[str, int]:
@@ -189,45 +220,6 @@ def _remember(memo: dict[str, tuple[int, ...]], key: str, ids: tuple[int, ...]) 
     if len(memo) >= PRETOKEN_MEMO_SIZE:
         memo.clear()
     return memo.setdefault(key, ids)
-
-
-def encode(vocab: Vocabulary, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
-    """Encode text to vocabulary ids, truncated to max_len tokens.
-
-    Deterministic: pretokenize, map each pretoken's bytes to the unicode
-    stand-ins, apply lowest-rank-first merges within the pretoken, look the
-    resulting symbols up in the token table.  The memo maps each word (`_words`)
-    and pretoken met before to its ids; a word cut by max_len is not stored.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if not text:
-        raise EmptyInputError("cannot encode an empty text")
-    memo = vocab._pretoken_ids
-    ids: list[int] = []
-    for word in _words(text):
-        word_ids = memo.get(word)
-        if word_ids is None:
-            word_ids = []
-            for pretoken in _PRETOKEN.findall(word):
-                pretoken_ids = memo.get(pretoken)
-                if pretoken_ids is None:
-                    pretoken_ids = _remember(memo, pretoken, _merge(vocab, pretoken))
-                word_ids.extend(pretoken_ids)
-                if len(ids) + len(word_ids) >= max_len:
-                    break
-            else:
-                word_ids = _remember(memo, word, tuple(word_ids))
-        ids.extend(word_ids)
-        if len(ids) >= max_len:
-            break
-    return ids[:max_len]
-
-
-def decode(vocab: Vocabulary, ids: list[int]) -> str:
-    """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
-    data = bytes(map(vocab.byte_decoder.__getitem__, "".join(vocab._tokens(ids))))
-    return data.decode("utf-8", errors="replace")
 
 
 @dataclass

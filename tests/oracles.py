@@ -10,10 +10,12 @@ and epsilon) and the gradient container it returns.  The exceptions are
 the evaluation report paths.  `evaluation_report_rows` is the report as the
 package computed it over `ScoreRow` objects before the columnar
 `ScoreTable`; it and `evaluation_report_assembled`, the report assembly as
-the CLI once wrote it, call the package's statistics (`n_delta`,
-`macro_f1_midpoint`, `wasserstein_1d`, `rank_at_1`, `dcg`, `ccc`), which
-have oracles of their own, and gate how the report selects, pairs and
-assembles them.  Likewise `integrated_gradients_three_pass`, integrated gradients as the
+the CLI once wrote it, call `n_delta_ranged` and `macro_f1_midpoint_ranged`
+(the package's `n_delta` and `macro_f1_midpoint` as they were when each
+rescaled its own raw scores) and the package's statistics
+(`wasserstein_1d`, `rank_at_1`, `dcg`, `ccc`), which have oracles of their
+own, and gate how the report selects, pairs and assembles them.
+Likewise `integrated_gradients_three_pass`, integrated gradients as the
 package once computed it, calls the package's forward and cosine: it gates
 the one-pass rewrite for bit equality, while `integrated_gradients_tiled`
 checks the values themselves.  `attribution_gap_loop` is `attribution_gap`
@@ -60,10 +62,9 @@ from matcha.evaluation import (
     MetricRange,
     ScoreTable,
     SeparationReport,
+    _f1,
     ccc,
     dcg,
-    macro_f1_midpoint,
-    n_delta,
     rank_at_1,
     rescale,
     wasserstein_1d,
@@ -1168,6 +1169,24 @@ def threshold_curve_loop(pair_gaps, grid=None) -> list[tuple[float, float]]:
     return [(float(t), float(100.0 * np.count_nonzero(gaps > t) / gaps.size)) for t in grid]
 
 
+def n_delta_ranged(correct, incorrect, metric_range: MetricRange) -> float:
+    """`n_delta` as it was when it rescaled its raw scores itself."""
+    return float(
+        (rescale(correct, metric_range).mean() - rescale(incorrect, metric_range).mean()) * 100.0
+    )
+
+
+def macro_f1_midpoint_ranged(correct, incorrect, metric_range: MetricRange) -> float:
+    """`macro_f1_midpoint` as it was when it rescaled its raw scores itself."""
+    pos = rescale(correct, metric_range) > 0.5
+    neg = rescale(incorrect, metric_range) > 0.5
+    tp, fn = int(pos.sum()), int((~pos).sum())
+    fp, tn = int(neg.sum()), int((~neg).sum())
+    f1_positive = _f1(tp, fp, fn)
+    f1_negative = _f1(tn, fn, fp)
+    return (f1_positive + f1_negative) / 2.0 * 100.0
+
+
 def separation_report_rows(table: RowTable, metric: str, metric_range: MetricRange, grid=None) -> SeparationReport:
     """Every separation statistic for one metric over a row table."""
     correct = table.labeled_scores(metric, "correct")
@@ -1180,8 +1199,8 @@ def separation_report_rows(table: RowTable, metric: str, metric_range: MetricRan
         pairs=len(gaps),
         mean_correct=float(np.mean(correct)) * 100.0,
         mean_incorrect=float(np.mean(incorrect)) * 100.0,
-        n_delta=n_delta(correct, incorrect, metric_range),
-        macro_f1=macro_f1_midpoint(correct, incorrect, metric_range),
+        n_delta=n_delta_ranged(correct, incorrect, metric_range),
+        macro_f1=macro_f1_midpoint_ranged(correct, incorrect, metric_range),
         wasserstein=wasserstein_1d(rescale(correct, metric_range), rescale(incorrect, metric_range)) * 100.0,
         threshold_curve=threshold_curve_loop(gaps, grid) if gaps.size else [],
     )

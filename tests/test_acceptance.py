@@ -25,13 +25,14 @@ from matcha.evaluation import (
     dcg,
     macro_f1_midpoint,
     n_delta,
+    rescale,
     rouge_l_f1,
     rouge_n_f1,
     wasserstein_1d,
 )
 from matcha.model import cosine, init_params, represent
 from matcha.synthetic import make_synthetic_corpus
-from matcha.tokenizer import build_word_vocabulary, decode, encode, load_vocabulary
+from matcha.tokenizer import build_word_vocabulary, load_vocabulary
 from matcha.training import (
     TENSOR_NAMES,
     BatchSchedule,
@@ -68,7 +69,7 @@ def test_c01_n_delta_arithmetic():
     incorrect = 0.0124 + spread / 2
     assert correct.mean() == pytest.approx(0.7114, abs=1e-12)
     assert incorrect.mean() == pytest.approx(0.0124, abs=1e-12)
-    value = n_delta(correct, incorrect, COSINE_RANGE)
+    value = n_delta(rescale(correct, COSINE_RANGE), rescale(incorrect, COSINE_RANGE))
     assert value == pytest.approx(34.95, abs=0.01)
     report(1, "n-delta arithmetic 34.95", started)
 
@@ -77,7 +78,7 @@ def test_c02_degenerate_macro_f1_signature():
     started = time.time()
     correct = [0.9, 0.95, 0.7, 0.8, 0.6, 0.85]
     incorrect = [0.9, 0.95, 0.7, 0.8, 0.6, 0.85]
-    value = macro_f1_midpoint(correct, incorrect, UNIT_RANGE)
+    value = macro_f1_midpoint(rescale(correct, UNIT_RANGE), rescale(incorrect, UNIT_RANGE))
     assert value == pytest.approx(33.33, abs=0.01)
     report(2, "degenerate macro-F1 33.33", started)
 
@@ -157,11 +158,10 @@ def test_c05_desk_scale_training_separation(desk_model):
             )
         )
     sims = np.array(sims)
-    model_nd = n_delta(sims[:, 0], sims[:, 1], COSINE_RANGE)
+    model_nd = n_delta(rescale(sims[:, 0], COSINE_RANGE), rescale(sims[:, 1], COSINE_RANGE))
     rouge_nd = n_delta(
-        [rouge_n_f1(r.reference, r.correct, 1) for r in desk_model.held_records],
-        [rouge_n_f1(r.reference, r.incorrect, 1) for r in desk_model.held_records],
-        UNIT_RANGE,
+        rescale([rouge_n_f1(r.reference, r.correct, 1) for r in desk_model.held_records], UNIT_RANGE),
+        rescale([rouge_n_f1(r.reference, r.incorrect, 1) for r in desk_model.held_records], UNIT_RANGE),
     )
     margin_rate = float(np.mean(sims[:, 0] - sims[:, 1] >= params.hyper.margin * 0.5))
     strict_rate = float(np.mean(sims[:, 0] > sims[:, 1]))
@@ -310,11 +310,11 @@ def test_c09_tokenizer_round_trip_and_oracle(tmp_path, bpe_vocab, bpe_files):
     rng = np.random.default_rng(999)
     for _ in range(1000):
         text = random_utf8_text(rng)
-        assert decode(bpe_vocab, encode(bpe_vocab, text)) == text
+        assert bpe_vocab.decode(bpe_vocab.encode(text)) == text
     assert len(ORACLE_SENTENCES) >= 50
     for text in ORACLE_SENTENCES:
         expected = bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, 512)
-        assert encode(bpe_vocab, text) == expected, text
+        assert bpe_vocab.encode(text) == expected, text
     note = "bundled test vocabulary"
     if GPT2_DIR:
         official = load_vocabulary(
@@ -323,7 +323,7 @@ def test_c09_tokenizer_round_trip_and_oracle(tmp_path, bpe_vocab, bpe_files):
         assert official.vocab_size == 50257
         for text in ORACLE_SENTENCES:
             expected = bpe_encode_naive(official.merges, official.token_to_id, text, 512)
-            assert encode(official, text) == expected, text
+            assert official.encode(text) == expected, text
         note = "official GPT-2 files"
     report(9, f"tokenizer round-trip + merge oracle ({note})", started)
 

@@ -317,6 +317,25 @@ def tensor_data(data):
     return found
 
 
+def tensor_records(data):
+    """{name: (first byte of the tensor's record, byte after its data)}, in file order."""
+    found, start = {}, first_tensor_offset(data)
+    for name, (at, count) in tensor_data(data).items():
+        found[name] = (start, at + 4 * count)
+        start = at + 4 * count
+    return found
+
+
+def tensor_header(name, dims):
+    encoded = name.encode()
+    return struct.pack(f"<I{len(encoded)}sI{len(dims)}Q", len(encoded), encoded, len(dims), *dims)
+
+
+def tensor_record(name, dims, value=0.5):
+    """One tensor record: its header, then float32 entries all equal to `value`."""
+    return tensor_header(name, dims) + np.full(math.prod(dims), value, dtype="<f4").tobytes()
+
+
 def block_positions(count, block):
     """An entry in the first, a middle and the last block of a tensor of `count` entries."""
     last = (count - 1) // block
@@ -410,3 +429,110 @@ class TestMemory:
             tracemalloc.stop()
         others = sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
         assert loaded.embedding.nbytes <= peak < 1.05 * loaded.embedding.nbytes + 2 * others
+
+
+def clean_container(tmp_path):
+    """(path, bytes) of a saved D=2, N_c=3, V=4 checkpoint: shapes (4, 2), (6, 2), (6,) and (2, 2)."""
+    path = str(tmp_path / "p.ckpt")
+    save_checkpoint(init_params(4, 2, 3, max_len=9, margin=0.5, seed=0), path)
+    return path, open(path, "rb").read()
+
+
+def with_manifest(data, raw=None, **changes):
+    """The container with its manifest replaced by `raw` bytes, or updated with `changes`."""
+    end = first_tensor_offset(data)
+    manifest = raw or json.dumps({**json.loads(data[16:end]), **changes}).encode()
+    return data[:8] + struct.pack("<Q", len(manifest)) + manifest + data[end:]
+
+
+def with_record(data, name, record):
+    start, end = tensor_records(data)[name]
+    return data[:start] + record + data[end:]
+
+
+@pytest.fixture()
+def read_tensors(monkeypatch):
+    """The names of the tensors whose data `_Reader.floats` is asked for, in order."""
+    names, floats = [], matcha.checkpoint._Reader.floats
+    monkeypatch.setattr(matcha.checkpoint._Reader, "floats",
+                        lambda self, count, name: names.append(name) or floats(self, count, name))
+    return names
+
+
+class TestHeaderChecks:
+    """The manifest's ranges are checked first, then each tensor header, before that tensor's data is read."""
+
+    # Each keeps the tensor's entry count, so only the comparison with the manifest can reject it.
+    @pytest.mark.parametrize("name, dims", [("embedding", (2, 4)), ("proj_weight", (2, 6)), ("proj_bias", (6, 1)),
+                                            ("conversion", (1, 4))])
+    def test_dims_that_disagree_are_rejected_before_the_data_is_read(self, tmp_path, read_tensors, name, dims):
+        path, data = clean_container(tmp_path)
+        want = init_params(4, 2, 3).hyper.shapes(4)[name]
+        open(path, "wb").write(with_record(data, name, tensor_record(name, dims)))
+        with pytest.raises(CheckpointIntegrityError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"{path}: tensor {name!r} has shape {dims}, manifest implies {want}"
+        assert read_tensors == list(TENSOR_NAMES[: TENSOR_NAMES.index(name)])
+
+    @pytest.mark.parametrize("key, value", [("D", 0), ("N_c", 0), ("max_len", 0), ("margin", 0), ("margin", -1),
+                                            ("margin", -0.25)])
+    def test_manifest_out_of_range_names_the_file(self, tmp_path, read_tensors, key, value):
+        path, data = clean_container(tmp_path)
+        open(path, "wb").write(with_manifest(data, **{key: value}))
+        with pytest.raises(CheckpointIntegrityError, match=f"^{path}: manifest out of range: "):
+            load_checkpoint(path)
+        assert read_tensors == []
+
+    def test_unexpected_tensor_is_rejected_at_its_header(self, tmp_path, read_tensors):
+        path, data = clean_container(tmp_path)
+        first = first_tensor_offset(data)
+        open(path, "wb").write(data[:first] + tensor_record("extra", (2,)) + data[first:])
+        with pytest.raises(CheckpointIntegrityError, match=rf"^{path}: unexpected tensors \['extra'\]$"):
+            load_checkpoint(path)
+        assert read_tensors == []
+
+    def test_a_wrong_shape_before_an_unexpected_tensor_is_reported_first(self, tmp_path):
+        path, data = clean_container(tmp_path)
+        doctored = with_record(data, "proj_bias", tensor_record("proj_bias", (6, 1))) + tensor_record("extra", (2,))
+        open(path, "wb").write(doctored)
+        with pytest.raises(CheckpointIntegrityError, match=rf"^{path}: tensor 'proj_bias' has shape \(6, 1\)"):
+            load_checkpoint(path)
+
+
+def one_fault_files(data):
+    """{case: doctored bytes}, each with one fault the byte-copying oracle reader also detects."""
+    records, first = tensor_records(data), first_tensor_offset(data)
+    start, end = records["conversion"]
+    cases = {
+        "bad_magic": b"JUNK" + data[4:],
+        "bad_version": data[:4] + struct.pack("<I", 2) + data[8:],
+        "unreadable_manifest": data[:16] + b"\xff" + data[17:],
+        "manifest_not_object": with_manifest(data, raw=b"7"),
+        "manifest_vocab_size": with_manifest(data, vocab_size=5),
+        "manifest_dim": with_manifest(data, D=4),
+        "manifest_n_ctx": with_manifest(data, N_c=2),
+        "manifest_margin_type": with_manifest(data, margin="x"),
+        "extra_first": data[:first] + tensor_record("extra", (2,)) + data[first:],
+        "extra_last": data + tensor_record("extra", (2,)),
+        "duplicate": data + data[start:end],
+        "missing": data[:start],
+        "non_utf8_name": data[: first + 4] + b"\xff" + data[first + 5 :],
+        "rank": data[:start] + tensor_header("conversion", (2,) * 99)[:-8 * 99] + data[end - 16 :],
+        "dims": data[:start] + tensor_header("conversion", (2**40, 2)) + data[end - 16 :],
+    }
+    for name, dims in [("embedding", (2, 4)), ("proj_weight", (2, 6)), ("proj_bias", (6, 1)), ("conversion", (4,))]:
+        cases[f"{name}_dims"] = with_record(data, name, tensor_record(name, dims))
+    cases.update({f"cut_{size}": data[:size] for size in range(len(data))})
+    return cases
+
+
+def test_one_fault_raises_what_the_oracle_raises(tmp_path):
+    path, data = clean_container(tmp_path)
+    cases = one_fault_files(data)
+    for case, doctored in cases.items():
+        open(path, "wb").write(doctored)
+        with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)) as caught:
+            load_checkpoint(path)
+        with pytest.raises(type(caught.value)) as expected:
+            load_checkpoint_bytes(path)
+        assert str(caught.value) == str(expected.value), case

@@ -213,6 +213,19 @@ class TestWrittenFiles:
         # No temporary file is left beside them.
         assert sorted(os.listdir(tmp_path)) == sorted(written + ["corpus.jsonl"])
 
+    def test_rejected_train_keeps_the_vocabulary(self, tmp_path, capsys, tiny_ckpt):
+        # A run that fails after the corpus is read leaves the checkpoint and vocabulary of the last good run.
+        out = str(tmp_path / "m.ckpt")
+        first = write_corpus(tmp_path / "first.jsonl", make_synthetic_corpus(24, seed=5))
+        assert main(["train", "--data", first, "--out", out, "--epochs", "1", "--batch-size", "8",
+                     "--dim", "8", "--n-ctx", "2"]) == 0
+        before = {name: open(name, "rb").read() for name in (out, out + ".vocab.json")}
+        other = write_corpus(tmp_path / "other.jsonl", make_synthetic_corpus(6, seed=1))
+        capsys.readouterr()
+        assert main(["train", "--data", other, "--init-ckpt", tiny_ckpt, "--out", out, "--epochs", "1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: checkpoint vocab_size ")
+        assert {name: open(name, "rb").read() for name in before} == before
+
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="before 3.11 the caller's stack holds the call's arguments until it returns")
     def test_init_ckpt_table_is_freed_after_the_first_step(self, tmp_path, word_vocab_file, tiny_ckpt, monkeypatch):

@@ -57,6 +57,15 @@ class TestLoadJsonl:
             load_jsonl(str(path))
         assert str(caught.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("value", [True, False, "4.5"])
+    def test_human_score_must_be_a_number(self, tmp_path, value):
+        rows = [{"reference": "r", "correct": "c", "human_score": 3}, {"reference": "r", "correct": "c",
+                                                                        "human_score": value}]
+        path = write_jsonl(tmp_path / "d.jsonl", rows)
+        with pytest.raises(SchemaError) as caught:
+            load_jsonl(path)
+        assert str(caught.value) == f"{path}: line 2: 'human_score' must be a number or null"
+
     def test_full_schema_fields(self, tmp_path):
         rows = [
             {
@@ -176,6 +185,19 @@ class TestRegistry:
         )
         with pytest.raises(SchemaError, match="duplicate"):
             load_registry(str(registry))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_cap", True, "sample_cap must be an integer >= 1, got True"),
+        ("sample_cap", "2", "sample_cap must be an integer >= 1, got '2'"),
+        ("has_contrastive", "no", "has_contrastive must be true or false, got 'no'"),
+        ("has_contrastive", 1, "has_contrastive must be true or false, got 1"),
+    ])
+    def test_flags_and_counts_are_not_coerced(self, tmp_path, key, value, message):
+        registry = tmp_path / "registry.json"
+        registry.write_text(json.dumps([{"name": "x", "path": "a.jsonl", key: value}]), encoding="utf-8")
+        with pytest.raises(SchemaError) as caught:
+            load_registry(str(registry))
+        assert str(caught.value) == f"{registry}: manifest 'x' {message}"
 
     def test_load_dataset_completes_triplets(self, tmp_path):
         manifests = load_registry(self.make_registry(tmp_path))

@@ -43,6 +43,7 @@ from oracles import (
     rouge_l_f1_dp,
     rouge_n_f1_counter,
     rows_of,
+    separation_report_rows,
     wasserstein_quantile_bruteforce,
 )
 
@@ -87,27 +88,27 @@ class TestNDelta:
     def test_wide_gap_means(self):
         correct = [0.7114 - 0.05, 0.7114 + 0.05]
         incorrect = [0.0124 - 0.02, 0.0124 + 0.02]
-        assert n_delta(correct, incorrect, COSINE) == pytest.approx(34.95, abs=0.01)
+        assert n_delta(rescale(correct, COSINE), rescale(incorrect, COSINE)) == pytest.approx(34.95, abs=0.01)
 
     def test_identical_lists(self):
         values = [0.1, 0.5, 0.9]
-        assert n_delta(values, values, COSINE) == 0.0
+        assert n_delta(rescale(values, COSINE), rescale(values, COSINE)) == 0.0
 
     def test_negative_incorrect_side(self):
         correct = [0.6477]
         incorrect = [-0.0976]
-        assert n_delta(correct, incorrect, COSINE) == pytest.approx(37.27, abs=0.01)
+        assert n_delta(rescale(correct, COSINE), rescale(incorrect, COSINE)) == pytest.approx(37.27, abs=0.01)
 
     def test_empty_list(self):
         with pytest.raises(ValueError):
-            n_delta([], [0.1], COSINE)
+            n_delta(rescale([], COSINE), rescale([0.1], COSINE))
 
     def test_rescale_affinity(self):
         rng = np.random.default_rng(0)
         correct = rng.uniform(-1, 1, 40)
         incorrect = rng.uniform(-1, 1, 30)
-        raw = n_delta(correct, incorrect, COSINE)
-        pre = n_delta((correct + 1) / 2, (incorrect + 1) / 2, UNIT)
+        raw = n_delta(rescale(correct, COSINE), rescale(incorrect, COSINE))
+        pre = n_delta(rescale((correct + 1) / 2, UNIT), rescale((incorrect + 1) / 2, UNIT))
         assert raw == pytest.approx(pre, abs=1e-9)
 
 
@@ -115,24 +116,24 @@ class TestMacroF1:
     def test_degenerate_all_positive(self):
         correct = [0.8, 0.9, 0.7, 0.6]
         incorrect = [0.8, 0.9, 0.7, 0.6]
-        assert macro_f1_midpoint(correct, incorrect, UNIT) == pytest.approx(33.33, abs=0.01)
+        assert macro_f1_midpoint(rescale(correct, UNIT), rescale(incorrect, UNIT)) == pytest.approx(33.33, abs=0.01)
 
     def test_perfect_separation(self):
-        assert macro_f1_midpoint([0.9, 0.8], [0.1, 0.2], UNIT) == 100.0
+        assert macro_f1_midpoint(rescale([0.9, 0.8], UNIT), rescale([0.1, 0.2], UNIT)) == 100.0
 
     def test_hand_confusion_case(self):
         correct = [0.9, 0.8]
         incorrect = [0.1, 0.6]
         expected = (0.8 + 2 / 3) / 2 * 100
-        assert macro_f1_midpoint(correct, incorrect, UNIT) == pytest.approx(expected, abs=1e-9)
-        assert macro_f1_midpoint(correct, incorrect, UNIT) == pytest.approx(73.33, abs=0.01)
+        assert macro_f1_midpoint(rescale(correct, UNIT), rescale(incorrect, UNIT)) == pytest.approx(expected, abs=1e-9)
+        assert macro_f1_midpoint(rescale(correct, UNIT), rescale(incorrect, UNIT)) == pytest.approx(73.33, abs=0.01)
 
     def test_matches_confusion_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             correct = rng.uniform(0, 1, int(rng.integers(1, 30)))
             incorrect = rng.uniform(0, 1, int(rng.integers(1, 30)))
-            assert macro_f1_midpoint(correct, incorrect, UNIT) == pytest.approx(
+            assert macro_f1_midpoint(rescale(correct, UNIT), rescale(incorrect, UNIT)) == pytest.approx(
                 macro_f1_confusion(correct, incorrect), abs=1e-12
             )
 
@@ -515,6 +516,17 @@ class TestSeparationReport:
         assert report.n_delta == 0.0
         assert report.wasserstein == 0.0
 
+    def test_each_side_is_rescaled_once(self, monkeypatch):
+        # Once per side for the statistics and once per side for the paired gaps.
+        calls = []
+        scaled = matcha.evaluation.rescale
+        monkeypatch.setattr(matcha.evaluation, "rescale",
+                            lambda scores, metric_range: calls.append(len(scores)) or scaled(scores, metric_range))
+        rows = build_pair_table([0.9, 0.1, 0.7], [0.2, 0.3, -0.4])
+        report = separation_report(columnar(rows), "m", COSINE)
+        assert calls == [3, 3, 3, 3]
+        assert json.dumps(report.to_dict()) == json.dumps(separation_report_rows(rows, "m", COSINE).to_dict())
+
     def test_synthetic_field_by_field(self):
         rng = np.random.default_rng(7)
         correct = rng.uniform(0.4, 1.0, 30)
@@ -524,7 +536,7 @@ class TestSeparationReport:
         assert report.pairs == 30
         assert report.mean_correct == pytest.approx(correct.mean() * 100)
         assert report.mean_incorrect == pytest.approx(incorrect.mean() * 100)
-        assert report.n_delta == pytest.approx(n_delta(correct, incorrect, COSINE))
+        assert report.n_delta == pytest.approx(n_delta(rescale(correct, COSINE), rescale(incorrect, COSINE)))
         assert report.macro_f1 == pytest.approx(
             macro_f1_confusion((correct + 1) / 2, (incorrect + 1) / 2)
         )

@@ -19,8 +19,6 @@ from matcha.tokenizer import (
     WordVocabulary,
     build_word_vocabulary,
     byte_to_unicode,
-    decode,
-    encode,
     load_vocabulary,
 )
 from oracles import bpe_encode_naive
@@ -90,17 +88,17 @@ class TestLoadVocabulary:
 class TestEncode:
     def test_empty_text(self, bpe_vocab):
         with pytest.raises(EmptyInputError):
-            encode(bpe_vocab, "")
+            bpe_vocab.encode("")
 
     def test_single_char_no_merges(self, bpe_vocab):
-        ids = encode(bpe_vocab, "q")
+        ids = bpe_vocab.encode("q")
         assert ids == [bpe_vocab.token_to_id["q"]]
 
     def test_merges_fire(self, bpe_vocab):
         # "t h" outranks the space merges in the fixture, so " the" stays
         # two tokens: the space, then the fully merged word.
-        assert encode(bpe_vocab, "the") == [bpe_vocab.token_to_id["the"]]
-        assert encode(bpe_vocab, " the") == [
+        assert bpe_vocab.encode("the") == [bpe_vocab.token_to_id["the"]]
+        assert bpe_vocab.encode(" the") == [
             bpe_vocab.token_to_id[SP],
             bpe_vocab.token_to_id["the"],
         ]
@@ -118,19 +116,19 @@ class TestEncode:
         ]
         for text in sentences:
             expected = bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, 512)
-            assert encode(bpe_vocab, text) == expected, text
+            assert bpe_vocab.encode(text) == expected, text
 
     def test_determinism(self, bpe_vocab):
         text = "the world and his cat"
-        assert encode(bpe_vocab, text) == encode(bpe_vocab, text)
+        assert bpe_vocab.encode(text) == bpe_vocab.encode(text)
 
     def test_truncation(self, bpe_vocab):
         text = " ".join(["word"] * 50)
-        assert len(encode(bpe_vocab, text, max_len=7)) == 7
+        assert len(bpe_vocab.encode(text, max_len=7)) == 7
 
     def test_bad_max_len(self, bpe_vocab):
         with pytest.raises(ValueError):
-            encode(bpe_vocab, "a", max_len=0)
+            bpe_vocab.encode("a", max_len=0)
 
 
 def _repeating_texts(rng, n_texts: int = 40) -> list[str]:
@@ -155,13 +153,13 @@ class TestPretokenMemo:
     def test_cold_and_warm_match_naive(self, bpe_files, fresh_vocab, max_len):
         texts = _repeating_texts(np.random.default_rng(max_len))
         expected = [bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, t, max_len) for t in texts]
-        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
         assert fresh_vocab._pretoken_ids
-        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
 
     def test_instances_do_not_share(self, bpe_files, fresh_vocab):
         other = load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path)
-        encode(fresh_vocab, "the cat sat on the mat")
+        fresh_vocab.encode("the cat sat on the mat")
         assert fresh_vocab._pretoken_ids and not other._pretoken_ids
         assert fresh_vocab == other
         assert repr(fresh_vocab) == repr(other)
@@ -172,7 +170,7 @@ class TestPretokenMemo:
         for _ in range(2):
             for text in texts:
                 expected = bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, 512)
-                assert encode(fresh_vocab, text) == expected
+                assert fresh_vocab.encode(text) == expected
                 assert len(fresh_vocab._pretoken_ids) <= 3
 
     def test_uncovered_pretoken_raises_every_time_and_is_not_stored(self):
@@ -180,7 +178,7 @@ class TestPretokenMemo:
         vocab = Vocabulary(token_to_id={byte_encoder[b]: i for i, b in enumerate(b"abc")}, merges=[])
         for _ in range(3):
             with pytest.raises(VocabularyIntegrityError, match="not covered"):
-                encode(vocab, "ab!c")
+                vocab.encode("ab!c")
         assert "!" not in vocab._pretoken_ids
         assert vocab._pretoken_ids == {"ab": (0, 1)}
 
@@ -224,18 +222,18 @@ class TestWordMemo:
     def test_cold_warm_and_cleared_match_naive(self, bpe_files, fresh_vocab, max_len, monkeypatch):
         texts = _word_texts(np.random.default_rng(max_len), 80, SPACES)
         expected = [bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, t, max_len) for t in texts]
-        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
-        assert [encode(fresh_vocab, t, max_len) for t in texts] == expected
+        assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
+        assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
         monkeypatch.setattr(tokenizer, "PRETOKEN_MEMO_SIZE", 3)
         fresh_vocab._pretoken_ids.clear()
         for _ in range(2):
             for text, ids in zip(texts, expected):
-                assert encode(fresh_vocab, text, max_len) == ids
+                assert fresh_vocab.encode(text, max_len) == ids
                 assert len(fresh_vocab._pretoken_ids) <= 3
 
     def test_warm_words_skip_the_pretokenizer(self, fresh_vocab, monkeypatch):
         texts = _word_texts(np.random.default_rng(3), 40, ["\t", "\n", "　"])
-        cold = [encode(fresh_vocab, t) for t in texts]
+        cold = [fresh_vocab.encode(t) for t in texts]
         assert " the" in fresh_vocab._pretoken_ids
         calls = []
 
@@ -245,7 +243,7 @@ class TestWordMemo:
                 return re.findall(tokenizer._PRETOKEN.pattern, text)
 
         monkeypatch.setattr(tokenizer, "_PRETOKEN", Counting())
-        assert [encode(fresh_vocab, t) for t in texts] == cold
+        assert [fresh_vocab.encode(t) for t in texts] == cold
         assert calls == []
 
     def test_random_merge_lists_match_naive(self):
@@ -264,8 +262,8 @@ class TestWordMemo:
             vocab = Vocabulary(token_to_id=token_to_id, merges=merges)
             texts = ["".join(rng.choice(list("abc  "), int(rng.integers(1, 30)))) for _ in range(30)]
             expected = [bpe_encode_naive(merges, token_to_id, t, 512) for t in texts]
-            assert [encode(vocab, t) for t in texts] == expected
-            assert [encode(vocab, t) for t in texts] == expected
+            assert [vocab.encode(t) for t in texts] == expected
+            assert [vocab.encode(t) for t in texts] == expected
 
     def _abc_vocab(self) -> Vocabulary:
         byte_encoder = byte_to_unicode()
@@ -275,20 +273,20 @@ class TestWordMemo:
         vocab = self._abc_vocab()
         # words "ab" and " ca!b"; the cut falls inside " ca", before the uncovered "!"
         for _ in range(2):
-            assert encode(vocab, "ab ca!b", max_len=4) == [0, 1, 3, 2]
-            assert encode(vocab, "ab ca!b", max_len=2) == [0, 1]
+            assert vocab.encode("ab ca!b", max_len=4) == [0, 1, 3, 2]
+            assert vocab.encode("ab ca!b", max_len=2) == [0, 1]
         assert vocab._pretoken_ids == {"ab": (0, 1), " ca": (3, 2, 0)}
         with pytest.raises(VocabularyIntegrityError, match="not covered"):
-            encode(vocab, "ab ca!b", max_len=6)
+            vocab.encode("ab ca!b", max_len=6)
         assert " ca!b" not in vocab._pretoken_ids
 
     def test_word_with_uncovered_symbol_raises_every_time_and_is_not_stored(self):
         vocab = self._abc_vocab()
         for _ in range(3):
             with pytest.raises(VocabularyIntegrityError, match="not covered"):
-                encode(vocab, "ab c!a ba")
+                vocab.encode("ab c!a ba")
         assert vocab._pretoken_ids == {"ab": (0, 1), " c": (3, 2)}
-        assert encode(vocab, "ab ba") == [0, 1, 3, 1, 0]
+        assert vocab.encode("ab ba") == [0, 1, 3, 1, 0]
 
 
 class TestLazyInverse:
@@ -317,28 +315,28 @@ class TestLazyInverse:
 
 class TestDecode:
     def test_round_trip_hello_world(self, bpe_vocab):
-        assert decode(bpe_vocab, encode(bpe_vocab, "hello world")) == "hello world"
+        assert bpe_vocab.decode(bpe_vocab.encode("hello world")) == "hello world"
 
     def test_round_trip_multibyte(self, bpe_vocab):
         text = "héllo wörld — ça va? 日本語 🙂"
-        assert decode(bpe_vocab, encode(bpe_vocab, text)) == text
+        assert bpe_vocab.decode(bpe_vocab.encode(text)) == text
 
     def test_unknown_id(self, bpe_vocab):
         with pytest.raises(TokenRangeError):
-            decode(bpe_vocab, [bpe_vocab.vocab_size])
+            bpe_vocab.decode([bpe_vocab.vocab_size])
 
     def test_token_outside_byte_alphabet(self):
         # A token table is not checked against the byte alphabet; decoding such a token raises KeyError.
         vocab = Vocabulary({"a": 0, "\u2603": 1}, [])
-        assert decode(vocab, [0, 0]) == "aa"
+        assert vocab.decode([0, 0]) == "aa"
         with pytest.raises(KeyError, match="\u2603"):
-            decode(vocab, [0, 1])
+            vocab.decode([0, 1])
 
     def test_round_trip_random_strings(self, bpe_vocab):
         rng = np.random.default_rng(123)
         for _ in range(1000):
             text = random_utf8_text(rng)
-            assert decode(bpe_vocab, encode(bpe_vocab, text)) == text
+            assert bpe_vocab.decode(bpe_vocab.encode(text)) == text
 
 
 class TestByteEncoder:
