@@ -21,7 +21,8 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, ShapeError, open_atomic
+from .errors import (CheckpointFormatError, CheckpointIntegrityError, NumericError, ShapeError, is_number,
+                     open_atomic, parse_json)
 from .model import TENSOR_NAMES, Hyper, ModelParams
 
 MAGIC = b"MTCH"
@@ -111,11 +112,7 @@ def _check_manifest(manifest: object, path: str) -> None:
         if key not in manifest:
             raise CheckpointIntegrityError(f"{path}: manifest missing {key!r}")
         value = manifest[key]
-        if key == "margin":
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-        else:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        if not ok:
+        if not (is_number(value) if key == "margin" else type(value) is int):  # a bool is no size
             kind = "a finite number" if key == "margin" else "an integer"
             raise CheckpointIntegrityError(f"{path}: manifest {key!r} is {value!r}, not {kind}")
 
@@ -131,9 +128,10 @@ def load_checkpoint(path: str) -> ModelParams:
             raise CheckpointFormatError(f"{path}: unsupported container version {version}")
         manifest_len = reader.u64()
         try:
-            manifest = json.loads(str(reader.take(manifest_len), "utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            text = str(reader.take(manifest_len), "utf-8")
+        except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"{path}: unreadable manifest ({exc})") from exc
+        manifest = parse_json(text, CheckpointFormatError, f"{path}: manifest")
         _check_manifest(manifest, path)
         hyper = Hyper(manifest["D"], manifest["N_c"], manifest["max_len"], float(manifest["margin"]))
         try:

@@ -25,7 +25,7 @@ from . import __version__
 from .attribution import BASELINE_KINDS, DEFAULT_STEPS, DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
-from .errors import ConfigError, MatchaError, open_atomic, read_json
+from .errors import ConfigError, MatchaError, is_number, open_atomic, read_json
 from .evaluation import MetricRange, ScoreTable, evaluation_report, rouge_table
 from .model import init_params, score
 from .tokenizer import DEFAULT_MAX_LEN, WordVocabulary, build_word_vocabulary, load_vocabulary
@@ -114,7 +114,10 @@ def _cmd_train(config: RunConfig) -> int:
     if config.merges and not config.vocab:
         raise ConfigError("train with --merges requires --vocab")
     cfg = config.train
-    cfg.validate()
+    try:  # a ValueError to library callers, a config error on the command line
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
     per_dataset: list[tuple[DatasetManifest, list[Record]]] = []
@@ -176,7 +179,10 @@ def _parse_metric_ranges(entries: list[str]) -> dict[str, MetricRange]:
         if "=" not in entry:
             raise ConfigError(f"--metrics entry {entry!r} must be name=kind")
         name, kind = entry.split("=", 1)
-        ranges[name] = MetricRange(name, kind)
+        try:
+            ranges[name] = MetricRange(name, kind)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return ranges
 
 
@@ -185,6 +191,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
         raise ConfigError("evaluate with --ckpt requires --vocab")
     if not config.ckpt and (config.vocab or config.merges):
         raise ConfigError("evaluate with --vocab or --merges requires --ckpt")
+    ranges = _parse_metric_ranges(config.metrics)  # before any file is read
     cfg = config.train
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
@@ -218,7 +225,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
     document = {
         "provenance": _provenance(cfg.seed, config),
-        **evaluation_report(table, _parse_metric_ranges(config.metrics), rating_scales),
+        **evaluation_report(table, ranges, rating_scales),
     }
     with open_atomic(config.out) as fh:
         fh.write(json.dumps(document, indent=2) + "\n")
@@ -373,12 +380,10 @@ _CONFIG_FILE_TYPES = typing.get_type_hints(TrainConfig) | {"dim": int, "n_ctx": 
 
 def _fits(hint, value) -> bool:
     """Whether a JSON value has a field's declared type; a bool is no number here."""
-    if hint in (int, float) and isinstance(value, bool):
-        return False
     if hint is float:
-        return isinstance(value, (int, float))
+        return is_number(value, finite=False)
     if hint in (int, bool, str):
-        return isinstance(value, hint)
+        return type(value) is hint
     # curriculum_order: list[str] | None
     return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientCorpusError, SchemaError, read_json
+from .errors import InsufficientCorpusError, SchemaError, is_number, read_json, read_jsonl
 from .training import TokenizedDataset
 
 REROLL_LIMIT = 100
@@ -36,22 +34,23 @@ class DatasetManifest:
     sample_cap: int | None = None
 
 
-def _parse_line(obj: dict, lineno: int, default_dataset: str) -> Record:
+def _parse_line(obj, path: str, lineno: int, default_dataset: str) -> Record:
+    where = f"{path}: line {lineno}"
     if not isinstance(obj, dict):
-        raise SchemaError(f"line {lineno}: expected a JSON object")
+        raise SchemaError(f"{where}: expected a JSON object")
     for key in ("reference", "correct"):
         value = obj.get(key)
         if not isinstance(value, str) or not value.strip():
-            raise SchemaError(f"line {lineno}: missing or empty {key!r}")
+            raise SchemaError(f"{where}: missing or empty {key!r}")
     incorrect = obj.get("incorrect")
     if incorrect is not None and (not isinstance(incorrect, str) or not incorrect.strip()):
-        raise SchemaError(f"line {lineno}: 'incorrect' must be a non-empty string or null")
+        raise SchemaError(f"{where}: 'incorrect' must be a non-empty string or null")
     human = obj.get("human_score")
-    if human is not None and (isinstance(human, bool) or not isinstance(human, (int, float))):
-        raise SchemaError(f"line {lineno}: 'human_score' must be a number or null")
+    if human is not None and not is_number(human, finite=False):
+        raise SchemaError(f"{where}: 'human_score' must be a number or null")
     rec_id = obj.get("id")
     if rec_id is not None and not isinstance(rec_id, str):
-        raise SchemaError(f"line {lineno}: 'id' must be a string or null")
+        raise SchemaError(f"{where}: 'id' must be a string or null")
     return Record(
         reference=obj["reference"],
         correct=obj["correct"],
@@ -63,26 +62,9 @@ def _parse_line(obj: dict, lineno: int, default_dataset: str) -> Record:
 
 
 def load_jsonl(path: str, *, default_dataset: str = "") -> list[Record]:
-    """Load records in file order; ids default to their line numbers.
-
-    The first schema violation raises SchemaError naming the file and line.
-    """
-    records: list[Record] = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SchemaError(f"{path}: line {lineno}: not UTF-8 at byte {exc.start} of the line") from None
-            if not line.strip():
-                continue
-            try:
-                records.append(_parse_line(json.loads(line), lineno, default_dataset))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            except SchemaError as exc:
-                raise SchemaError(f"{path}: {exc}") from None
-    return records
+    """Load records in file order; ids default to their line numbers.  The first bad line
+    (bytes, JSON or schema) raises SchemaError naming the file and line."""
+    return [_parse_line(obj, path, lineno, default_dataset) for lineno, obj in read_jsonl(path, SchemaError)]
 
 
 def make_triplets(
@@ -145,8 +127,7 @@ def load_registry(path: str) -> list[DatasetManifest]:
         seen.add(name)
         scale = entry.get("rating_scale")
         if scale is not None:
-            if not (isinstance(scale, list) and len(scale) == 2
-                    and all(type(x) in (int, float) and math.isfinite(x) for x in scale) and scale[0] < scale[1]):
+            if not (isinstance(scale, list) and len(scale) == 2 and all(map(is_number, scale)) and scale[0] < scale[1]):
                 raise SchemaError(f"{path}: manifest {name!r} rating_scale must be [min, max], got {scale!r}")
             scale = (float(scale[0]), float(scale[1]))
         cap = entry.get("sample_cap")

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all matcha modules, the file readers that raise it, and the atomic writer."""
+"""Exception hierarchy shared by all matcha modules, the atomic writer, and the one reader of the
+text and JSON files matcha takes in: how their bytes become values, and how bad input is reported."""
 
 import contextlib
 import json
 import os
+import sys
 
 
 class MatchaError(Exception):
@@ -57,40 +59,58 @@ class ConfigError(MatchaError):
     """Invalid run configuration; message enumerates every problem found."""
 
 
-def read_text(path: str, error: type[MatchaError]) -> str:
-    """The whole file as UTF-8 text; an undecodable byte raises `error` naming the file and its offset."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 at byte {exc.start}") from None
-
-
 def read_lines(path: str, error: type[MatchaError]):
-    """Yield (line number, text) of a UTF-8 file one line at a time, split as
-    `read_text(path, error).split("\n")` splits it (newlines translated, a
-    lone "\r" ends a line too) but never holding the whole file.  An
-    undecodable byte raises `error` naming the file and its offset in it."""
+    """Yield (line number, text) of a UTF-8 file one line at a time, without its ending, never
+    holding the whole file.  "\n", "\r\n" and a lone "\r" each end a line.  An undecodable
+    byte raises `error`, after the lines before it, naming the file, the line and the byte's offset."""
     offset = 0
     lineno = 0
     with open(path, "rb") as fh:
         for chunk in fh:
             for raw in chunk.splitlines(keepends=True):
+                lineno += 1
                 try:
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise error(f"{path}: not UTF-8 at byte {offset + exc.start}") from None
+                    raise error(f"{path}: line {lineno}: not UTF-8 at byte {offset + exc.start}") from None
                 offset += len(raw)
-                lineno += 1
                 yield lineno, line.rstrip("\r\n")
 
 
-def read_json(path: str, error: type[MatchaError]):
-    """Parse a UTF-8 JSON file; bad bytes or bad JSON raise `error` naming the file and where."""
+def parse_json(text: str, error: type[MatchaError], path: str, lineno: int | None = None):
+    """Decode one JSON value read from `path` (a file, or a part of one): all of it, or its line `lineno`.
+
+    Malformed JSON, an integer longer than Python's int-string digit limit and
+    nesting deeper than the recursion limit each raise `error` naming the file.
+    """
     try:
-        return json.loads(read_text(path, error))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        reason = f"at line {exc.lineno}, column {exc.colno}" if lineno is None else f"({exc.msg})"
+    except ValueError:  # an integer longer than Python reads from a string
+        reason = f"(an integer of more than {sys.get_int_max_str_digits()} digits)"
+    except RecursionError:
+        reason = "(nested too deeply)"
+    where = path if lineno is None else f"{path}: line {lineno}"
+    raise error(f"{where}: invalid JSON {reason}")
+
+
+def read_json(path: str, error: type[MatchaError]):
+    """The value of a UTF-8 JSON file; bad bytes or bad JSON raise `error` naming the file and where."""
+    return parse_json("\n".join(line for _, line in read_lines(path, error)), error, path)
+
+
+def read_jsonl(path: str, error: type[MatchaError]):
+    """Yield (line number, value) for each non-blank line of a JSON Lines file, read by `read_lines`."""
+    for lineno, line in read_lines(path, error):
+        if line.strip():
+            yield lineno, parse_json(line, error, path, lineno)
+
+
+def is_number(value, *, finite: bool = True) -> bool:
+    """Whether a decoded JSON value is a number that converts to a float: not a bool, nor an
+    integer beyond the float range.  With `finite`, NaN and inf are refused too (NaN fails `<=`)."""
+    return (type(value) is float and not finite) or (type(value) in (int, float) and abs(value) <= sys.float_info.max)
 
 
 @contextlib.contextmanager

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatchaError, SchemaError, read_lines
+from .errors import MatchaError, SchemaError, is_number, read_jsonl
 
 RANGE_KINDS = ("cosine_like", "unit", "percent")
 DEFAULT_THRESHOLD_GRID = [round(t, 2) for t in np.linspace(0.0, 1.0, 21)]
@@ -168,19 +167,11 @@ class ScoreTable:
         added = ([], [], [])  # ids, datasets and labels of the rows from n on
         pending: dict[str, tuple[array, array]] = {}  # metric -> (row - n, score) per line for a new row
         try:
-            for lineno, line in read_lines(path, SchemaError):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            for lineno, obj in read_jsonl(path, SchemaError):
                 if not isinstance(obj, dict) or "id" not in obj or "metric" not in obj or "score" not in obj:
                     raise SchemaError(f"{path}: line {lineno}: need 'id', 'metric', 'score'")
                 score = obj["score"]
-                # NaN fails the comparison; an int beyond the float range would overflow float().
-                if (isinstance(score, bool) or not isinstance(score, (int, float))
-                        or not abs(score) <= sys.float_info.max):
+                if not is_number(score):
                     raise SchemaError(
                         f"{path}: line {lineno}: 'score' must be a finite number, got {json.dumps(score)}"
                     )

@@ -21,7 +21,7 @@ from .errors import (
     VocabularyIntegrityError,
     open_atomic,
     read_json,
-    read_text,
+    read_lines,
 )
 
 DEFAULT_MAX_LEN = 512
@@ -161,9 +161,8 @@ def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
     token_to_id = _token_ids(vocab_file, read_json(vocab_file, VocabularyFormatError))
 
     merges: list[tuple[str, str]] = []
-    lines = read_text(merges_file, VocabularyFormatError).split("\n")
-    for lineno, line in enumerate(lines[1:], start=2):  # first line is a header
-        if not line.strip():
+    for lineno, line in read_lines(merges_file, VocabularyFormatError):
+        if lineno == 1 or not line.strip():  # the first line is a header
             continue
         parts = line.split(" ")
         if len(parts) != 2 or not parts[0] or not parts[1]:

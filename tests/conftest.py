@@ -1,9 +1,11 @@
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from matcha.checkpoint import save_checkpoint
 from matcha.data import tokenize_records
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
@@ -107,3 +109,50 @@ def desk_model():
         report=report,
         max_len=DESK_MAX_LEN,
     )
+
+
+
+# Each JSON or JSONL file matcha reads from outside, by kind: the file, a template whose "@" takes
+# a JSON text (the corpus template is a line added after good ones), and the command that reads it.
+OUTSIDE_INPUTS = {
+    "corpus": ("c.jsonl", '{"reference": "the door", "correct": "the gate", "human_score": @}',
+               "evaluate --data c.jsonl --out out.json"),
+    "registry": ("reg.json", '[{"name": "c", "path": "c.jsonl", "rating_scale": @}]',
+                 "evaluate --data reg.json --out out.json"),
+    "scores": ("s.jsonl", '{"id": "line1", "metric": "ext", "score": @}',
+               "evaluate --data c.jsonl --scores s.jsonl --out out.json"),
+    "config": ("cfg.json", '{"lr": @}',
+               "train --config cfg.json --data c.jsonl --out out.ckpt --epochs 1 --batch-size 2 --grad-accum 1 "
+               "--dim 4 --n-ctx 2 --max-len 8"),
+    "vocab": ("v.json", '{"kind": "word", "token_to_id": {"<unk>": @}}', "tokenize --vocab v.json the"),
+    "manifest": ("m.ckpt", '{"D": 4, "N_c": 2, "vocab_size": 5, "max_len": 8, "margin": @}',
+                 "score --ckpt m.ckpt --vocab v.json --ref the --cand door"),
+}
+OUTSIDE_RECORDS = [
+    {"reference": "the door is open", "correct": "the door is opened", "incorrect": "the door is shut",
+     "human_score": 4},
+    {"reference": "a cat sat", "correct": "the cat sat", "incorrect": "a cat ran", "human_score": 2},
+]
+
+
+def write_outside_input(directory, kind: str, text: bytes) -> tuple[str, list[str]]:
+    """Write the files the command of `kind` reads, with `text` as its file (or corpus line).
+
+    The rest are good: a two-record corpus, a word vocabulary of five ids and
+    a checkpoint of five rows, D=4.  Returns the path of the file holding
+    `text` and the command line.
+    """
+    name, _, command = OUTSIDE_INPUTS[kind]
+    lines = b"".join(json.dumps(r).encode() + b"\n" for r in OUTSIDE_RECORDS)
+    (directory / "c.jsonl").write_bytes(lines)
+    build_word_vocabulary(["the door cat sat"]).save(str(directory / "v.json"))
+    save_checkpoint(init_params(5, 4, 2, max_len=8, seed=0), str(directory / "m.ckpt"))
+    path = directory / name
+    if kind == "corpus":
+        text = lines + text + b"\n"
+    elif kind == "manifest":
+        data = path.read_bytes()
+        end = 16 + struct.unpack_from("<Q", data, 8)[0]
+        text = data[:8] + struct.pack("<Q", len(text)) + text + data[end:]
+    path.write_bytes(text)
+    return str(path), [str(directory / word) if "." in word else word for word in command.split()]

@@ -25,7 +25,9 @@ listed by hand, as the package once had them.  `BatchScheduleQueues` and `train_
 schedule (per-dataset queues walked by a cursor) and the trainer loop (an
 accumulation counter) as the package wrote them before the per-epoch batch
 plan; the trainer calls the package's `loss_and_grads` and `adam_step`, so
-it gates the rewrite for bit equality.
+it gates the rewrite for bit equality.  `load_jsonl_binary` is the corpus
+reader as it was before the package's one JSONL reader; it builds the
+package's `Record`.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from matcha.errors import (
     read_lines,
 )
 from matcha.attribution import AttributionResult, integrated_gradients
+from matcha.data import Record
 from matcha.model import Hyper, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
 from matcha.evaluation import (
     _WORD,
@@ -1254,3 +1257,54 @@ def evaluation_report_rows(table: RowTable, ranges=None, rating_scales=None) -> 
             "ccc": {name: ccc(column, humans) * 100.0 for name, column in columns.items()},
         }
     return {"separation": separation, "agreement": agreement}
+
+
+# --- The corpus reader as the package had it before every JSONL file went
+# through `errors.read_jsonl`: its own binary line loop, which splits lines
+# at "\n" only, and its own record checks.
+
+
+def _parse_record(obj: dict, lineno: int, default_dataset: str) -> Record:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line {lineno}: expected a JSON object")
+    for key in ("reference", "correct"):
+        value = obj.get(key)
+        if not isinstance(value, str) or not value.strip():
+            raise SchemaError(f"line {lineno}: missing or empty {key!r}")
+    incorrect = obj.get("incorrect")
+    if incorrect is not None and (not isinstance(incorrect, str) or not incorrect.strip()):
+        raise SchemaError(f"line {lineno}: 'incorrect' must be a non-empty string or null")
+    human = obj.get("human_score")
+    if human is not None and (isinstance(human, bool) or not isinstance(human, (int, float))):
+        raise SchemaError(f"line {lineno}: 'human_score' must be a number or null")
+    rec_id = obj.get("id")
+    if rec_id is not None and not isinstance(rec_id, str):
+        raise SchemaError(f"line {lineno}: 'id' must be a string or null")
+    return Record(
+        reference=obj["reference"],
+        correct=obj["correct"],
+        incorrect=incorrect,
+        dataset=obj.get("dataset") or default_dataset,
+        human_score=None if human is None else float(human),
+        id=rec_id or f"line{lineno}",
+    )
+
+
+def load_jsonl_binary(path: str, *, default_dataset: str = "") -> list[Record]:
+    """`data.load_jsonl` as it read a file: binary lines, each decoded and parsed on its own."""
+    records: list[Record] = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: not UTF-8 at byte {exc.start} of the line") from None
+            if not line.strip():
+                continue
+            try:
+                records.append(_parse_record(json.loads(line), lineno, default_dataset))
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            except SchemaError as exc:
+                raise SchemaError(f"{path}: {exc}") from None
+    return records

@@ -17,6 +17,7 @@ from matcha.cli import main
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import WordVocabulary, build_word_vocabulary
+from conftest import OUTSIDE_INPUTS, write_outside_input
 from oracles import score_pairwise
 
 
@@ -407,21 +408,21 @@ class TestMalformedInputFiles:
         corpus.write_bytes(good + b'{"reference": "\xff", "correct": "b"}\n')
         code, err = self.run_main(capsys, ["evaluate", "--data", str(corpus), "--out", str(tmp_path / "r.json")])
         assert code == 1
-        assert f"{corpus}: line 2: not UTF-8 at byte 15 of the line" in err
+        assert f"{corpus}: line 2: not UTF-8 at byte 50" in err
 
     def test_non_utf8_registry(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"
         registry.write_bytes(b'[\n{"name": "caf\xe9", "path": "a.jsonl"}]')
         code, err = self.run_main(capsys, ["evaluate", "--data", str(registry), "--out", str(tmp_path / "r.json")])
         assert code == 1
-        assert f"{registry}: not UTF-8 at byte 15" in err
+        assert f"{registry}: line 2: not UTF-8 at byte 15" in err
 
     def test_non_utf8_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"epochs": 1,\n "schedule_strategy": "\x80"}')
         code, err = self.run_main(capsys, ["train", "--config", str(config), "--data", "x", "--out", "y"])
         assert code == 2
-        assert f"config error: {config}: not UTF-8 at byte 37" in err
+        assert f"config error: {config}: line 2: not UTF-8 at byte 37" in err
 
     @pytest.mark.parametrize("scale", [["low", "high"], [1, "5"], [1, True], [1, float("nan")], [5, 1]])
     def test_bad_rating_scale(self, tmp_path, capsys, scale):
@@ -439,6 +440,26 @@ class TestMalformedInputFiles:
         code, err = self.run_main(capsys, ["evaluate", "--data", str(registry), "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert f"{registry}: manifest 0 must carry string 'name' and 'path'" in err
+
+
+HUGE = "1" + "0" * 400  # 10**400, beyond the float range
+OUTSIDE_PROBES = (
+    [pytest.param(kind, "9" * 5000, id=f"{kind}-5000-digits") for kind in OUTSIDE_INPUTS]
+    + [pytest.param(kind, "[" * 100_000, id=f"{kind}-nested") for kind in ("corpus", "registry", "scores", "vocab",
+                                                                            "manifest")]
+    + [pytest.param(kind, literal, id=f"{kind}-1e400")
+       for kind, literal in (("corpus", HUGE), ("registry", f"[1, {HUGE}]"), ("config", HUGE), ("manifest", HUGE))]
+)
+
+
+@pytest.mark.parametrize("kind, literal", OUTSIDE_PROBES)
+def test_outside_json_fails_with_one_line_naming_the_file(tmp_path, capsys, kind, literal):
+    """A 5,000-digit integer, 100,000 nested lists or 10**400 where a float goes: one error line, no traceback."""
+    path, argv = write_outside_input(tmp_path, kind, OUTSIDE_INPUTS[kind][1].replace("@", literal).encode())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) in ((1, 1), (2, 1)), err
+    assert err.startswith("error: " if code == 1 else "config error: ") and path in err and "Traceback" not in err
 
 
 class TestAttributeCommand:
@@ -482,6 +503,7 @@ class TestBadCommandLine:
     """Every malformed command line exits 2 with one `config error:` line and no usage text."""
 
     PAIR = ["--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "a", "--cand", "b"]
+    TRAIN = ["train", "--data", "c.jsonl", "--out", "m.ckpt"]
 
     @pytest.mark.parametrize("argv, message", [
         (["train", "--data", "c.jsonl", "--out", "m.ckpt", "--epochs", "x"],
@@ -491,7 +513,15 @@ class TestBadCommandLine:
         (["train", "--data", "c.jsonl"], "the following arguments are required: --out"),
         (["score", "--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "", "--cand", "b"],
          "argument --ref: must not be empty"),
-    ], ids=["bad-int", "bad-choice", "unknown-command", "missing-flag", "empty-ref"])
+        ([*TRAIN, "--epochs", "-1"], "epochs must be >= 0"),
+        ([*TRAIN, "--batch-size", "0"], "batch_size must be >= 1"),
+        ([*TRAIN, "--gamma", "2"], "lr_decay must be in (0, 1]"),
+        ([*TRAIN, "--margin", "0"], "margin must be > 0"),
+        ([*TRAIN, "--schedule", "curriculum"], "curriculum schedule requires curriculum_order"),
+        (["evaluate", "--data", "c.jsonl", "--out", "r.json", "--metrics", "x=bogus"],
+         "kind must be one of ('cosine_like', 'unit', 'percent'), got 'bogus'"),
+    ], ids=["bad-int", "bad-choice", "unknown-command", "missing-flag", "empty-ref", "negative-epochs",
+            "zero-batch", "gamma-above-1", "zero-margin", "curriculum-without-order", "bogus-metric-kind"])
     def test_one_config_error_line(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()

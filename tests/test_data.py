@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from matcha.data import (
     make_triplets,
     tokenize_records,
 )
-from matcha.errors import InsufficientCorpusError, SchemaError
+from matcha.errors import InsufficientCorpusError, SchemaError, read_lines
+from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary
+from oracles import load_jsonl_binary
 
 
 def write_jsonl(path, rows):
@@ -46,7 +49,7 @@ class TestLoadJsonl:
     @pytest.mark.parametrize("lineno, bad_line, message", [
         (2, b"not json", "line 2: invalid JSON (Expecting value)"),
         (3, b'{"reference": "", "correct": "c"}', "line 3: missing or empty 'reference'"),
-        (4, b'{"reference": "\xff", "correct": "c"}', "line 4: not UTF-8 at byte 15 of the line"),
+        (4, b'{"reference": "\xff", "correct": "c"}', "line 4: not UTF-8 at byte 123"),
     ], ids=["invalid_json", "empty_reference", "not_utf8"])
     def test_first_bad_line_raises_naming_file_and_line(self, tmp_path, lineno, bad_line, message):
         lines = [b'{"reference": "r%d", "correct": "c"}' % k for k in range(1, 6)]
@@ -82,6 +85,66 @@ class TestLoadJsonl:
         assert rec == Record(
             reference="r", correct="c", incorrect="i", dataset="nli", human_score=4.5, id="x1"
         )
+
+
+def desk_corpus_lines() -> list[bytes]:
+    """The README walkthrough's corpus (2,000 synthetic triplets, seed 3) and a few rated,
+    non-ASCII records, one JSON object per line without its newline."""
+    rows = [{"reference": r.reference, "correct": r.correct, "incorrect": r.incorrect, "dataset": r.dataset,
+             "id": r.id} for r in make_synthetic_corpus(2000, seed=3)]
+    rows += [{"reference": "caf\u00e9 \u2615 open", "correct": "caf\u00e9 open", "human_score": score,
+              "id": None, "incorrect": None} for score in (1, 2.5, -0.0, 10**300)]
+    rows.append({"reference": "\u2028 line separator", "correct": "\u00e9t\u00e9", "dataset": ""})
+    return [json.dumps(row, ensure_ascii=False).encode() for row in rows]
+
+
+class TestOneReader:
+    """`load_jsonl` reads through `errors.read_jsonl`, as every JSONL file is read.  Where lines
+    end in "\n" or "\r\n" it gives the records of the binary loop it replaced."""
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "blank_lines", "trailing_whitespace", "no_final_newline"])
+    def test_records_equal_the_binary_reader(self, tmp_path, layout):
+        lines = desk_corpus_lines()
+        data = {
+            "lf": b"\n".join(lines) + b"\n",
+            "crlf": b"\r\n".join(lines) + b"\r\n",
+            "blank_lines": b"\n \t\n\n" + b"\n\r\n  \n".join(lines) + b"\n\n\t \n",
+            "trailing_whitespace": b"".join(line + b" \t \r\n" for line in lines),
+            "no_final_newline": b"\n".join(lines),
+        }[layout]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(data)
+        records = load_jsonl(str(path), default_dataset="desk")
+        assert len(records) == 2005
+        assert records == load_jsonl_binary(str(path), default_dataset="desk")
+
+    def test_a_lone_cr_ends_a_line(self, tmp_path):
+        """"\n", "\r\n" and a lone "\r" each end a line of every file read by lines.  The
+        binary loop split at "\n" only, so it read the first two records as one line, and it
+        loaded a record with a bare "\r" as JSON whitespace, which now ends the line."""
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"reference": "a", "correct": "b"}\r{"reference": "c", "correct": "d"}\r\n'
+                         b'\r{"reference": "e", "correct": "f"}\n')
+        assert [lineno for lineno, _ in read_lines(str(path), SchemaError)] == [1, 2, 3, 4]
+        assert [(r.reference, r.id) for r in load_jsonl(str(path))] == [("a", "line1"), ("c", "line2"), ("e", "line4")]
+        with pytest.raises(SchemaError, match=r"line 1: invalid JSON \(Extra data\)"):
+            load_jsonl_binary(str(path))
+        path.write_bytes(b'{"reference": "a",\r"correct": "b"}\n')
+        assert load_jsonl_binary(str(path))[0].correct == "b"
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: line 1: invalid JSON \("):
+            load_jsonl(str(path))
+
+    def test_a_bad_byte_is_named_by_line_and_file_offset(self, tmp_path):
+        """Thousands of lines in, behind multi-byte characters and "\r\n" endings."""
+        data = ("caf\u00e9 \u2615\r\n" * 3000 + "x\r").encode() + b"ab\xffc\n"
+        path = tmp_path / "m.txt"
+        path.write_bytes(data)
+        read = []
+        with pytest.raises(SchemaError) as caught:
+            read.extend(read_lines(str(path), SchemaError))
+        bad = data.index(b"\xff")
+        assert str(caught.value) == f"{path}: line 3002: not UTF-8 at byte {bad}"
+        assert len(read) == 3001 and read[-1] == (3001, "x")
 
 
 class TestMakeTriplets:

@@ -784,8 +784,10 @@ class TestMergeExternal:
     def test_non_utf8_names_byte_offset(self, tmp_path):
         path = tmp_path / "ext.jsonl"
         path.write_bytes(b'{"id": "y", "metric": "x", "score": 0.1}\n{"id": "\xff"}\n')
-        with pytest.raises(SchemaError, match=r"ext\.jsonl: not UTF-8 at byte 49"):
-            ScoreTable().merge_external(str(path))
+        table = ScoreTable()
+        with pytest.raises(SchemaError, match=r"ext\.jsonl: line 2: not UTF-8 at byte 49"):
+            table.merge_external(str(path))
+        assert [(r.id, r.scores) for r in rows_of(table)] == [("y", {"x": 0.1})]  # the line before stays merged
 
     def test_crlf_and_lone_cr_end_lines(self, tmp_path):
         path = tmp_path / "ext.jsonl"

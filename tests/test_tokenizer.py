@@ -74,14 +74,14 @@ class TestLoadVocabulary:
         vocab_path = tmp_path / "v.json"
         vocab_path.write_bytes(b'{"a": 0, "\xe9": 1}')
         merges_path = _write(tmp_path / "m.txt", "#header\n")
-        with pytest.raises(VocabularyFormatError, match=r"v\.json: not UTF-8 at byte 10"):
+        with pytest.raises(VocabularyFormatError, match=r"v\.json: line 1: not UTF-8 at byte 10"):
             load_vocabulary(str(vocab_path), merges_path)
 
     def test_non_utf8_merges_names_byte_offset(self, tmp_path):
         vocab_path = _write(tmp_path / "v.json", json.dumps({"a": 0, "b": 1, "ab": 2}))
         merges_path = tmp_path / "m.txt"
         merges_path.write_bytes(b"#header\na b\n\xc3(\n")
-        with pytest.raises(VocabularyFormatError, match=r"m\.txt: not UTF-8 at byte 12"):
+        with pytest.raises(VocabularyFormatError, match=r"m\.txt: line 3: not UTF-8 at byte 12"):
             load_vocabulary(vocab_path, str(merges_path))
 
 
@@ -419,7 +419,7 @@ class TestWordVocabularyLoad:
     def test_non_utf8(self, tmp_path):
         path = tmp_path / "word.json"
         path.write_bytes(b'{"kind": "word", "token_to_id": {"\xff": 0}}')
-        with pytest.raises(VocabularyFormatError, match=r"word\.json: not UTF-8 at byte 34"):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: line 1: not UTF-8 at byte 34"):
             WordVocabulary.load(str(path))
 
     def test_duplicate_ids(self, tmp_path):
