@@ -2,21 +2,17 @@
 
 One document of a pair is attributed: its token-embedding matrix is
 interpolated from a baseline to its actual value while the other document's
-representation stays fixed, and the path-averaged gradient of the score is
+representation f stays fixed, and the path-averaged gradient of the score is
 weighted by the input delta.  The score sees the attributed embeddings only
 through their mean, and the model is affine up to the cosine, so the path
-maps to the straight line h_α = h_0 + α(h_1 - h_0) between the endpoint
-representations.  The midpoint rule therefore averages the cosine gradient
-over the `steps` points of that line and pulls it back once, through the
-block-mean projection W̄; every token row receives the same embedding
-gradient.  The fixed and attributed documents' rows come from one gather,
-the three documents share one forward and one W̄, and one
-`model.cosine_grad` call against the fixed representation covers the
-`steps` midpoints and both endpoints, whose cosines are the score and the
-baseline score; it forms only the gradient with respect to the moving
-side, the one IG uses.  The midpoint grid never evaluates at the baseline
-itself, which sidesteps the zero-norm cosine singularity of an all-zero
-start.
+maps to the line h(α) = h_0 + αΔ between the endpoint representations.  The
+midpoint rule averages the cosine gradient over the `steps` points of that
+line.  Each gradient combines f, Δ and the line's closest point to the
+origin h⊥ with weights that are scalars of α, so the mean costs three means
+over `steps` scalars and a few D-vector operations, O(steps + D).  The score
+and the baseline score are one row-wise cosine of f against the two
+endpoints.  No midpoint is the baseline itself, which sidesteps the
+zero-norm cosine singularity of an all-zero start.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRepresentationError
-from .model import ModelParams, block_means, check_ids, cosine_grad, embedding_rows, forward
+from .model import ModelParams, _cosine_core, _norms, block_means, check_ids, embedding_rows, forward
 
 DIRECTIONS = ("toward_candidate", "toward_reference")
 BASELINE_KINDS = ("zero", "input")
@@ -88,22 +84,29 @@ def integrated_gradients(
     means = block_means(params)
     _, h = forward(params, emb_means, means)
     h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
-    # One cosine pass: the `steps` midpoints of the line, then both endpoints.
-    alphas = (np.arange(steps) + 0.5) / steps
-    points = np.empty((steps + 2, h.shape[1]))
-    np.multiply(alphas[:, None], h_actual - h_baseline, out=points[:steps])
-    points[:steps] += h_baseline
-    points[steps], points[steps + 1] = h_actual, h_baseline
+    # h(α) = h⊥ + tΔ, t = α − α*: h⊥ = h_0 + α*Δ, the line's closest point to the origin, is formed
+    # as a vector so that no two large terms cancel near it.  The gradient f/(|f||h|) − (f·h)h/(|f||h|³)
+    # has the path mean (m f − c⊥ h⊥ − c_Δ Δ)/|f|, with m, c⊥ and c_Δ the midpoints' means of
+    # q^(-1/2), w = (f·h)q^(-3/2) and tw, where q = |h|².  Δ = 0 gives h⊥ = h_0.
+    delta = h_actual - h_baseline
+    a = delta @ delta
+    alpha_star = -(h_baseline @ delta) / a if a else 0.0
+    h_perp = h_baseline + alpha_star * delta
+    t = (np.arange(steps) + 0.5) / steps - alpha_star
+    q = a * t**2 + h_perp @ h_perp
     try:
-        sims, g_points = cosine_grad(h_fixed, points)
+        # A row-wise cosine gives each endpoint the bits of a call on that row alone.
+        n_fixed, _, _, (score_actual, score_baseline) = _cosine_core(h_fixed, h[[1, -1]])
+        if not q.all():
+            raise DegenerateRepresentationError("zero-norm document representation")
     except DegenerateRepresentationError as exc:
-        on_path = not np.linalg.norm(np.vstack((h_fixed, points[:steps])), axis=-1).all()
-        where = "along the interpolation path" if on_path else "at an interpolation endpoint"
+        where = "along the interpolation path" if not (_norms(h_fixed) and q.all()) else "at an interpolation endpoint"
         raise DegenerateRepresentationError(
-            f"zero-norm representation {where}; try a different baseline ({exc})"
-        ) from exc
-    g_h = np.add.reduce(g_points[:steps]) / steps
-    score_actual, score_baseline = sims[steps], sims[steps + 1]
+            f"zero-norm representation {where}; try a different baseline ({exc})") from exc
+    inv_norm = 1.0 / np.sqrt(q)
+    w = (h_fixed @ h_perp + t * (h_fixed @ delta)) * inv_norm / q
+    m, c_perp, c_delta = (np.add.reduce(x) / steps for x in (inv_norm, w, t * w))
+    g_h = (m * h_fixed - c_perp * h_perp - c_delta * delta) / n_fixed
     # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
     # gets the same embedding gradient.  The input baseline's delta is zero.
     row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)

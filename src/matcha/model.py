@@ -276,12 +276,6 @@ def cosine_with_grads(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.nd
     return sim, g1, g2
 
 
-def cosine_grad(h_fixed: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sim, g): `cosine_with_grads(h_fixed, h)` without the gradient with respect to h_fixed."""
-    _, n, n12, sim = _cosine_core(h_fixed, h)
-    return sim, h_fixed / n12[..., None] - (sim / n**2)[..., None] * h
-
-
 def score(params: ModelParams, reference, candidate, vocab):
     """Similarity of two texts under fixed parameters; symmetric in its text arguments.
 

@@ -118,6 +118,9 @@ class TrainConfig:
                 problems.append(f"{name} must be >= 1")
         if self.epochs < 0:
             problems.append("epochs must be >= 0")
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                problems.append(f"{name} must be finite")
         if not self.margin > 0:
             problems.append("margin must be > 0")
         if not 0 < self.lr_decay <= 1:

@@ -15,10 +15,13 @@ the CLI once wrote it, call `n_delta_ranged` and `macro_f1_midpoint_ranged`
 rescaled its own raw scores) and the package's statistics
 (`wasserstein_1d`, `rank_at_1`, `dcg`, `ccc`), which have oracles of their
 own, and gate how the report selects, pairs and assembles them.
-Likewise `integrated_gradients_three_pass`, integrated gradients as the
-package once computed it, calls the package's forward and cosine: it gates
-the one-pass rewrite for bit equality, while `integrated_gradients_tiled`
-checks the values themselves.  `attribution_gap_loop` is `attribution_gap`
+Likewise `integrated_gradients_grid` and `integrated_gradients_three_pass`,
+integrated gradients as the package once computed it (the midpoints and
+both endpoints in one cosine call over a (steps + 2, D) grid, and in three
+calls), call the package's forward and cosine: the two must agree bit for
+bit, and the grid gates the package's scalar-path midpoint rule within a
+tolerance, while `integrated_gradients_tiled` checks the values
+themselves.  `attribution_gap_loop` is `attribution_gap`
 with its two `integrated_gradients` calls written out, and
 `attribution_result_dict` is `AttributionResult.to_dict` with its fields
 listed by hand, as the package once had them.  `BatchScheduleQueues` and `train_accumulating` are the batch
@@ -40,6 +43,7 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -344,6 +348,82 @@ def integrated_gradients_three_pass(params, reference: str, candidate: str, voca
         score=score_actual,
         baseline_score=score_baseline,
     )
+
+
+def integrated_gradients_grid(params, reference: str, candidate: str, vocab, direction: str, steps: int,
+                              baseline_kind: str) -> AttributionResult:
+    """`integrated_gradients` over a (steps + 2, D) grid: the `steps` midpoints, then both endpoints.
+
+    One `cosine_with_grads(h_fixed, points)` call scores the fixed
+    representation against every row of the grid; the path gradient is the
+    mean of the midpoint rows' gradients.  A zero-norm fixed document or
+    midpoint is on the path, a zero-norm endpoint (with neither) at an endpoint.
+    """
+    max_len = params.hyper.max_len
+    attributed_text, fixed_text = (
+        (candidate, reference) if direction == "toward_candidate" else (reference, candidate)
+    )
+    ids = vocab.encode(attributed_text, max_len)
+    rows = embedding_rows(params, check_ids(params, ids + vocab.encode(fixed_text, max_len)))
+    emb, fixed = rows[: len(ids)], rows[len(ids) :]
+    emb_means = np.zeros((3 if baseline_kind == "zero" else 2, params.hyper.dim))
+    emb_means[0] = np.add.reduce(fixed) / len(fixed)
+    emb_means[1] = np.add.reduce(emb) / len(emb)
+    means = block_means(params)
+    _, h = forward(params, emb_means, means)
+    h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
+    alphas = (np.arange(steps) + 0.5) / steps
+    points = np.empty((steps + 2, h.shape[1]))
+    np.multiply(alphas[:, None], h_actual - h_baseline, out=points[:steps])
+    points[:steps] += h_baseline
+    points[steps], points[steps + 1] = h_actual, h_baseline
+    try:
+        sims, _, g_points = cosine_with_grads(h_fixed, points)
+    except DegenerateRepresentationError as exc:
+        on_path = not np.linalg.norm(np.vstack((h_fixed, points[:steps])), axis=-1).all()
+        where = "along the interpolation path" if on_path else "at an interpolation endpoint"
+        raise DegenerateRepresentationError(
+            f"zero-norm representation {where}; try a different baseline ({exc})"
+        ) from exc
+    g_h = np.add.reduce(g_points[:steps]) / steps
+    score_actual, score_baseline = sims[steps], sims[steps + 1]
+    row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
+    per_token_values = (emb if baseline_kind == "zero" else np.zeros_like(emb)) @ row_grad
+    total = float(per_token_values.sum())
+    pieces = {i: vocab.decode([i]) for i in set(ids)}
+    return AttributionResult(
+        direction=direction,
+        per_token=[(pieces[i], v) for i, v in zip(ids, per_token_values.tolist())],
+        total=total,
+        completeness_residual=abs(total - (score_actual - score_baseline)),
+        steps=steps,
+        score=score_actual,
+        baseline_score=score_baseline,
+    )
+
+
+def integrated_gradients_decimal(h_fixed, h_baseline, h_actual, row, steps: int, digits: int = 50) -> float:
+    """The midpoint rule's attribution to one embedding `row` when h is affine in it with unit slope.
+
+    That is the one-token document of a model with N_c = 1 and W = C = I.
+    The float64 representations are taken as exact, and every point
+    h_0 + αΔ, norm and cosine gradient of the sum is evaluated in `digits`-digit
+    decimal, however close a point comes to the origin.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        f, h_0, h_1, e = ([Decimal(float(x)) for x in v] for v in (h_fixed, h_baseline, h_actual, row))
+        delta = [b - a for a, b in zip(h_0, h_1)]
+        n_fixed = sum(x * x for x in f).sqrt()
+        g = [Decimal(0)] * len(f)
+        for k in range(steps):
+            alpha = Decimal(2 * k + 1) / (2 * steps)
+            h = [a + alpha * d for a, d in zip(h_0, delta)]
+            q = sum(x * x for x in h)
+            n = q.sqrt()
+            f_dot_h = sum(a * b for a, b in zip(f, h))
+            g = [gi + fi / (n_fixed * n) - f_dot_h * hi / (n_fixed * n * q) for gi, fi, hi in zip(g, f, h)]
+        return float(sum(a * b for a, b in zip(e, g)) / steps)
 
 
 def attribution_result_dict(result: AttributionResult) -> dict:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from matcha.tokenizer import build_word_vocabulary
 from oracles import (
     attribution_gap_loop,
     attribution_result_dict,
+    integrated_gradients_decimal,
+    integrated_gradients_grid,
     integrated_gradients_three_pass,
     integrated_gradients_tiled,
     path_integral_attributions,
@@ -38,16 +41,29 @@ ENDPOINT_MESSAGE = (
 
 
 def _same_output(params, vocab, reference, candidate, direction, steps, baseline_kind):
-    """One-pass and three-pass results serialise to the same JSON text, so every float has the same bits."""
+    """The grid and three-pass oracles agree bit for bit, and `integrated_gradients` matches the grid.
+
+    The oracles' results serialise to the same JSON text, so every float has
+    the same bits.  The package's scalar-path midpoint rule sums the path in
+    another order: its `score` and `baseline_score` have the grid's bits, and
+    each per-token value is within 1e-12 of the larger of the largest value
+    and the score change.
+    """
     args = (params, reference, candidate, vocab, direction, steps, baseline_kind)
-    got = integrated_gradients(*args).to_dict()
-    expected = integrated_gradients_three_pass(*args).to_dict()
-    assert json.dumps(got) == json.dumps(expected)
+    grid = integrated_gradients_grid(*args)
+    assert json.dumps(grid.to_dict()) == json.dumps(integrated_gradients_three_pass(*args).to_dict())
+    got = integrated_gradients(*args)
+    assert (got.direction, got.steps, got.score.hex(), got.baseline_score.hex()) == (
+        grid.direction, grid.steps, grid.score.hex(), grid.baseline_score.hex())
+    assert [tok for tok, _ in got.per_token] == [tok for tok, _ in grid.per_token]
+    values, expected = (np.array([v for _, v in r.per_token]) for r in (got, grid))
+    scale = max(np.abs(expected).max(), abs(grid.score - grid.baseline_score))
+    assert np.abs(values - expected).max() <= 1e-12 * scale
 
 
 def _raises_as_three_pass(message, *args):
-    """Both versions raise DegenerateRepresentationError with exactly `message`."""
-    for ig in (integrated_gradients, integrated_gradients_three_pass):
+    """The package and both oracles raise DegenerateRepresentationError with exactly `message`."""
+    for ig in (integrated_gradients, integrated_gradients_grid, integrated_gradients_three_pass):
         with pytest.raises(DegenerateRepresentationError) as info:
             ig(*args)
         assert str(info.value) == message
@@ -199,6 +215,18 @@ class TestIntegratedGradients:
         _raises_as_three_pass(ENDPOINT_MESSAGE, params, "the door is open", "not quite", vocab,
                               "toward_candidate", DEFAULT_STEPS, "zero")
 
+    def test_memory_is_linear_in_steps_and_dim(self):
+        # D=256, N_c=16 and 20,000 steps: one (steps, D) array alone would be 41 MB.
+        vocab = build_word_vocabulary(["the door is open", "the door is closed", "not quite"])
+        params = random_params(np.random.default_rng(256), vocab.vocab_size, 256, 16, scale=0.1)
+        tracemalloc.start()
+        try:
+            integrated_gradients(params, "the door is open", "not quite closed", vocab, steps=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_step_floor(self, small_model):
         params, vocab = small_model
         with pytest.raises(ValueError):
@@ -211,7 +239,7 @@ class TestIntegratedGradients:
 
 
 class TestOnePassMatchesThreePass:
-    """`integrated_gradients` gives the bits of the three-cosine-call version it replaces."""
+    """The one-pass grid oracle gives the three-pass oracle's bits, and `integrated_gradients` matches the grid."""
 
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
@@ -238,14 +266,14 @@ class TestZeroNormMessages:
     """A zero fixed representation or midpoint raises the three-pass version's path message."""
 
     @staticmethod
-    def line_model(fixed_row, attributed_row):
-        # D=2, N_c=1, W = C = I: h = e + b exactly for a one-token document "f" or "a".
+    def line_model(fixed_row, attributed_row, bias=np.array([0.75, -0.5])):
+        # N_c=1, W = C = I: h = e + b exactly for a one-token document "f" or "a".
+        dim = len(bias)
         vocab = build_word_vocabulary(["f a"])
-        bias = np.array([0.75, -0.5])
-        embedding = np.zeros((vocab.vocab_size, 2))
+        embedding = np.zeros((vocab.vocab_size, dim))
         embedding[vocab.token_to_id["f"]] = fixed_row(bias)
         embedding[vocab.token_to_id["a"]] = attributed_row(bias)
-        return manual_params(embedding, np.eye(2), bias, np.eye(2)), vocab
+        return manual_params(embedding, np.eye(dim), bias, np.eye(dim)), vocab
 
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
     def test_zero_fixed_document(self, baseline_kind):
@@ -256,8 +284,60 @@ class TestZeroNormMessages:
         # h_0 = b and h_1 = -2b + b = -b: the midpoint alpha = 4.5 / 9 = 0.5 of 9 steps is exactly 0.
         params, vocab = self.line_model(lambda b: np.array([0.25, 1.0]), lambda b: -2.0 * b)
         _raises_as_three_pass(PATH_MESSAGE, params, "f", "a", vocab, "toward_candidate", 9, "zero")
-        # With an even step count no midpoint lands on alpha = 0.5.
+        # With an even step count no midpoint lands on alpha = 0.5.  The value, 0 in exact
+        # arithmetic, is rounding: 8.9e-16 along the scalar path, 4.4e-16 on the grid.
         _same_output(params, vocab, "f", "a", "toward_candidate", 8, "zero")
+
+
+class TestNearTheOrigin:
+    """Lines from h_0 = b that pass `distance` from the origin, on the line model of TestZeroNormMessages."""
+
+    DISTANCES = [1e-2, 1e-4, 1e-6, 1e-8]
+
+    @staticmethod
+    def model(dim, distance, alpha_c):
+        # h_1 = b + (d·u − b)/alpha_c with u ⟂ b, |u| = 1: the line's closest point d·u is at alpha_c.
+        rng = np.random.default_rng(dim)
+        bias, u = rng.normal(0, 0.5, dim), rng.normal(0, 1, dim)
+        u -= (u @ bias) / (bias @ bias) * bias
+        u /= np.linalg.norm(u)
+        fixed = rng.normal(0, 0.5, dim)
+        return TestZeroNormMessages.line_model(lambda b: fixed, lambda b: (distance * u - b) / alpha_c, bias)
+
+    @pytest.mark.parametrize("steps", STEPS)
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("dim", [2, 256])
+    def test_closest_point_between_midpoints(self, dim, distance, steps):
+        params, vocab = self.model(dim, distance, (steps // 2) / steps)
+        for baseline_kind in BASELINE_KINDS:
+            _same_output(params, vocab, "f", "a", "toward_candidate", steps, baseline_kind)
+
+    @pytest.mark.parametrize("k", [128, 77])
+    @pytest.mark.parametrize("distance", DISTANCES)
+    @pytest.mark.parametrize("dim", [2, 256])
+    def test_midpoint_near_the_origin(self, dim, distance, k):
+        """A midpoint `distance` from the origin: within what any rounding of the path allows.
+
+        The midpoint sum then amplifies a rounding of the path's points by
+        up to κ = (|h_0| + |h_1|) / (the nearest midpoint's norm), so the
+        grid and the scalar path are each held to 8·ε·κ (and 1e-12) of the
+        sum evaluated in 50-digit decimal.  k = 128 is alpha = 1/2, where the
+        grid's points happen to be exact; k = 77 is not.
+        """
+        steps = 257
+        params, vocab = self.model(dim, distance, (k + 0.5) / steps)
+        # The zero baseline's h_0 is the bias b; a one-token document's h is its row plus b.
+        bias = params.proj_bias
+        fixed, attributed = (params.embedding[vocab.token_to_id[token]] for token in "fa")
+        expected = integrated_gradients_decimal(fixed + bias, bias, attributed + bias, attributed, steps)
+        alphas = (np.arange(steps) + 0.5) / steps
+        nearest = np.linalg.norm(bias + alphas[:, None] * attributed, axis=1).min()
+        kappa = (np.linalg.norm(bias) + np.linalg.norm(attributed + bias)) / nearest
+        bound = max(1e-12, 8 * np.finfo(float).eps * kappa)
+        for ig in (integrated_gradients, integrated_gradients_grid):
+            result = ig(params, "f", "a", vocab, "toward_candidate", steps, "zero")
+            (_, value), = result.per_token
+            assert abs(value - expected) <= bound * max(abs(expected), abs(result.score - result.baseline_score))
 
 
 class TestAttributionGap:

@@ -518,16 +518,29 @@ class TestBadCommandLine:
         ([*TRAIN, "--gamma", "2"], "lr_decay must be in (0, 1]"),
         ([*TRAIN, "--margin", "0"], "margin must be > 0"),
         ([*TRAIN, "--schedule", "curriculum"], "curriculum schedule requires curriculum_order"),
+        ([*TRAIN, "--lr", "inf"], "lr must be finite"),
+        ([*TRAIN, "--lr", "nan"], "lr must be finite"),
+        ([*TRAIN, "--weight-decay", "inf"], "weight_decay must be finite"),
         (["evaluate", "--data", "c.jsonl", "--out", "r.json", "--metrics", "x=bogus"],
          "kind must be one of ('cosine_like', 'unit', 'percent'), got 'bogus'"),
     ], ids=["bad-int", "bad-choice", "unknown-command", "missing-flag", "empty-ref", "negative-epochs",
-            "zero-batch", "gamma-above-1", "zero-margin", "curriculum-without-order", "bogus-metric-kind"])
+            "zero-batch", "gamma-above-1", "zero-margin", "curriculum-without-order", "lr-inf", "lr-nan",
+            "weight-decay-inf", "bogus-metric-kind"])
     def test_one_config_error_line(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {message}") and captured.err.count("\n") == 1
         assert "usage:" not in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text, message", [('{"lr": Infinity}', "lr must be finite"),
+                                               ('{"lr": NaN}', "lr must be finite"),
+                                               ('{"weight_decay": -Infinity}', "weight_decay must be finite")])
+    def test_non_finite_rate_in_config_file(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main([*self.TRAIN, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("argv", [["score", *PAIR], ["attribute", *PAIR],
                                       ["evaluate", "--data", "c", "--out", "r"]], ids=["score", "attribute", "evaluate"])

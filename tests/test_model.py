@@ -13,7 +13,6 @@ from matcha.model import (
     block_means,
     check_ids,
     cosine,
-    cosine_grad,
     cosine_with_grads,
     forward,
     init_params,
@@ -339,7 +338,7 @@ class TestCosine:
 
 
 class TestCosineKernels:
-    """`cosine_grad` is `cosine_with_grads` without g1; both share the norms and the zero-norm check."""
+    """`cosine_with_grads`' norms and zero-norm check, which integrated gradients' endpoint cosines share."""
 
     @staticmethod
     def shapes(dim, n):
@@ -347,15 +346,6 @@ class TestCosineKernels:
         vector, rows, other, stack = (rng.normal(0, 1, shape) for shape in ((dim,), (n, dim), (n, dim), (2, n, dim)))
         # A vector against rows (integrated gradients), rows against rows, rows against a stack (training).
         return {"vector-rows": (vector, rows), "rows-rows": (rows, other), "rows-stack": (rows, stack)}
-
-    @pytest.mark.parametrize("n", [1, 7, 66])
-    @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
-    def test_cosine_grad_is_sim_and_g2(self, dim, n):
-        for name, (h_fixed, h) in self.shapes(dim, n).items():
-            sim, _, g2 = cosine_with_grads(h_fixed, h)
-            got = cosine_grad(h_fixed, h)
-            for a, b in zip(got, (sim, g2)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("n", [1, 7, 66])
     @pytest.mark.parametrize("dim", [1, 5, 64, 256, 768])
@@ -374,12 +364,9 @@ class TestCosineKernels:
             zeroed[:] = 0.0
         else:
             zeroed[..., 2, :] = 0.0
-        messages = set()
-        for kernel in (cosine_with_grads, cosine_grad):
-            with pytest.raises(DegenerateRepresentationError) as info:
-                kernel(h_fixed, h)
-            messages.add(str(info.value))
-        assert messages == {"zero-norm document representation"}
+        with pytest.raises(DegenerateRepresentationError) as info:
+            cosine_with_grads(h_fixed, h)
+        assert str(info.value) == "zero-norm document representation"
 
 
 class TestScore:
