@@ -25,9 +25,9 @@ from . import __version__
 from .attribution import BASELINE_KINDS, DEFAULT_STEPS, DIRECTIONS, integrated_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DatasetManifest, Record, load_dataset, load_registry, tokenize_records
-from .errors import ConfigError, MatchaError, is_number, open_atomic, read_json
+from .errors import ConfigError, MatchaError, ShapeError, is_number, open_atomic, read_json
 from .evaluation import MetricRange, ScoreTable, evaluation_report, rouge_table
-from .model import init_params, score
+from .model import Hyper, init_params, score
 from .tokenizer import DEFAULT_MAX_LEN, WordVocabulary, build_word_vocabulary, load_vocabulary
 from .training import SCHEDULE_STRATEGIES, TrainConfig, train
 
@@ -111,13 +111,7 @@ def _cmd_score(config: RunConfig) -> int:
 
 
 def _cmd_train(config: RunConfig) -> int:
-    if config.merges and not config.vocab:
-        raise ConfigError("train with --merges requires --vocab")
     cfg = config.train
-    try:  # a ValueError to library callers, a config error on the command line
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
     per_dataset: list[tuple[DatasetManifest, list[Record]]] = []
@@ -173,25 +167,8 @@ def _cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def _parse_metric_ranges(entries: list[str]) -> dict[str, MetricRange]:
-    ranges = {}
-    for entry in entries:
-        if "=" not in entry:
-            raise ConfigError(f"--metrics entry {entry!r} must be name=kind")
-        name, kind = entry.split("=", 1)
-        try:
-            ranges[name] = MetricRange(name, kind)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    return ranges
-
-
 def _cmd_evaluate(config: RunConfig) -> int:
-    if config.ckpt and not config.vocab:
-        raise ConfigError("evaluate with --ckpt requires --vocab")
-    if not config.ckpt and (config.vocab or config.merges):
-        raise ConfigError("evaluate with --vocab or --merges requires --ckpt")
-    ranges = _parse_metric_ranges(config.metrics)  # before any file is read
+    ranges = {name: MetricRange(name, kind) for name, kind in (entry.split("=", 1) for entry in config.metrics)}
     cfg = config.train
     rng = np.random.default_rng(cfg.seed)
     manifests = _manifests_for(config.data)
@@ -242,8 +219,6 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 
 def _cmd_attribute(config: RunConfig) -> int:
-    if config.steps < 8:
-        raise ConfigError("--steps must be >= 8")
     params = load_checkpoint(config.ckpt)
     vocab = _load_tokenizer(config)
     directions = list(DIRECTIONS) if config.direction == "both" else [config.direction]
@@ -268,8 +243,31 @@ def _cmd_attribute(config: RunConfig) -> int:
     return 0
 
 
+def _check(config: RunConfig) -> None:
+    """Raise ConfigError for the first setting out of range.  Every default passes, so each field is
+    checked whatever the command; only the vocabulary-flag rules depend on it."""
+    if config.command == "train" and config.merges and not config.vocab:
+        raise ConfigError("train with --merges requires --vocab")
+    if config.command == "evaluate" and config.ckpt and not config.vocab:
+        raise ConfigError("evaluate with --ckpt requires --vocab")
+    if config.command == "evaluate" and not config.ckpt and (config.vocab or config.merges):
+        raise ConfigError("evaluate with --vocab or --merges requires --ckpt")
+    try:  # ValueError and ShapeError to library callers, one config error here
+        config.train.validate()
+        Hyper(config.dim, config.n_ctx, config.max_len, config.train.margin).validate()
+        if config.steps < 8:
+            raise ConfigError("--steps must be >= 8")
+        for entry in config.metrics:
+            if "=" not in entry:
+                raise ConfigError(f"--metrics entry {entry!r} must be name=kind")
+            MetricRange(*entry.split("=", 1))
+    except (ShapeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def run(config: RunConfig) -> int:
-    """Execute one command; outputs land atomically."""
+    """Check every setting, then execute one command; outputs land atomically."""
+    _check(config)
     handler = {
         "tokenize": _cmd_tokenize,
         "score": _cmd_score,
@@ -422,7 +420,7 @@ _ERROR_CATEGORIES = [
     (ConfigError, "config error", 2),
     (MatchaError, "error", 1),
     (FileNotFoundError, "file error", 3),
-    (ValueError, "invalid value", 2),
+    (ValueError, "config error", 2),
 ]
 
 

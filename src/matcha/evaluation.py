@@ -333,6 +333,14 @@ def ccc(x, y) -> float:
     return float(2.0 * cov / (vx + vy + (mx - my) ** 2))
 
 
+def _ccc_x100(x, y) -> float | None:
+    """`ccc` x100 for a report: None where it is undefined (one point, or both sides constant)."""
+    try:
+        return ccc(x, y) * 100.0
+    except ValueError:
+        return None
+
+
 _WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -484,7 +492,9 @@ def evaluation_report(
     separation[dataset][metric] is the `separation_report` of every metric
     scored on both correct and incorrect rows of that dataset.  agreement
     holds Rank@1, DCG and CCC (x100) over the rows with a human score, for
-    the metrics scored on all of them; it is empty when there are none.
+    the metrics scored on all of them; it is empty when there are none, and
+    a CCC is None where it is undefined (one rated row, or a constant metric
+    on constant ratings).
     A metric's range is taken from `ranges`, then DEFAULT_RANGES, else
     "unit"; human scores are rescaled by their dataset's rating scale,
     else taken as already in [0, 1].
@@ -513,6 +523,6 @@ def evaluation_report(
         agreement = {
             "rank_at_1": rank_at_1(columns, humans),
             "dcg": dcg(columns, humans),
-            "ccc": {name: ccc(column, humans) * 100.0 for name, column in columns.items()},
+            "ccc": {name: _ccc_x100(column, humans) for name, column in columns.items()},
         }
     return {"separation": separation, "agreement": agreement}

@@ -43,10 +43,11 @@ class Hyper:
     margin: float = 1.0
 
     def validate(self) -> None:
-        if self.dim < 1 or self.n_ctx < 1 or self.max_len < 1:
-            raise ShapeError(f"dim, n_ctx, max_len must be >= 1, got {self}")
-        if not self.margin > 0:
-            raise ShapeError(f"margin must be > 0, got {self.margin}")
+        for name in ("dim", "n_ctx", "max_len"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.margin < float("inf"):
+            raise ShapeError(f"margin must be a finite number > 0, got {self.margin}")
 
     def shapes(self, vocab_size: int) -> dict[str, tuple[int, ...]]:
         """The shape of each of the TENSOR_NAMES tensors, in order, for a table of vocab_size rows."""

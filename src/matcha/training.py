@@ -118,7 +118,7 @@ class TrainConfig:
                 problems.append(f"{name} must be >= 1")
         if self.epochs < 0:
             problems.append("epochs must be >= 0")
-        for name in ("lr", "weight_decay"):
+        for name in ("lr", "weight_decay", "margin"):
             if not math.isfinite(getattr(self, name)):
                 problems.append(f"{name} must be finite")
         if not self.margin > 0:
@@ -424,31 +424,37 @@ def train(
         rng=rng,
     )
     report: list[dict] = []
-    for epoch in range(config.epochs):
-        state.epoch_index = epoch
-        schedule.start_epoch()
-        losses: list[float] = []
-        accum: Gradients | None = None
-        while (batch := schedule.next_batch()) is not None:
-            loss, grads = loss_and_grads(params, batch, config.train_embeddings)
-            losses.append(loss)
-            if accum is None:
-                accum = grads
-            else:
-                accum.add_(grads)
-            if len(losses) % config.grad_accum_steps == 0:
-                accum.scale_(1.0 / config.grad_accum_steps)
-                adam_step(state, params, accum)
-                accum = None
-        if accum is not None:
-            accum.scale_(1.0 / (len(losses) % config.grad_accum_steps))
-            adam_step(state, params, accum)
-        report.append(
-            {
-                "epoch": epoch,
-                "mean_loss": float(np.mean(losses)) if losses else 0.0,
-                "lr": state.effective_lr,
-                "batches": len(losses),
-            }
-        )
+    # An overflow (a huge lr) stops the run where it happens, not at the save of NaN parameters.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(config.epochs):
+            state.epoch_index = epoch
+            schedule.start_epoch()
+            losses: list[float] = []
+            accum: Gradients | None = None
+            try:
+                for micro, batch in enumerate(iter(schedule.next_batch, None)):
+                    loss, grads = loss_and_grads(params, batch, config.train_embeddings)
+                    losses.append(loss)
+                    if accum is None:
+                        accum = grads
+                    else:
+                        accum.add_(grads)
+                    if len(losses) % config.grad_accum_steps == 0:
+                        accum.scale_(1.0 / config.grad_accum_steps)
+                        adam_step(state, params, accum)
+                        accum = None
+                if accum is not None:
+                    accum.scale_(1.0 / (len(losses) % config.grad_accum_steps))
+                    adam_step(state, params, accum)
+            except FloatingPointError as exc:
+                # A step fails on the micro-batch that closed its window.
+                raise NumericError(f"epoch {epoch}, micro-batch {micro}: {exc}") from None
+            report.append(
+                {
+                    "epoch": epoch,
+                    "mean_loss": float(np.mean(losses)) if losses else 0.0,
+                    "lr": state.effective_lr,
+                    "batches": len(losses),
+                }
+            )
     return params.freeze(), report

@@ -9,7 +9,7 @@ import pytest
 
 import matcha.checkpoint
 from matcha.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from matcha.errors import CheckpointFormatError, CheckpointIntegrityError, NumericError
+from matcha.errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, ShapeError
 from matcha.model import init_params
 from matcha.training import TENSOR_NAMES
 from oracles import load_checkpoint_bytes, save_checkpoint_buffered
@@ -165,6 +165,16 @@ class TestCorruption:
             with pytest.raises(CheckpointIntegrityError,
                                match=f"p.ckpt: tensor 'conversion' has a non-finite float32 at byte {at}$"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("margin", [float("inf"), float("nan")])
+    def test_save_refuses_a_margin_the_loader_refuses(self, tmp_path, margin):
+        with pytest.raises(ShapeError, match="margin must be a finite number > 0"):
+            init_params(4, 2, 1, margin=margin)
+        params = init_params(4, 2, 1, seed=1)
+        params.hyper.margin = margin
+        with pytest.raises(ShapeError, match="margin must be a finite number > 0"):
+            save_checkpoint(params, str(tmp_path / "p.ckpt"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name, value", [("embedding", 1e39), ("proj_bias", -3.5e38), ("conversion", 1e300),
                                              ("proj_weight", float("nan"))])

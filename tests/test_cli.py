@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -13,7 +14,8 @@ import matcha.evaluation
 import matcha.training
 from matcha import __version__
 from matcha.checkpoint import load_checkpoint, save_checkpoint
-from matcha.cli import main
+from matcha.cli import RunConfig, main, run
+from matcha.errors import ConfigError
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import WordVocabulary, build_word_vocabulary
@@ -287,6 +289,17 @@ class TestEvaluateCommand:
         header = open(csv_out).readline().strip()
         assert header == "dataset,metric,threshold,percentage"
 
+    def test_one_rated_row_reports_a_null_ccc(self, tmp_path):
+        # CCC needs two rated rows; Rank@1 and DCG do not, and the report is still written.
+        records = make_synthetic_corpus(3, seed=1)
+        records[0] = dataclasses.replace(records[0], human_score=0.5)
+        corpus = write_corpus(tmp_path / "eval.jsonl", records)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--data", corpus, "--rouge", "--out", str(out)]) == 0
+        agreement = json.load(open(out))["agreement"]
+        assert agreement["ccc"] == {"rouge1": None, "rouge2": None, "rougeL": None}
+        assert set(agreement["rank_at_1"]) == set(agreement["dcg"]) == {"rouge1", "rouge2", "rougeL"}
+
     def test_model_scoring_with_rouge(self, tmp_path, word_vocab_file, tiny_ckpt):
         vocab_path, _, records = word_vocab_file
         corpus = write_corpus(tmp_path / "eval.jsonl", records[:6])
@@ -547,6 +560,45 @@ class TestBadCommandLine:
     def test_max_len_only_where_it_is_used(self, capsys, argv):
         assert main([*argv, "--max-len", "4"]) == 2
         assert capsys.readouterr().err == "config error: unrecognized arguments: --max-len 4\n"
+
+    # Every path named is missing: checked after a file was opened, each would be a file error instead.
+    @pytest.mark.parametrize("argv, message", [
+        (["tokenize", "--vocab", "v.json", "--max-len", "0", "a b"], "max_len must be >= 1, got 0"),
+        ([*TRAIN, "--dim", "0"], "dim must be >= 1, got 0"),
+        ([*TRAIN, "--n-ctx", "0"], "n_ctx must be >= 1, got 0"),
+        ([*TRAIN, "--max-len", "0"], "max_len must be >= 1, got 0"),
+        ([*TRAIN, "--margin", "inf"], "margin must be finite"),
+        ([*TRAIN, "--config", "settings.json"], "margin must be finite"),
+        (["attribute", *PAIR, "--steps", "7"], "--steps must be >= 8"),
+        (["evaluate", "--data", "c.jsonl", "--out", "r.json", "--metrics", "x"], "--metrics entry 'x' must be name=kind"),
+    ], ids=["tokenize-max-len-0", "dim-0", "n-ctx-0", "max-len-0", "margin-inf", "config-margin-infinity",
+            "steps-7", "metric-without-kind"])
+    def test_settings_are_checked_before_any_file_is_opened(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "settings.json").write_text('{"margin": Infinity}')
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+        assert os.listdir(tmp_path) == ["settings.json"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--schedule", "curriculum", "--curriculum-order", "nosuch"],
+         "curriculum_order names unknown datasets: ['nosuch']"),
+        (["--schedule", "contrastive_only"], "no non-empty dataset available for strategy 'contrastive_only'"),
+    ], ids=["unknown-curriculum-dataset", "no-contrastive-dataset"])
+    def test_schedule_the_corpus_cannot_fill(self, tmp_path, capsys, flags, message):
+        # Only the corpus names its datasets, so these are found once it is read; still one config error line.
+        corpus = write_corpus(tmp_path / "corpus.jsonl", make_synthetic_corpus(16, seed=5))
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--data", corpus, "--out", str(out), "--epochs", "1", "--batch-size", "8", *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_run_checks_the_settings_of_a_library_caller(self, tmp_path):
+        config = RunConfig(command="train", data=str(tmp_path / "c.jsonl"), out=str(tmp_path / "m.ckpt"), dim=0)
+        with pytest.raises(ConfigError, match="^dim must be >= 1, got 0$"):
+            run(config)
+        assert list(tmp_path.iterdir()) == []
 
 
 def run_config(monkeypatch, argv):

@@ -620,6 +620,22 @@ class TestEvaluationReport:
         assert report == evaluation_report_assembled(table, self.RANGES, self.SCALES)
         assert "ext" in report["agreement"]["ccc"]
 
+    @pytest.mark.parametrize("human, constant, varying", [
+        ([0.5], [0.7], [0.2]),
+        ([0.5, 0.5, 0.5], [0.25, 0.25, 0.25], [0.1, 0.4, 0.9]),
+    ], ids=["one-rated-row", "constant-on-constant"])
+    def test_undefined_ccc_is_none(self, human, constant, varying):
+        n = len(human)
+        table = ScoreTable([f"r{k}" for k in range(n)], ["d"] * n, [True] * n, human=human,
+                           scores={"c": constant, "v": varying})
+        agreement = evaluation_report(table)["agreement"]
+        columns, humans = agreement_columns(table, [MetricRange("c"), MetricRange("v")])
+        assert agreement["rank_at_1"] == rank_at_1(columns, humans)
+        assert agreement["dcg"] == dcg(columns, humans)
+        assert agreement["ccc"] == {"c": None, "v": None if n == 1 else 0.0}
+        with pytest.raises(ValueError):
+            ccc(constant, human)
+
     def test_no_ratings_no_agreement(self):
         table = build_pair_table([0.9, 0.8], [0.1, 0.3])
         report = evaluation_report(columnar(table))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -793,7 +794,18 @@ class TestTrain:
         trained, _ = train(config, datasets, params)
         assert trained.hyper.margin == 0.25
 
+    def test_overflowing_lr_stops_at_its_micro_batch(self, tmp_path):
+        # A finite rate can still overflow: one NumericError where it happens, and no RuntimeWarning.
+        params, datasets = desk_setup()
+        config = TrainConfig(epochs=2, batch_size=8, grad_accum_steps=1, lr=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^epoch 0, micro-batch [1-9]\d*: \w+ .*encountered in "):
+                train(config, datasets, params)
+
     def test_invalid_config(self):
+        with pytest.raises(ValueError, match="^margin must be finite$"):
+            TrainConfig(margin=float("inf")).validate()
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValueError):
