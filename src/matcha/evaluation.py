@@ -325,10 +325,10 @@ def ccc(x, y) -> float:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("need at least 2 points")
+    if x.min() == x.max() and y.min() == y.max():  # a constant's mean can miss it by an ulp
+        raise ValueError("both inputs are constant; concordance undefined")
     mx, my = x.mean(), y.mean()
     vx, vy = ((x - mx) ** 2).mean(), ((y - my) ** 2).mean()
-    if vx == 0.0 and vy == 0.0:
-        raise ValueError("both inputs are constant; concordance undefined")
     cov = ((x - mx) * (y - my)).mean()
     return float(2.0 * cov / (vx + vy + (mx - my) ** 2))
 

@@ -244,27 +244,56 @@ class WordVocabulary(_TokenTable):
         return " ".join(self._tokens(ids))
 
     def save(self, path: str) -> None:
+        """Write {"kind": "word", "tokens": [...]}, a token's id being its index.  A table whose
+        ids are not 0..n-1, or that `load` would refuse, raises before any file is made."""
+        ids = self.token_to_id
+        tokens = sorted(ids, key=ids.__getitem__)
+        raw = {"kind": "word", "tokens": tokens}
+        if self._from_json(path, raw) != self:
+            token = next(t for i, t in enumerate(tokens) if ids[t] != i)
+            raise VocabularyIntegrityError(
+                f"{path}: ids must cover [0, {len(tokens)}) once each, but {token!r} has id {ids[token]!r}"
+            )
         with open_atomic(path) as fh:
-            json.dump({"kind": "word", "token_to_id": self.token_to_id}, fh, ensure_ascii=False)
+            json.dump(raw, fh, ensure_ascii=False)
 
     @classmethod
     def load(cls, path: str) -> "WordVocabulary":
-        raw = read_json(path, VocabularyFormatError)
+        """Read the token list `save` writes, or a {"kind": "word", "token_to_id": {...}} table."""
+        return cls._from_json(path, read_json(path, VocabularyFormatError))
+
+    @classmethod
+    def _from_json(cls, path: str, raw) -> "WordVocabulary":
         if not isinstance(raw, dict) or raw.get("kind") != "word":
             raise VocabularyFormatError(f"{path}: not a word-level vocabulary file")
-        if "token_to_id" not in raw:
-            raise VocabularyFormatError(f"{path}: no 'token_to_id' table")
-        token_to_id = _token_ids(path, raw["token_to_id"])
+        if "tokens" in raw and "token_to_id" in raw:
+            raise VocabularyFormatError(f"{path}: both a 'tokens' list and a 'token_to_id' table")
+        if "tokens" in raw:
+            token_to_id = _listed_ids(path, raw["tokens"])
+        elif "token_to_id" in raw:
+            token_to_id = _token_ids(path, raw["token_to_id"])
+        else:
+            raise VocabularyFormatError(f"{path}: no 'token_to_id' table or 'tokens' list")
         if cls.UNK not in token_to_id:
             raise VocabularyIntegrityError(f"{path}: no {cls.UNK!r} entry")
         return cls(token_to_id=token_to_id)
 
 
+def _listed_ids(path: str, tokens) -> dict[str, int]:
+    """Check a JSON token list, a token's id being its index: distinct strings."""
+    if not isinstance(tokens, list):
+        raise VocabularyFormatError(f"{path}: 'tokens' is not a list")
+    if not set(map(type, tokens)) <= {str}:
+        index, token = next((i, t) for i, t in enumerate(tokens) if type(t) is not str)
+        raise VocabularyFormatError(f"{path}: token {index} is {token!r}, not a string")
+    token_to_id = dict(zip(tokens, range(len(tokens))))
+    if len(token_to_id) != len(tokens):  # a repeated token keeps the id of its last copy
+        duplicate = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+        raise VocabularyIntegrityError(f"{path}: duplicate token {duplicate!r}")
+    return token_to_id
+
+
 def build_word_vocabulary(texts) -> WordVocabulary:
     """Assign ids to the sorted unique whitespace tokens of a corpus."""
-    words = sorted({w for text in texts for w in text.split()})
-    token_to_id = {WordVocabulary.UNK: 0}
-    for word in words:
-        if word not in token_to_id:
-            token_to_id[word] = len(token_to_id)
-    return WordVocabulary(token_to_id=token_to_id)
+    tokens = list(dict.fromkeys([WordVocabulary.UNK, *sorted({w for text in texts for w in text.split()})]))
+    return WordVocabulary(token_to_id=dict(zip(tokens, range(len(tokens)))))

@@ -125,6 +125,7 @@ OUTSIDE_INPUTS = {
                "train --config cfg.json --data c.jsonl --out out.ckpt --epochs 1 --batch-size 2 --grad-accum 1 "
                "--dim 4 --n-ctx 2 --max-len 8"),
     "vocab": ("v.json", '{"kind": "word", "token_to_id": {"<unk>": @}}', "tokenize --vocab v.json the"),
+    "vocab-list": ("v.json", '{"kind": "word", "tokens": ["<unk>", @]}', "tokenize --vocab v.json the"),
     "manifest": ("m.ckpt", '{"D": 4, "N_c": 2, "vocab_size": 5, "max_len": 8, "margin": @}',
                  "score --ckpt m.ckpt --vocab v.json --ref the --cand door"),
 }

@@ -355,6 +355,12 @@ class TestCcc:
         with pytest.raises(ValueError):
             ccc([1, 1], [2, 2])
 
+    @pytest.mark.parametrize("value", [0.7, 0.1, 1e-300])
+    def test_both_constant_whatever_the_float_mean(self, value):
+        # The mean of [0.7] * 3 is not 0.7, so its variance is not 0.0.
+        with pytest.raises(ValueError, match="both inputs are constant"):
+            ccc([value] * 3, [0.5] * 3)
+
 
 class TestRouge:
     def test_identical_texts(self):
@@ -623,7 +629,8 @@ class TestEvaluationReport:
     @pytest.mark.parametrize("human, constant, varying", [
         ([0.5], [0.7], [0.2]),
         ([0.5, 0.5, 0.5], [0.25, 0.25, 0.25], [0.1, 0.4, 0.9]),
-    ], ids=["one-rated-row", "constant-on-constant"])
+        ([0.5, 0.5, 0.5], [0.7, 0.7, 0.7], [0.1, 0.4, 0.9]),
+    ], ids=["one-rated-row", "constant-on-constant", "constant-whose-mean-is-off-by-an-ulp"])
     def test_undefined_ccc_is_none(self, human, constant, varying):
         n = len(human)
         table = ScoreTable([f"r{k}" for k in range(n)], ["d"] * n, [True] * n, human=human,

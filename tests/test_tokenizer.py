@@ -379,12 +379,46 @@ class TestWordVocabulary:
         path = tmp_path / "word.json"
         build_word_vocabulary(["the cat sat"]).save(str(path))
         before = path.read_bytes()
-        # json.dump writes the entries before "b" and then raises on its id.
+        # Ordering the tokens by id raises on "b"'s id.
         broken = WordVocabulary(token_to_id={WordVocabulary.UNK: 0, "a": 1, "b": object()})
         with pytest.raises(TypeError):
             broken.save(str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["word.json"]
+
+    @pytest.mark.parametrize("table, error, message", [
+        ({WordVocabulary.UNK: 0, "a": 2}, VocabularyIntegrityError,
+         r"ids must cover \[0, 2\) once each, but 'a' has id 2"),
+        ({WordVocabulary.UNK: 0, "a": 0}, VocabularyIntegrityError, r"once each, but 'a' has id 0"),
+        ({WordVocabulary.UNK: 1, "a": 2}, VocabularyIntegrityError, r"once each, but '<unk>' has id 1"),
+        ({"a": 0, "b": 1}, VocabularyIntegrityError, r"no '<unk>' entry"),
+        ({WordVocabulary.UNK: 0, 5: 1}, VocabularyFormatError, r"token 1 is 5, not a string"),
+    ], ids=["gap", "shared-id", "from-one", "no-unk", "int-token"])
+    def test_save_refuses_what_load_would_refuse(self, tmp_path, table, error, message):
+        path = tmp_path / "word.json"
+        build_word_vocabulary(["the cat sat"]).save(str(path))
+        before = path.read_bytes()
+        with pytest.raises(error, match=r"word\.json: .*" + message):
+            WordVocabulary(token_to_id=table).save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["word.json"]
+
+    def test_save_writes_a_token_list(self, tmp_path):
+        path = tmp_path / "word.json"
+        WordVocabulary(token_to_id={"b": 2, WordVocabulary.UNK: 0, "a": 1}).save(str(path))
+        assert json.loads(path.read_text(encoding="utf-8")) == {"kind": "word", "tokens": ["<unk>", "a", "b"]}
+
+    def test_both_layouts_load_the_same_vocabulary(self, tmp_path):
+        vocab = build_word_vocabulary(["the cat sat", "a dög ran", "日本 語"])
+        listed, table = tmp_path / "listed.json", tmp_path / "table.json"
+        vocab.save(str(listed))
+        # The layout `save` wrote before the token list, byte for byte.
+        table.write_text(json.dumps({"kind": "word", "token_to_id": vocab.token_to_id}, ensure_ascii=False),
+                         encoding="utf-8")
+        first, second = WordVocabulary.load(str(listed)), WordVocabulary.load(str(table))
+        assert first == second == vocab
+        text = "the dög sat on 日本 zebra"
+        assert first.encode(text) == second.encode(text) == vocab.encode(text)
 
     def test_unknown_id_on_decode(self):
         vocab = build_word_vocabulary(["a"])
@@ -436,3 +470,33 @@ class TestWordVocabularyLoad:
         table = {"a": 0, "b": 1}
         with pytest.raises(VocabularyIntegrityError, match=r"word\.json: no '<unk>' entry"):
             self._load(tmp_path, json.dumps({"kind": "word", "token_to_id": table}))
+
+    def test_tokens_not_a_list(self, tmp_path):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: 'tokens' is not a list"):
+            self._load(tmp_path, json.dumps({"kind": "word", "tokens": {"<unk>": 0}}))
+
+    @pytest.mark.parametrize("entry", [None, 1, 1.5, True, ["a"]], ids=["null", "int", "float", "bool", "list"])
+    def test_non_string_token(self, tmp_path, entry):
+        tokens = ["<unk>", "a", entry, "b", 7]
+        message = rf"word\.json: token 2 is {re.escape(repr(entry))}, not a string"
+        with pytest.raises(VocabularyFormatError, match=message):
+            self._load(tmp_path, json.dumps({"kind": "word", "tokens": tokens}))
+
+    def test_duplicate_token(self, tmp_path):
+        tokens = ["<unk>", "a", "b", "c", "b", "a"]
+        with pytest.raises(VocabularyIntegrityError, match=r"word\.json: duplicate token 'a'"):
+            self._load(tmp_path, json.dumps({"kind": "word", "tokens": tokens}))
+
+    @pytest.mark.parametrize("tokens", [["a", "b"], []], ids=["two-words", "empty"])
+    def test_no_unk_in_token_list(self, tmp_path, tokens):
+        with pytest.raises(VocabularyIntegrityError, match=r"word\.json: no '<unk>' entry"):
+            self._load(tmp_path, json.dumps({"kind": "word", "tokens": tokens}))
+
+    def test_both_layouts_in_one_file(self, tmp_path):
+        raw = {"kind": "word", "tokens": ["<unk>"], "token_to_id": {"<unk>": 0}}
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: both a 'tokens' list and a 'token_to_id' table"):
+            self._load(tmp_path, json.dumps(raw))
+
+    def test_neither_layout(self, tmp_path):
+        with pytest.raises(VocabularyFormatError, match=r"word\.json: no 'token_to_id' table or 'tokens' list"):
+            self._load(tmp_path, json.dumps({"kind": "word", "words": ["<unk>"]}))
