@@ -15,6 +15,10 @@ class EmptyInputError(MatchaError):
     """Raised when a text or tensor that must be non-empty is empty."""
 
 
+class TextEncodingError(MatchaError):
+    """Raised when a text holds a code point UTF-8 cannot encode (a lone surrogate); names its position."""
+
+
 class DegenerateRepresentationError(MatchaError):
     """Raised when a pooled document vector has zero norm, making cosine undefined."""
 

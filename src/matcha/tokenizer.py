@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
     EmptyInputError,
+    TextEncodingError,
     TokenRangeError,
     VocabularyFormatError,
     VocabularyIntegrityError,
@@ -26,8 +27,8 @@ from .errors import (
 
 DEFAULT_MAX_LEN = 512
 
-# Distinct words and pretokens whose ids one Vocabulary remembers; the memo is
-# cleared at this size, so a stream of novel text cannot grow it unboundedly.
+# Distinct words and pretokens whose ids one Vocabulary remembers; its two maps are cleared
+# when together they reach this size, so a stream of novel text cannot grow them unboundedly.
 PRETOKEN_MEMO_SIZE = 1 << 16
 
 # GPT-2 style pretokenization: contractions, words with an optional leading
@@ -95,8 +96,10 @@ class Vocabulary(_TokenTable):
     def __post_init__(self) -> None:
         self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
         self.byte_decoder = {c: b for b, c in self.byte_encoder.items()}
-        # word or pretoken -> its ids (see `encode`).  Sound because the table and merges
-        # never change after load; a plain attribute, so == and repr see only the fields.
+        # The memo of `encode`, in two maps: a chunk -> the ids of " " + chunk, and a pretoken,
+        # first word or joined word -> its ids.  Sound because the table and merges never
+        # change after load; plain attributes, so == and repr see only the fields.
+        self._chunk_ids: dict[str, tuple[int, ...]] = {}
         self._pretoken_ids: dict[str, tuple[int, ...]] = {}
 
     def encode(self, text: str, max_len: int = DEFAULT_MAX_LEN) -> list[int]:
@@ -104,32 +107,74 @@ class Vocabulary(_TokenTable):
 
         Deterministic: pretokenize, map each pretoken's bytes to the unicode
         stand-ins, apply lowest-rank-first merges within the pretoken, look the
-        resulting symbols up in the token table.  The memo maps each word (`_words`)
-        and pretoken met before to its ids; a word cut by max_len is not stored.
+        resulting symbols up in the token table.  No pretoken spans a space that
+        precedes a non-whitespace character, so the memo keys each later chunk c of
+        `text.split(" ")` in `_chunk_ids` as the word " " + c, and C-level passes
+        look every chunk up and join the ids of each known run.  A Python step is
+        left for the first word and a word the next chunks join (`_joins`), both
+        keyed by their text in `_pretoken_ids`, and for a word not met before,
+        whose new pretokens are merged and stored there too.  The two maps hold at
+        most PRETOKEN_MEMO_SIZE entries together.  Nothing past max_len ids is
+        merged, and a word cut by max_len is not stored.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         if not text:
             raise EmptyInputError("cannot encode an empty text")
-        memo = self._pretoken_ids
+        chunks = text.split(" ")
+        end = len(chunks)
+        known = list(map(self._chunk_ids.get, chunks))
+        known[0] = None  # the first word has no space before it
+        known.append(None)  # past the last chunk
         ids: list[int] = []
-        for word in _words(text):
-            word_ids = memo.get(word)
-            if word_ids is None:
-                word_ids = []
-                for pretoken in _PRETOKEN.findall(word):
-                    pretoken_ids = memo.get(pretoken)
-                    if pretoken_ids is None:
-                        pretoken_ids = _remember(memo, pretoken, _merge(self, pretoken))
-                    word_ids.extend(pretoken_ids)
-                    if len(ids) + len(word_ids) >= max_len:
-                        break
-                else:
-                    word_ids = _remember(memo, word, tuple(word_ids))
-            ids.extend(word_ids)
-            if len(ids) >= max_len:
-                break
-        return ids[:max_len]
+        start = 0
+        while True:
+            first = known.index(None, start)  # the next word not known: chunks[start:first] are known words
+            if first > start:
+                if first < end and _joins(chunks[first]):  # never a key: it joins the chunk before it
+                    first -= 1
+                deque(map(ids.extend, known[start:first]), maxlen=0)  # their ids, at C level
+            if first == end or len(ids) >= max_len:
+                return ids[:max_len]
+            start = first + 1
+            while start < end and _joins(chunks[start]):
+                start += 1
+            try:
+                ids += self._word_ids(chunks, first, start, max_len - len(ids))
+            except UnicodeEncodeError:  # the text before this word has none
+                at = next(i for i, c in enumerate(text) if "\ud800" <= c <= "\udfff")
+                raise TextEncodingError(
+                    f"character {at} of the text is a lone surrogate {text[at]!r}, which UTF-8 cannot encode"
+                ) from None
+
+    def _word_ids(self, chunks: list[str], first: int, stop: int, room: int) -> tuple[int, ...] | list[int]:
+        """Ids of the word chunks[first:stop] (with the space before it, unless first is 0): from the
+        memo, else from its pretokens, stored unless it reaches `room` ids before its last pretoken."""
+        if first and stop == first + 1:  # one chunk after a space
+            memo, key = self._chunk_ids, chunks[first]
+            word = " " + key
+        else:  # the first word, or a word of joined chunks
+            memo = self._pretoken_ids
+            key = word = " " * (first > 0) + " ".join(chunks[first:stop])
+        word_ids = memo.get(key)
+        if word_ids is not None:
+            return word_ids
+        pretokens = self._pretoken_ids
+        word_ids = []
+        for pretoken in _PRETOKEN.findall(word):
+            pretoken_ids = pretokens.get(pretoken)
+            if pretoken_ids is None:
+                pretoken_ids = self._remember(pretokens, pretoken, _merge(self, pretoken))
+            word_ids += pretoken_ids
+            if len(word_ids) >= room:
+                return word_ids
+        return self._remember(memo, key, tuple(word_ids))
+
+    def _remember(self, memo: dict[str, tuple[int, ...]], key: str, ids: tuple[int, ...]) -> tuple[int, ...]:
+        if len(self._chunk_ids) + len(self._pretoken_ids) >= PRETOKEN_MEMO_SIZE:
+            self._chunk_ids.clear()
+            self._pretoken_ids.clear()
+        return memo.setdefault(key, ids)
 
     def decode(self, ids: list[int]) -> str:
         """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
@@ -202,23 +247,11 @@ def _merge(vocab: Vocabulary, pretoken: str) -> tuple[int, ...]:
         raise VocabularyIntegrityError(f"symbol {missing.args[0]!r} not covered by the vocabulary") from None
 
 
-def _words(text: str) -> list[str]:
-    r"""Cut text before each space that precedes a non-whitespace character.  No pretoken spans
-    such a cut: `\s+(?!\S)` backtracks off the space; the rest take at most a leading space."""
-    chunks = text.split(" ")
-    words = [chunks[0]]
-    for chunk in chunks[1:]:
-        if chunk and not chunk[0].isspace():
-            words.append(" " + chunk)
-        else:
-            words[-1] += " " + chunk
-    return words
-
-
-def _remember(memo: dict[str, tuple[int, ...]], key: str, ids: tuple[int, ...]) -> tuple[int, ...]:
-    if len(memo) >= PRETOKEN_MEMO_SIZE:
-        memo.clear()
-    return memo.setdefault(key, ids)
+def _joins(chunk: str) -> bool:
+    r"""Whether a chunk of `text.split(" ")` belongs to the word before it: empty, or led by whitespace.
+    No pretoken spans the other cuts: `\s+(?!\S)` backtracks off the space; the rest take at most a
+    leading space."""
+    return not chunk or chunk[0].isspace()
 
 
 @dataclass

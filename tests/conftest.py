@@ -112,8 +112,8 @@ def desk_model():
 
 
 
-# Each JSON or JSONL file matcha reads from outside, by kind: the file, a template whose "@" takes
-# a JSON text (the corpus template is a line added after good ones), and the command that reads it.
+# Each file matcha reads from outside, by kind: the file, a template whose "@" takes a JSON text
+# (the corpus template is a line added after good ones), and the command that reads it.
 OUTSIDE_INPUTS = {
     "corpus": ("c.jsonl", '{"reference": "the door", "correct": "the gate", "human_score": @}',
                "evaluate --data c.jsonl --out out.json"),
@@ -128,6 +128,8 @@ OUTSIDE_INPUTS = {
     "vocab-list": ("v.json", '{"kind": "word", "tokens": ["<unk>", @]}', "tokenize --vocab v.json the"),
     "manifest": ("m.ckpt", '{"D": 4, "N_c": 2, "vocab_size": 5, "max_len": 8, "margin": @}',
                  "score --ckpt m.ckpt --vocab v.json --ref the --cand door"),
+    "encoder": ("e.json", '{"t": 0, "h": 1, "e": 2, "th": 3, "the": @}', "tokenize --vocab e.json --merges m.txt the"),
+    "merges": ("m.txt", "#version: 0.2\nt h\n@\n", "tokenize --vocab e.json --merges m.txt the"),
 }
 OUTSIDE_RECORDS = [
     {"reference": "the door is open", "correct": "the door is opened", "incorrect": "the door is shut",
@@ -139,14 +141,16 @@ OUTSIDE_RECORDS = [
 def write_outside_input(directory, kind: str, text: bytes) -> tuple[str, list[str]]:
     """Write the files the command of `kind` reads, with `text` as its file (or corpus line).
 
-    The rest are good: a two-record corpus, a word vocabulary of five ids and
-    a checkpoint of five rows, D=4.  Returns the path of the file holding
-    `text` and the command line.
+    The rest are good: a two-record corpus, a word vocabulary of five ids, a
+    BPE encoder of five tokens with its two merges, and a checkpoint of five
+    rows, D=4.  Returns the path of the file holding `text` and the command line.
     """
     name, _, command = OUTSIDE_INPUTS[kind]
     lines = b"".join(json.dumps(r).encode() + b"\n" for r in OUTSIDE_RECORDS)
     (directory / "c.jsonl").write_bytes(lines)
     build_word_vocabulary(["the door cat sat"]).save(str(directory / "v.json"))
+    (directory / "e.json").write_text('{"t": 0, "h": 1, "e": 2, "th": 3, "the": 4}', encoding="utf-8")
+    (directory / "m.txt").write_text("#version: 0.2\nt h\nth e\n", encoding="utf-8")
     save_checkpoint(init_params(5, 4, 2, max_len=8, seed=0), str(directory / "m.ckpt"))
     path = directory / name
     if kind == "corpus":

@@ -15,6 +15,11 @@ the CLI once wrote it, call `n_delta_ranged` and `macro_f1_midpoint_ranged`
 rescaled its own raw scores) and the package's statistics
 (`wasserstein_1d`, `rank_at_1`, `dcg`, `ccc`), which have oracles of their
 own, and gate how the report selects, pairs and assembles them.
+`bpe_encode_word_loop` is BPE `encode` as the package wrote it before its
+chunk-keyed memo (one Python step per word of `words`, one memo for words
+and pretokens); it calls the package's `_merge`, which
+`bpe_encode_naive` gates, and it gates the package's memo layout and its
+`max_len` cuts.
 Likewise `integrated_gradients_grid` and `integrated_gradients_three_pass`,
 integrated gradients as the package once computed it (the midpoints and
 both endpoints in one cosine call over a (steps + 2, D) grid, and in three
@@ -76,7 +81,7 @@ from matcha.evaluation import (
     rescale,
     wasserstein_1d,
 )
-from matcha.tokenizer import _PRETOKEN, byte_to_unicode
+from matcha.tokenizer import _PRETOKEN, _merge, byte_to_unicode
 from matcha.training import (
     BETA1,
     BETA2,
@@ -126,6 +131,43 @@ def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
                     i += 1
             symbols = out
         ids.extend(token_to_id[s] for s in symbols)
+        if len(ids) >= max_len:
+            break
+    return ids[:max_len]
+
+
+def words(text: str) -> list[str]:
+    r"""Cut text before each space that precedes a non-whitespace character.  No pretoken spans
+    such a cut: `\s+(?!\S)` backtracks off the space; the rest take at most a leading space."""
+    chunks = text.split(" ")
+    out = [chunks[0]]
+    for chunk in chunks[1:]:
+        if chunk and not chunk[0].isspace():
+            out.append(" " + chunk)
+        else:
+            out[-1] += " " + chunk
+    return out
+
+
+def bpe_encode_word_loop(vocab, memo: dict[str, tuple[int, ...]], text: str, max_len: int) -> list[int]:
+    """BPE encode as the package wrote it before its chunk-keyed memo, less the memo's bound: one
+    Python step per word of `words`, each word and pretoken met before looked up in the one `memo`.
+    A word cut by max_len is not stored, and no pretoken past the cut is merged."""
+    ids: list[int] = []
+    for word in words(text):
+        word_ids = memo.get(word)
+        if word_ids is None:
+            word_ids = []
+            for pretoken in _PRETOKEN.findall(word):
+                pretoken_ids = memo.get(pretoken)
+                if pretoken_ids is None:
+                    pretoken_ids = memo[pretoken] = _merge(vocab, pretoken)
+                word_ids.extend(pretoken_ids)
+                if len(ids) + len(word_ids) >= max_len:
+                    break
+            else:
+                word_ids = memo[word] = tuple(word_ids)
+        ids.extend(word_ids)
         if len(ids) >= max_len:
             break
     return ids[:max_len]

@@ -83,6 +83,15 @@ class TestTokenizeCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_lone_surrogate_is_one_error_line(self, bpe_files, capsys):
+        # Python hands a command-line byte that is not UTF-8 to `main` as a lone surrogate.
+        argv = ["tokenize", "--vocab", bpe_files.vocab_path, "--merges", bpe_files.merges_path,
+                b"a\xffb".decode("utf-8", "surrogateescape")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: character 1 of the text is a lone surrogate '\\udcff', which UTF-8 cannot encode\n"
+
 
 class TestScoreCommand:
     def test_identical_pair_prints_one(self, word_vocab_file, tiny_ckpt, capsys):
@@ -215,6 +224,16 @@ class TestWrittenFiles:
         assert modes == {name: oct(0o666 & ~umask) for name in written}
         # No temporary file is left beside them.
         assert sorted(os.listdir(tmp_path)) == sorted(written + ["corpus.jsonl"])
+
+    def test_lone_surrogate_in_the_corpus_writes_nothing(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        good = json.dumps({"reference": "the door", "correct": "the gate", "incorrect": "a cat"})
+        corpus.write_text(good + "\n" + good.replace("gate", "\\ud800 gate") + "\n", encoding="utf-8")
+        out = str(tmp_path / "m.ckpt")
+        assert main(["train", "--data", str(corpus), "--out", out, "--epochs", "1", "--batch-size", "2",
+                     "--dim", "4", "--n-ctx", "2", "--max-len", "8"]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: line 2: 'correct' holds a lone surrogate at character 4\n"
+        assert os.listdir(tmp_path) == ["c.jsonl"]
 
     def test_rejected_train_keeps_the_vocabulary(self, tmp_path, capsys, tiny_ckpt):
         # A run that fails after the corpus is read leaves the checkpoint and vocabulary of the last good run.

@@ -50,7 +50,11 @@ class TestLoadJsonl:
         (2, b"not json", "line 2: invalid JSON (Expecting value)"),
         (3, b'{"reference": "", "correct": "c"}', "line 3: missing or empty 'reference'"),
         (4, b'{"reference": "\xff", "correct": "c"}', "line 4: not UTF-8 at byte 123"),
-    ], ids=["invalid_json", "empty_reference", "not_utf8"])
+        (2, b'{"reference": "r", "correct": "the \\ud800 door"}', "line 2: 'correct' holds a lone surrogate at character 4"),
+        (3, b'{"reference": "r", "correct": "c", "incorrect": "\\udfff"}',
+         "line 3: 'incorrect' holds a lone surrogate at character 0"),
+        (5, b'{"reference": "r", "correct": "c", "id": "x\\udc80"}', "line 5: 'id' holds a lone surrogate at character 1"),
+    ], ids=["invalid_json", "empty_reference", "not_utf8", "surrogate_correct", "surrogate_incorrect", "surrogate_id"])
     def test_first_bad_line_raises_naming_file_and_line(self, tmp_path, lineno, bad_line, message):
         lines = [b'{"reference": "r%d", "correct": "c"}' % k for k in range(1, 6)]
         lines[lineno - 1] = bad_line

@@ -9,6 +9,7 @@ import pytest
 from conftest import SP, random_utf8_text
 from matcha.errors import (
     EmptyInputError,
+    TextEncodingError,
     TokenRangeError,
     VocabularyFormatError,
     VocabularyIntegrityError,
@@ -21,7 +22,7 @@ from matcha.tokenizer import (
     byte_to_unicode,
     load_vocabulary,
 )
-from oracles import bpe_encode_naive
+from oracles import bpe_encode_naive, bpe_encode_word_loop, words
 
 
 def _write(path, text):
@@ -171,7 +172,7 @@ class TestPretokenMemo:
             for text in texts:
                 expected = bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, 512)
                 assert fresh_vocab.encode(text) == expected
-                assert len(fresh_vocab._pretoken_ids) <= 3
+                assert len(fresh_vocab._chunk_ids) + len(fresh_vocab._pretoken_ids) <= 3
 
     def test_uncovered_pretoken_raises_every_time_and_is_not_stored(self):
         byte_encoder = byte_to_unicode()
@@ -183,7 +184,7 @@ class TestPretokenMemo:
         assert vocab._pretoken_ids == {"ab": (0, 1)}
 
 
-# Every code point `str.isspace()` accepts; the cut rule in `tokenizer._words` relies
+# Every code point `str.isspace()` accepts; the cut rule (`tokenizer._joins`, `oracles.words`) relies
 # on it being exactly the set the pretoken pattern's `\s` matches.
 SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
 
@@ -194,6 +195,12 @@ def _word_texts(rng, n_texts: int, spaces: list[str]) -> list[str]:
     pool += spaces
     return ["".join(pool[int(i)] for i in rng.integers(0, len(pool), int(rng.integers(1, 40))))
             for _ in range(n_texts)]
+
+
+def _abc_vocab() -> Vocabulary:
+    """The bytes of "abc " and no merges."""
+    byte_encoder = byte_to_unicode()
+    return Vocabulary(token_to_id={byte_encoder[b]: i for i, b in enumerate(b"abc ")}, merges=[])
 
 
 class TestWordMemo:
@@ -210,12 +217,14 @@ class TestWordMemo:
     def test_words_split_the_pretokens(self, space):
         rng = np.random.default_rng(ord(space))
         for text in _word_texts(rng, 60, [space, space + space, space + " "]):
-            words = tokenizer._words(text)
-            assert "".join(words) == text
+            cut = words(text)
+            assert "".join(cut) == text
             # cut before every space that precedes a non-whitespace character, and nowhere else
-            assert all(re.match(r" \S", w) for w in words[1:])
-            assert not any(re.search(r".(?= \S)", w, re.DOTALL) for w in words)
-            pieces = [p for word in words for p in tokenizer._PRETOKEN.findall(word)]
+            assert all(re.match(r" \S", w) for w in cut[1:])
+            assert not any(re.search(r".(?= \S)", w, re.DOTALL) for w in cut)
+            chunks = text.split(" ")[1:]
+            assert [tokenizer._joins(c) for c in chunks] == [not re.match(r"\S", c) for c in chunks]
+            pieces = [p for word in cut for p in tokenizer._PRETOKEN.findall(word)]
             assert pieces == tokenizer._PRETOKEN.findall(text), text
 
     @pytest.mark.parametrize("max_len", [1, 2, 5, 17, 512])
@@ -225,11 +234,12 @@ class TestWordMemo:
         assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
         assert [fresh_vocab.encode(t, max_len) for t in texts] == expected
         monkeypatch.setattr(tokenizer, "PRETOKEN_MEMO_SIZE", 3)
+        fresh_vocab._chunk_ids.clear()
         fresh_vocab._pretoken_ids.clear()
         for _ in range(2):
             for text, ids in zip(texts, expected):
                 assert fresh_vocab.encode(text, max_len) == ids
-                assert len(fresh_vocab._pretoken_ids) <= 3
+                assert len(fresh_vocab._chunk_ids) + len(fresh_vocab._pretoken_ids) <= 3
 
     def test_warm_words_skip_the_pretokenizer(self, fresh_vocab, monkeypatch):
         texts = _word_texts(np.random.default_rng(3), 40, ["\t", "\n", "　"])
@@ -265,12 +275,8 @@ class TestWordMemo:
             assert [vocab.encode(t) for t in texts] == expected
             assert [vocab.encode(t) for t in texts] == expected
 
-    def _abc_vocab(self) -> Vocabulary:
-        byte_encoder = byte_to_unicode()
-        return Vocabulary(token_to_id={byte_encoder[b]: i for i, b in enumerate(b"abc ")}, merges=[])
-
     def test_cut_word_with_uncovered_symbol_past_the_cut(self):
-        vocab = self._abc_vocab()
+        vocab = _abc_vocab()
         # words "ab" and " ca!b"; the cut falls inside " ca", before the uncovered "!"
         for _ in range(2):
             assert vocab.encode("ab ca!b", max_len=4) == [0, 1, 3, 2]
@@ -279,14 +285,88 @@ class TestWordMemo:
         with pytest.raises(VocabularyIntegrityError, match="not covered"):
             vocab.encode("ab ca!b", max_len=6)
         assert " ca!b" not in vocab._pretoken_ids
+        assert vocab._chunk_ids == {}
 
     def test_word_with_uncovered_symbol_raises_every_time_and_is_not_stored(self):
-        vocab = self._abc_vocab()
+        vocab = _abc_vocab()
         for _ in range(3):
             with pytest.raises(VocabularyIntegrityError, match="not covered"):
                 vocab.encode("ab c!a ba")
         assert vocab._pretoken_ids == {"ab": (0, 1), " c": (3, 2)}
         assert vocab.encode("ab ba") == [0, 1, 3, 1, 0]
+
+
+class TestChunkMemo:
+    """`encode` against the word loop it replaced (`oracles.bpe_encode_word_loop`) and the naive oracle:
+    the same ids, and, with no clear, the same memo once chunk keys are read as " " + chunk."""
+
+    @pytest.fixture()
+    def fresh_vocab(self, bpe_files):
+        return load_vocabulary(bpe_files.vocab_path, bpe_files.merges_path)
+
+    @staticmethod
+    def _as_word_memo(vocab) -> dict:
+        return {**{" " + chunk: ids for chunk, ids in vocab._chunk_ids.items()}, **vocab._pretoken_ids}
+
+    def _check(self, vocab, memo, texts, max_len, bpe_files=None):
+        for text in texts:
+            ids = vocab.encode(text, max_len)
+            assert ids == bpe_encode_word_loop(vocab, memo, text, max_len), text
+            if bpe_files is not None:
+                assert ids == bpe_encode_naive(bpe_files.merges, bpe_files.token_to_id, text, max_len), text
+        assert self._as_word_memo(vocab) == memo
+
+    @pytest.mark.parametrize("space", SPACES, ids=[f"U+{ord(c):04X}" for c in SPACES])
+    def test_every_whitespace(self, bpe_files, fresh_vocab, space):
+        texts = _word_texts(np.random.default_rng(ord(space)), 30, [space, space + space, space + " "])
+        memo: dict = {}
+        for max_len in (3, 512, 512):
+            self._check(fresh_vocab, memo, texts, max_len, bpe_files)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 5, 17, 512])
+    def test_partly_warm_memos(self, bpe_files, fresh_vocab, max_len):
+        # Each round meets some words the rounds before stored and some they did not.
+        rng = np.random.default_rng(100 + max_len)
+        memo: dict = {}
+        for _ in range(4):
+            self._check(fresh_vocab, memo, _word_texts(rng, 15, SPACES), max_len, bpe_files)
+
+    def test_texts_longer_than_max_len(self, bpe_files, fresh_vocab):
+        rng = np.random.default_rng(5)
+        texts = [" ".join(_word_texts(rng, 12, ["\n", "\t"])) for _ in range(10)]
+        memo: dict = {}
+        for max_len in (8, 40, 8, 40):
+            self._check(fresh_vocab, memo, texts, max_len, bpe_files)
+            assert all(len(fresh_vocab.encode(t, max_len)) == max_len for t in texts)
+
+    @pytest.mark.parametrize("max_len, stored", [
+        (4, set()),          # inside the known run " ab ab"
+        (8, set()),          # just before the unknown word " ca!b": " ca" is not merged
+        (10, {" ca"}),       # inside " ca!b", before its uncovered "!": no raise, the word is not stored
+    ], ids=["in-known-run", "before-unknown", "in-unknown"])
+    def test_max_len_cuts(self, max_len, stored):
+        vocab = _abc_vocab()
+        memo: dict = {}
+        text = "ab ab ab ca!b"
+        self._check(vocab, memo, ["ab ab"], 512)
+        for _ in range(2):
+            self._check(vocab, memo, [text], max_len)
+        assert set(vocab._pretoken_ids) == {"ab", " ab"} | stored
+        assert vocab._chunk_ids == {"ab": (3, 0, 1)}
+        with pytest.raises(VocabularyIntegrityError, match="not covered"):
+            vocab.encode(text, 12)
+
+    @pytest.mark.parametrize("text, at", [("a\udcffb", 1), ("ab c\ud800d", 4), ("\udfff", 0)])
+    def test_lone_surrogate_names_its_position_and_is_not_stored(self, fresh_vocab, text, at):
+        for _ in range(2):
+            with pytest.raises(TextEncodingError, match=f"character {at} of the text is a lone surrogate"):
+                fresh_vocab.encode(text)
+        stored = set(fresh_vocab._chunk_ids) | set(fresh_vocab._pretoken_ids)
+        assert not any(re.search("[\ud800-\udfff]", key) for key in stored), stored
+
+    def test_lone_surrogate_past_the_cut_does_not_raise(self, fresh_vocab):
+        assert fresh_vocab.encode("ab c\ud800d", 3) == fresh_vocab.encode("ab cd", 3)
+        assert "c\ud800d" not in fresh_vocab._chunk_ids
 
 
 class TestLazyInverse:
