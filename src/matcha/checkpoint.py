@@ -5,17 +5,23 @@ Layout, all little-endian:
   then per tensor: u32 name length | name | u32 rank | rank x u64 dims |
   row-major float32 data.
 The same container carries pre-trained embedding imports and training
-checkpoints.  Each tensor streams in blocks of BLOCK float32 entries
-(1 MiB), checked for NaN and inf while in cache: a save converts them in one
-reusable buffer, a load reads them into the tensor's own array (the
-embedding stays float32).  Writes are atomic: the temp file is opened first
-and removed on any error, NumericError included.
+checkpoints.  The manifest is padded with trailing spaces (valid JSON) so
+that the embedding's data starts on a multiple of ALIGN bytes.  Both
+directions check each BLOCK of float32 entries (1 MiB) for NaN and inf
+while in cache: a save converts them in one reusable buffer, a load views
+a read-only map of each tensor's pages.  The embedding stays that float32
+view (copied once from an older file that leaves it unaligned); the other
+tensors become float64 and drop their maps.  Writes are atomic, a new file
+then a rename, so no save changes a mapped file; the temp file is removed
+on any error, NumericError included.  A file another program rewrites in
+place while loaded is not supported, as with numpy.load(mmap_mode="r").
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -29,6 +35,7 @@ MAGIC = b"MTCH"
 VERSION = 1
 MAX_RANK = 64  # the most dimensions a NumPy array can have
 BLOCK = 1 << 18  # float32 entries per streamed block: a 1 MiB buffer
+ALIGN = 64  # the embedding's data starts on a multiple of this many bytes, so a load can view it in place
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -43,7 +50,10 @@ def _manifest_bytes(params: ModelParams) -> bytes:
         "max_len": params.hyper.max_len,
         "margin": params.hyper.margin,
     }
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # The magic, version and length (16 bytes), then the embedding's header: u32 name length, name, u32 rank, 2 dims.
+    data_at = 16 + len(text) + 4 + len(TENSOR_NAMES[0]) + 4 + 2 * 8
+    return text + b" " * (-data_at % ALIGN)
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -72,27 +82,37 @@ class _Reader:
         self.fh, self.path, self.offset = fh, path, 0
         self.size = os.fstat(fh.fileno()).st_size
 
-    def _advance(self, count: int, got: int) -> None:
-        if got < count:
-            raise CheckpointFormatError(f"{self.path}: truncated at byte {self.offset} (needed {count} more)")
-        self.offset += count
+    def _truncated(self, count: int) -> CheckpointFormatError:
+        return CheckpointFormatError(f"{self.path}: truncated at byte {self.offset} (needed {count} more)")
 
     def take(self, count: int) -> bytes:
         # Bounded by the file size before anything is read.
         chunk = self.fh.read(count) if count <= self.remaining() else b""
-        self._advance(count, len(chunk))
+        if len(chunk) < count:
+            raise self._truncated(count)
+        self.offset += count
         return chunk
 
     def floats(self, count: int, name: str) -> np.ndarray:
-        """The next `count` float32 values of tensor `name`, read and checked block by block into one new array."""
-        out = np.empty(count, dtype="<f4")
+        """The next `count` float32 values of tensor `name`: a read-only view of a map of just their pages, checked
+        block by block.  The view keeps the map alive, and the map its own duplicate of the file descriptor."""
+        if not count:  # mmap reads a length of 0 as the whole file
+            return np.empty(0, dtype="<f4")
+        at = self.offset
+        base = at - at % mmap.ALLOCATIONGRANULARITY
+        try:
+            mapped = mmap.mmap(self.fh.fileno(), at - base + 4 * count, offset=base, access=mmap.ACCESS_READ)
+        except ValueError:  # the file is shorter than its size said when it was opened
+            raise self._truncated(4 * count) from None
+        self.offset += 4 * count
+        self.fh.seek(self.offset)
+        values = np.frombuffer(mapped, dtype="<f4", count=count, offset=at - base)
         for start in range(0, count, BLOCK):
-            block, at = out[start : start + BLOCK], self.offset
-            self._advance(block.nbytes, self.fh.readinto(block) if block.nbytes <= self.remaining() else 0)
+            block = values[start : start + BLOCK]
             if not _all_finite(block):
-                at += 4 * int(np.isfinite(block).argmin())
+                at += 4 * (start + int(np.isfinite(block).argmin()))
                 raise CheckpointIntegrityError(f"{self.path}: tensor {name!r} has a non-finite float32 at byte {at}")
-        return out
+        return values
 
     def remaining(self) -> int:
         return self.size - self.offset
@@ -170,8 +190,9 @@ def load_checkpoint(path: str) -> ModelParams:
                 raise CheckpointIntegrityError(
                     f"{path}: tensor {name!r} has shape {dims}, manifest implies {shapes[name]}")
             raw = reader.floats(nbytes // 4, name)
-            # Every gather upcasts its embedding rows; the other tensors are read whole.
-            flat = raw if name == "embedding" else raw.astype(np.float64)
+            # Every gather upcasts its embedding rows; the other tensors are read whole, so their maps are dropped.
+            # An older file's unpadded manifest can leave the table unaligned: that view is copied once.
+            flat = raw.astype(np.float64) if name != "embedding" else raw if raw.flags.aligned else raw.copy()
             # Frozen before the reshape, so the view can never be made writeable again.
             flat.flags.writeable = False
             tensors[name] = flat.reshape(dims)

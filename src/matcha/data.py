@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientCorpusError, SchemaError, is_number, read_json, read_jsonl
+from .errors import InsufficientCorpusError, SchemaError, is_number, read_json, read_jsonl, refuse_lone_surrogate
 from .training import TokenizedDataset
 
 REROLL_LIMIT = 100
@@ -52,12 +52,7 @@ def _parse_line(obj, path: str, lineno: int, default_dataset: str) -> Record:
     if rec_id is not None and not isinstance(rec_id, str):
         raise SchemaError(f"{where}: 'id' must be a string or null")
     for key in ("reference", "correct", "incorrect", "dataset", "id"):
-        value = obj.get(key)
-        if isinstance(value, str) and not value.isascii():
-            try:  # a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise SchemaError(f"{where}: {key!r} holds a lone surrogate at character {exc.start}") from None
+        refuse_lone_surrogate(obj.get(key), where, key)
     return Record(
         reference=obj["reference"],
         correct=obj["correct"],

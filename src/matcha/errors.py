@@ -111,6 +111,16 @@ def read_jsonl(path: str, error: type[MatchaError]):
             yield lineno, parse_json(line, error, path, lineno)
 
 
+def refuse_lone_surrogate(value, where: str, key: str) -> None:
+    """Raise SchemaError at `where` if `value` is a string holding a lone surrogate, which UTF-8 cannot encode:
+    a JSON escape such as "\\ud800" decodes to one."""
+    if isinstance(value, str) and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"{where}: {key!r} holds a lone surrogate at character {exc.start}") from None
+
+
 def is_number(value, *, finite: bool = True) -> bool:
     """Whether a decoded JSON value is a number that converts to a float: not a bool, nor an
     integer beyond the float range.  With `finite`, NaN and inf are refused too (NaN fails `<=`)."""

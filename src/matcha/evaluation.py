@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MatchaError, SchemaError, is_number, read_jsonl
+from .errors import MatchaError, SchemaError, is_number, read_jsonl, refuse_lone_surrogate
 
 RANGE_KINDS = ("cosine_like", "unit", "percent")
 DEFAULT_THRESHOLD_GRID = [round(t, 2) for t in np.linspace(0.0, 1.0, 21)]
@@ -183,15 +183,17 @@ class ScoreTable:
                 dataset = obj.get("dataset", "")
                 if not isinstance(dataset, str):
                     raise SchemaError(f"{path}: line {lineno}: 'dataset' must be a string, got {json.dumps(dataset)}")
-                key = (str(obj["id"]), dataset, label == "correct")
+                key, metric = (str(obj["id"]), dataset, label == "correct"), str(obj["metric"])
+                for name, value in (("id", key[0]), ("dataset", dataset), ("metric", metric)):
+                    refuse_lone_surrogate(value, f"{path}: line {lineno}", name)
                 row = index.setdefault(key[1:], {}).setdefault(key[0], n + len(added[0]))
                 if row == n + len(added[0]):
                     for column, value in zip(added, key):
                         column.append(value)
                 if row < n:
-                    self._set(row, str(obj["metric"]), float(score))
+                    self._set(row, metric, float(score))
                 else:
-                    rows, scores = pending.setdefault(str(obj["metric"]), (array("q"), array("d")))
+                    rows, scores = pending.setdefault(metric, (array("q"), array("d")))
                     rows.append(row - n)
                     scores.append(float(score))
         finally:

@@ -1,4 +1,5 @@
 import json
+import mmap
 import struct
 from types import SimpleNamespace
 
@@ -13,6 +14,13 @@ from matcha.tokenizer import build_word_vocabulary, byte_to_unicode, load_vocabu
 from matcha.training import TrainConfig, train
 
 SP = byte_to_unicode()[32]  # byte-encoded space
+
+
+def maps_the_file(array) -> bool:
+    """Whether `array` is a view of an mmap, as a loaded checkpoint's embedding table is."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
 
 
 def _test_merges() -> list[tuple[str, str]]:

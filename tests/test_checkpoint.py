@@ -12,6 +12,7 @@ from matcha.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from matcha.errors import CheckpointFormatError, CheckpointIntegrityError, NumericError, ShapeError
 from matcha.model import init_params
 from matcha.training import TENSOR_NAMES
+from conftest import maps_the_file
 from oracles import load_checkpoint_bytes, save_checkpoint_buffered
 
 
@@ -25,6 +26,19 @@ def rewrite_manifest(path, manifest):
     new_manifest = json.dumps(manifest).encode()
     open(path, "wb").write(data[:8] + struct.pack("<Q", len(new_manifest)) + new_manifest
                            + data[first_tensor_offset(data):])
+
+
+def unpadded(data):
+    """The container in the layout written before the padding: its manifest without the trailing spaces."""
+    end = first_tensor_offset(data)
+    manifest = data[16:end].rstrip(b" ")
+    return data[:8] + struct.pack("<Q", len(manifest)) + manifest + data[end:]
+
+
+def assert_padded(data):
+    """Fewer than 64 trailing spaces after the manifest JSON put the embedding's data on a multiple of 64 bytes."""
+    assert 0 <= len(data) - len(unpadded(data)) < 64
+    assert tensor_data(data)["embedding"][0] % 64 == 0
 
 
 def roundtrip(tmp_path, params, name="p.ckpt"):
@@ -66,6 +80,33 @@ class TestRoundTrip:
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.embedding, params.embedding)
 
+    def test_save_onto_a_loaded_file_leaves_the_loaded_table(self, tmp_path):
+        # The save writes a new file and renames it over the path, so the table's map keeps the old file's pages.
+        path, loaded = roundtrip(tmp_path, init_params(3000, 16, 2, seed=0))
+        before = loaded.embedding.copy()
+        assert maps_the_file(loaded.embedding)
+        other = init_params(3000, 16, 2, seed=1)
+        save_checkpoint(other, path)
+        assert np.array_equal(loaded.embedding, before) and not np.array_equal(before, other.embedding)
+        assert np.array_equal(load_checkpoint(path).embedding, other.embedding)
+
+    def test_padding_puts_the_table_on_64_bytes_at_every_manifest_length(self, tmp_path):
+        # max_len of 1 to 80 digits moves the manifest JSON across more than one 64-byte span.
+        path = str(tmp_path / "p.ckpt")
+        for digits in range(1, 81):
+            params = init_params(3, 2, 1, max_len=int("9" * digits), seed=0)
+            save_checkpoint(params, path)
+            assert_padded(open(path, "rb").read())
+            assert load_checkpoint(path).hyper == params.hyper
+
+    def test_embedding_is_a_read_only_view_of_the_file(self, tmp_path):
+        _, loaded = roundtrip(tmp_path, init_params(7, 4, 2, seed=2))
+        assert maps_the_file(loaded.embedding)
+        with pytest.raises(ValueError):
+            loaded.embedding.flags.writeable = True
+        # The float64 tensors are converted copies, so their maps are gone.
+        assert not any(maps_the_file(getattr(loaded, name)) for name in TENSOR_NAMES[1:])
+
 
     def test_loads_read_only_tensors_and_copy_is_writeable(self, tmp_path):
         _, loaded = roundtrip(tmp_path, init_params(7, 4, 2, seed=2))
@@ -93,16 +134,37 @@ class TestRoundTrip:
         assert open(again, "rb").read() == open(path, "rb").read()
 
     def test_load_allocates_the_table_once(self, tmp_path):
-        # A copy or a float64 conversion of the table would at least double the peak.
-        path, _ = roundtrip(tmp_path, init_params(20000, 32, 1, seed=5))
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        others = sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
-        assert loaded.embedding.nbytes <= peak < 1.25 * loaded.embedding.nbytes + 2 * others
+        # A mapped table is no heap allocation. An unaligned one is copied once: a copy or a float64
+        # conversion more would at least double the peak.
+        for layout in ("padded", "unaligned"):
+            loaded, peak, others = traced_load(table_file(tmp_path, layout))
+            if layout == "padded":
+                assert maps_the_file(loaded.embedding) and peak < 2 * others + 64 * 1024, peak
+            else:
+                assert loaded.embedding.nbytes <= peak < 1.25 * loaded.embedding.nbytes + 2 * others, peak
+
+
+def table_file(tmp_path, layout):
+    """A saved V=20,000, D=32, N_c=1 checkpoint: as written ("padded"), or without the padding with an
+    embedding whose data starts off a 4-byte boundary ("unaligned", the older layout)."""
+    path = str(tmp_path / f"{layout}.ckpt")
+    save_checkpoint(init_params(20000, 32, 1, seed=5), path)
+    if layout == "unaligned":
+        data = unpadded(open(path, "rb").read())
+        assert tensor_data(data)["embedding"][0] % 4
+        open(path, "wb").write(data)
+    return path
+
+
+def traced_load(path):
+    """(params, the heap peak tracemalloc saw while loading them, the bytes of the three float64 tensors)."""
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return loaded, peak, sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
 
 
 class TestAgainstOracle:
@@ -111,7 +173,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(vocab)
         margin = float(rng.uniform(0.1, 2.0))
         manifest_lengths = set()
-        # max_len of 1 to 4 digits puts the manifest, and so every tensor, at each offset mod 4.
+        # max_len of 1 to 4 digits puts the unpadded manifest, and so every tensor, at each offset mod 4.
         for max_len in (7, 42, 512, 4096):
             params = init_params(vocab, dim, n_ctx, max_len=max_len, margin=margin, seed=vocab)
             # Full float64 values: the float32 rounding must match too.
@@ -119,15 +181,22 @@ class TestAgainstOracle:
             new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
             save_checkpoint(params, new)
             save_checkpoint_buffered(params, old)
-            data = open(new, "rb").read()
-            assert data == open(old, "rb").read()
-            manifest_lengths.add(struct.unpack("<Q", data[8:16])[0] % 4)
-            loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
-            assert loaded.hyper == loaded_ref.hyper
-            for name in TENSOR_NAMES:
-                assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
-                assert getattr(loaded, name).flags.aligned, name
-            assert loaded.embedding.dtype == np.float32 and not loaded.embedding.flags.writeable
+            data, old_data = open(new, "rb").read(), open(old, "rb").read()
+            assert unpadded(data) == old_data
+            assert_padded(data)
+            manifest_lengths.add(struct.unpack("<Q", old_data[8:16])[0] % 4)
+            loaded_ref = load_checkpoint_bytes(old)
+            assert load_checkpoint_bytes(new).hyper == loaded_ref.hyper
+            # Both layouts load aligned: the padded one maps its table, an unaligned older one copies it.
+            for path in (new, old):
+                loaded = load_checkpoint(path)
+                assert loaded.hyper == loaded_ref.hyper
+                for name in TENSOR_NAMES:
+                    assert np.array_equal(getattr(loaded, name), getattr(loaded_ref, name)), name
+                    assert getattr(loaded, name).flags.aligned, name
+                assert loaded.embedding.dtype == np.float32 and not loaded.embedding.flags.writeable
+                unaligned = path == old and tensor_data(old_data)["embedding"][0] % 4
+                assert maps_the_file(loaded.embedding) != bool(unaligned)
         assert manifest_lengths == {0, 1, 2, 3}
 
 
@@ -369,7 +438,9 @@ class TestBlocks:
         new, old = str(tmp_path / "new.ckpt"), str(tmp_path / "old.ckpt")
         save_checkpoint(params, new)
         save_checkpoint_buffered(params, old)
-        assert open(new, "rb").read() == open(old, "rb").read()
+        data = open(new, "rb").read()
+        assert unpadded(data) == open(old, "rb").read()
+        assert_padded(data)
         loaded, loaded_ref = load_checkpoint(new), load_checkpoint_bytes(old)
         assert loaded.hyper == loaded_ref.hyper
         for name in TENSOR_NAMES:
@@ -429,16 +500,13 @@ class TestMemory:
         assert np.array_equal(load_checkpoint(path).embedding, params.embedding)
 
     def test_load_peak_is_the_table(self, tmp_path):
-        # A whole-table mask of the finiteness check would add a quarter of the table.
-        path, _ = roundtrip(tmp_path, init_params(20000, 32, 1, seed=5))
-        tracemalloc.start()
-        try:
-            loaded = load_checkpoint(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        others = sum(getattr(loaded, name).nbytes for name in TENSOR_NAMES[1:])
-        assert loaded.embedding.nbytes <= peak < 1.05 * loaded.embedding.nbytes + 2 * others
+        # A whole-table mask of the finiteness check would add a quarter of the table, mapped or copied.
+        for layout in ("padded", "unaligned"):
+            loaded, peak, others = traced_load(table_file(tmp_path, layout))
+            if layout == "padded":
+                assert peak < 2 * others + 64 * 1024, peak
+            else:
+                assert loaded.embedding.nbytes <= peak < 1.05 * loaded.embedding.nbytes + 2 * others, peak
 
 
 def clean_container(tmp_path):
@@ -537,12 +605,13 @@ def one_fault_files(data):
 
 
 def test_one_fault_raises_what_the_oracle_raises(tmp_path):
-    path, data = clean_container(tmp_path)
-    cases = one_fault_files(data)
-    for case, doctored in cases.items():
-        open(path, "wb").write(doctored)
-        with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)) as caught:
-            load_checkpoint(path)
-        with pytest.raises(type(caught.value)) as expected:
-            load_checkpoint_bytes(path)
-        assert str(caught.value) == str(expected.value), case
+    path, padded = clean_container(tmp_path)
+    assert unpadded(padded) != padded
+    for data in (padded, unpadded(padded)):
+        for case, doctored in one_fault_files(data).items():
+            open(path, "wb").write(doctored)
+            with pytest.raises((CheckpointFormatError, CheckpointIntegrityError)) as caught:
+                load_checkpoint(path)
+            with pytest.raises(type(caught.value)) as expected:
+                load_checkpoint_bytes(path)
+            assert str(caught.value) == str(expected.value), case

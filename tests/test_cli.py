@@ -19,7 +19,7 @@ from matcha.errors import ConfigError
 from matcha.model import init_params
 from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import WordVocabulary, build_word_vocabulary
-from conftest import OUTSIDE_INPUTS, write_outside_input
+from conftest import OUTSIDE_INPUTS, maps_the_file, write_outside_input
 from oracles import score_pairwise
 
 
@@ -257,6 +257,7 @@ class TestWrittenFiles:
 
         def load(ckpt):
             params = load_checkpoint(ckpt)
+            assert maps_the_file(params.embedding)
             loaded.append(weakref.ref(params.embedding))
             return params
 
@@ -423,6 +424,21 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{scores}: line 2:" in err
+
+    @pytest.mark.parametrize("key", ["metric", "dataset", "id"])
+    def test_lone_surrogate_in_scores_writes_nothing(self, tmp_path, capsys, key):
+        # UTF-8 cannot encode it, so the report or the CSV would fail half written.
+        corpus = write_corpus(tmp_path / "eval.jsonl", make_synthetic_corpus(2, seed=1))
+        scores = tmp_path / "scores.jsonl"
+        good = {"id": "line1", "metric": "x", "score": 0.5, "dataset": "eval"}
+        scores.write_text(json.dumps(good) + "\n" + json.dumps({**good, key: good[key] + "\ud800"}) + "\n",
+                          encoding="utf-8")
+        code = main(["evaluate", "--data", corpus, "--scores", str(scores), "--out", str(tmp_path / "r.json"),
+                     "--csv", str(tmp_path / "c.csv")])
+        assert code == 1
+        where = f"{scores}: line 2: {key!r}"
+        assert capsys.readouterr().err == f"error: {where} holds a lone surrogate at character {len(good[key])}\n"
+        assert sorted(os.listdir(tmp_path)) == ["eval.jsonl", "scores.jsonl"]
 
 
 class TestMalformedInputFiles:

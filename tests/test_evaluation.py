@@ -792,6 +792,7 @@ class TestMergeExternal:
         ("score", "[1]"), ("score", '"x"'), ("score", "NaN"), ("score", "Infinity"),
         ("score", "1e400"), ("score", "1" + "0" * 400), ("score", "true"), ("score", "null"),
         ("label", '"maybe"'), ("label", "1"), ("dataset", "[1]"),
+        ("metric", '"x\\ud800"'), ("dataset", '"\\udc80d"'), ("id", '"z\\ud800"'),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, field, value):
         row = {"id": '"z"', "metric": '"x"', "score": "0.5", field: value}
