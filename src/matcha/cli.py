@@ -419,7 +419,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 _ERROR_CATEGORIES = [
     (ConfigError, "config error", 2),
     (MatchaError, "error", 1),
-    (FileNotFoundError, "file error", 3),
+    (OSError, "file error", 3),
     (ValueError, "config error", 2),
 ]
 

@@ -51,6 +51,14 @@ class TripletBatch:
     source_dataset: str = ""
 
 
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of two sorted distinct id arrays (not np.union1d: its np.unique imports numpy.ma)."""
+    rows = np.sort(np.concatenate((a, b)), kind="stable")  # timsort: merges the two sorted runs in linear time
+    distinct = np.ones(rows.size, dtype=bool)
+    distinct[1:] = rows[1:] != rows[:-1]
+    return rows[distinct]
+
+
 def _rows_into(rows: np.ndarray, sub_rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """`values`, one per id of `sub_rows`, placed among zeros for `rows`; both sorted, sub_rows within rows."""
     out = np.zeros((rows.size, values.shape[1]))
@@ -77,12 +85,7 @@ class Gradients:
     def add_(self, other: "Gradients") -> None:
         """Sum in place; the embedding gradient then covers the union of both row sets."""
         if self.embedding is not None and other.embedding is not None:
-            # Sorted distinct union of two sorted distinct id arrays.  np.union1d
-            # would do, but its np.unique imports numpy.ma on first use.
-            rows = np.sort(np.concatenate((self.embedding_rows, other.embedding_rows)))
-            distinct = np.ones(rows.size, dtype=bool)
-            distinct[1:] = rows[1:] != rows[:-1]
-            rows = rows[distinct]
+            rows = _union(self.embedding_rows, other.embedding_rows)
             # Assigned, then added: the same sums as accumulating dense tables.
             merged = _rows_into(rows, self.embedding_rows, self.embedding)
             merged[np.searchsorted(rows, other.embedding_rows)] += other.embedding
@@ -135,7 +138,7 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moments in the gradients' shapes, plus the schedule.
+    """Adam moments in the gradients' shapes, plus the lr and weight decay of the next step.
 
     The embedding moments are compact: row k is table row live_rows[k], which lists, sorted,
     every row some step has had a gradient for.  Any other row's moments are zero.
@@ -145,28 +148,19 @@ class OptimizerState:
     second_moment: dict[str, np.ndarray]
     live_rows: np.ndarray | None = None
     step_count: int = 0
-    base_lr: float = 1e-4
-    decay_rate: float = 0.9
-    epoch_index: int = 0
+    lr: float = 1e-4
     weight_decay: float = 0.05
 
-    @property
-    def effective_lr(self) -> float:
-        return self.base_lr * self.decay_rate**self.epoch_index
 
-
-def init_optimizer(
-    params: ModelParams, *, lr: float = 1e-4, weight_decay: float = 0.05, decay_rate: float = 0.9
-) -> OptimizerState:
+def init_optimizer(params: ModelParams, *, lr: float = 1e-4, weight_decay: float = 0.05) -> OptimizerState:
     dim = params.hyper.dim
     shapes = {"embedding": (0, dim), "proj_weight": (dim, dim), "proj_bias": (dim,), "conversion": (dim, dim)}
     return OptimizerState(
         first_moment={n: np.zeros(shape) for n, shape in shapes.items()},
         second_moment={n: np.zeros(shape) for n, shape in shapes.items()},
         live_rows=np.empty(0, dtype=np.intp),
-        base_lr=lr,
+        lr=lr,
         weight_decay=weight_decay,
-        decay_rate=decay_rate,
     )
 
 
@@ -266,7 +260,7 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
     """
     state.step_count += 1
     t = state.step_count
-    lr = state.effective_lr
+    lr = state.lr
     # lr * m_hat / (sqrt(v_hat) + eps) == step * m / (sqrt(v) + eps_hat): the
     # bias corrections folded into two scalars (Kingma & Ba, end of section 2).
     step = lr * math.sqrt(1.0 - BETA2**t) / (1.0 - BETA1**t)
@@ -283,11 +277,9 @@ def adam_step(state: OptimizerState, params: ModelParams, grads: Gradients) -> t
             rows = grads.embedding_rows
             if g.shape != (rows.size, theta.shape[1]):
                 raise ShapeError(f"{name}: gradient shape {g.shape} for {rows.size} rows of width {theta.shape[1]}")
-            live = state.live_rows
-            new = rows[live.take(np.searchsorted(live, rows), mode="clip") != rows] if live.size else rows
-            if new.size:
+            live, grown = state.live_rows, _union(state.live_rows, rows)
+            if grown.size > live.size:
                 # Rows new to the state join with zero moments, as in the dense state.
-                grown = np.sort(np.concatenate((live, new)))
                 m = state.first_moment[name] = _rows_into(grown, live, m)
                 v = state.second_moment[name] = _rows_into(grown, live, v)
                 state.live_rows = live = grown
@@ -400,9 +392,9 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns the trained parameters, frozen, and one report row per epoch.
 
-    Gradients are averaged over grad_accum_steps micro-batches before each
-    optimizer step, which falls after every grad_accum_steps-th micro-batch of an epoch; a shorter
-    window left at the end of an epoch is averaged over its own length and still steps.
+    Each epoch's micro-batches are taken in windows of grad_accum_steps, the last one maybe
+    shorter; a window's gradients are averaged over its length for one optimizer step, whose lr
+    train sets each epoch to lr * lr_decay**epoch.
     Fully reproducible from config.seed.  A read-only table (a loaded checkpoint's) is shared: the
     first optimizer step writes its float64 successor; with no step (epochs=0) it is returned as is.
     This call drops its reference to params_init at once, so a shared table the caller does not
@@ -412,9 +404,7 @@ def train(
     params = params_init.copy(share_embedding=not params_init.embedding.flags.writeable)
     del params_init
     params.hyper.margin = config.margin
-    state = init_optimizer(
-        params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay
-    )
+    state = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     schedule = BatchSchedule(
         datasets,
@@ -427,34 +417,31 @@ def train(
     # An overflow (a huge lr) stops the run where it happens, not at the save of NaN parameters.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for epoch in range(config.epochs):
-            state.epoch_index = epoch
+            state.lr = config.lr * config.lr_decay**epoch
             schedule.start_epoch()
+            batches = list(iter(schedule.next_batch, None))
             losses: list[float] = []
-            accum: Gradients | None = None
             try:
-                for micro, batch in enumerate(iter(schedule.next_batch, None)):
-                    loss, grads = loss_and_grads(params, batch, config.train_embeddings)
-                    losses.append(loss)
-                    if accum is None:
-                        accum = grads
-                    else:
-                        accum.add_(grads)
-                    if len(losses) % config.grad_accum_steps == 0:
-                        accum.scale_(1.0 / config.grad_accum_steps)
-                        adam_step(state, params, accum)
-                        accum = None
-                if accum is not None:
-                    accum.scale_(1.0 / (len(losses) % config.grad_accum_steps))
+                for start in range(0, len(batches), config.grad_accum_steps):
+                    window = batches[start : start + config.grad_accum_steps]
+                    for micro, batch in enumerate(window, start):
+                        loss, grads = loss_and_grads(params, batch, config.train_embeddings)
+                        losses.append(loss)
+                        if micro == start:
+                            accum = grads
+                        else:
+                            accum.add_(grads)
+                    accum.scale_(1.0 / len(window))
                     adam_step(state, params, accum)
             except FloatingPointError as exc:
-                # A step fails on the micro-batch that closed its window.
+                # Named by its micro-batch; a failed step by the one that closed its window.
                 raise NumericError(f"epoch {epoch}, micro-batch {micro}: {exc}") from None
             report.append(
                 {
                     "epoch": epoch,
-                    "mean_loss": float(np.mean(losses)) if losses else 0.0,
-                    "lr": state.effective_lr,
-                    "batches": len(losses),
+                    "mean_loss": float(np.mean(losses)),
+                    "lr": state.lr,
+                    "batches": len(batches),
                 }
             )
     return params.freeze(), report

@@ -5,8 +5,10 @@ work, the model's layers computed one at a time (project -> convert ->
 pool, the full (n_ctx, L, dim) tensor included) rather than folded, and the
 trainer one triplet and one document at a time.  None of it shares code with
 the implementations under test beyond fixed published constants (the byte
-alphabet, the pretoken split, the ROUGE word pattern, Adam's beta1, beta2
-and epsilon) and the gradient container it returns.  The exceptions are
+alphabet, the pretoken split, the ROUGE word pattern) and the gradient
+container it returns.  Adam's beta1, beta2 and epsilon and the initial
+weight bounds are written out here, not imported, so that a changed
+constant in the package fails its gate.  The exceptions are
 the evaluation report paths.  `evaluation_report_rows` is the report as the
 package computed it over `ScoreRow` objects before the columnar
 `ScoreTable`; it and `evaluation_report_assembled`, the report assembly as
@@ -83,9 +85,6 @@ from matcha.evaluation import (
 )
 from matcha.tokenizer import _PRETOKEN, _merge, byte_to_unicode
 from matcha.training import (
-    BETA1,
-    BETA2,
-    EPSILON,
     SCHEDULE_STRATEGIES,
     TENSOR_NAMES,
     Gradients,
@@ -94,6 +93,13 @@ from matcha.training import (
     init_optimizer,
     loss_and_grads,
 )
+
+
+# Adam's defaults as Kingma & Ba publish them (https://arxiv.org/abs/1412.6980, Algorithm 1), written
+# here rather than imported, so that a change to the package's constants fails the Adam gates.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
@@ -171,6 +177,25 @@ def bpe_encode_word_loop(vocab, memo: dict[str, tuple[int, ...]], text: str, max
         if len(ids) >= max_len:
             break
     return ids[:max_len]
+
+
+def init_params_glorot(vocab_size: int, dim: int, n_ctx: int, *, max_len: int = 512, margin: float = 1.0,
+                       seed: int = 42) -> ModelParams:
+    """Fresh parameters with their bounds written out: Glorot & Bengio's uniform
+    U(+-sqrt(6 / (fan_in + fan_out))) for the (N_c*D, D) projection and the (D, D)
+    conversion, then U(+-0.01) for the table, drawn in that order from one
+    generator, each value rounded to float32 and back; a zero bias."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, bound):
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32).astype(np.float64)
+
+    k = n_ctx * dim
+    proj_weight = draw((k, dim), math.sqrt(6.0 / (k + dim)))
+    conversion = draw((dim, dim), math.sqrt(6.0 / (2 * dim)))
+    embedding = draw((vocab_size, dim), 0.01)
+    return ModelParams(embedding, proj_weight, np.zeros(k), conversion,
+                       Hyper(dim=dim, n_ctx=n_ctx, max_len=max_len, margin=margin))
 
 
 def project_loop(emb: np.ndarray, proj_weight: np.ndarray, proj_bias: np.ndarray,
@@ -569,13 +594,13 @@ def train_accumulating(config, datasets, params_init):
     config.validate()
     params = params_init.copy(share_embedding=not params_init.embedding.flags.writeable)
     params.hyper.margin = config.margin
-    state = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay, decay_rate=config.lr_decay)
+    state = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
     schedule = BatchScheduleQueues(datasets, config.batch_size, config.schedule_strategy,
                                    curriculum_order=config.curriculum_order,
                                    rng=np.random.default_rng(config.seed))
     report: list[dict] = []
     for epoch in range(config.epochs):
-        state.epoch_index = epoch
+        state.lr = config.lr * config.lr_decay**epoch
         schedule.start_epoch()
         losses: list[float] = []
         accum: Gradients | None = None
@@ -597,7 +622,7 @@ def train_accumulating(config, datasets, params_init):
             accum.scale_(1.0 / accum_count)
             adam_step(state, params, accum)
         report.append({"epoch": epoch, "mean_loss": float(np.mean(losses)) if losses else 0.0,
-                       "lr": state.effective_lr, "batches": len(losses)})
+                       "lr": state.lr, "batches": len(losses)})
     return params.freeze(), report
 
 
@@ -729,7 +754,7 @@ def adam_step_loop(state, params, grads):
     grads = densify(params, grads)
     state.step_count += 1
     t = state.step_count
-    lr = state.effective_lr
+    lr = state.lr
     for name in TENSOR_NAMES:
         g = grads[name]
         if g is None:
@@ -759,7 +784,7 @@ def adam_step_dense(state, params, grads):
     grads = densify(params, grads)
     state.step_count += 1
     t = state.step_count
-    lr = state.effective_lr
+    lr = state.lr
     b1, b2 = BETA1, BETA2
     step = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
     eps_hat = EPSILON * math.sqrt(1.0 - b2**t)

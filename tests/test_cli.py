@@ -489,6 +489,27 @@ class TestMalformedInputFiles:
         assert code == 1
         assert f"{registry}: manifest 0 must carry string 'name' and 'path'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["score", "--ckpt", "{dir}", "--vocab", "{vocab}", "--ref", "a", "--cand", "b"],
+        ["score", "--ckpt", "{ckpt}", "--vocab", "{dir}", "--ref", "a", "--cand", "b"],
+        ["train", "--data", "{corpus}", "--out", "{dir}", "--epochs", "1", "--batch-size", "8", "--dim", "8",
+         "--n-ctx", "2"],
+        ["evaluate", "--data", "{corpus}", "--ckpt", "{ckpt}", "--vocab", "{vocab}", "--out", "{dir}"],
+        ["evaluate", "--data", "{corpus}", "--ckpt", "{ckpt}", "--vocab", "{vocab}", "--out", "{out}",
+         "--scores", "{dir}"],
+    ], ids=["score-ckpt", "score-vocab", "train-out", "evaluate-out", "evaluate-scores"])
+    def test_directory_where_a_file_belongs(self, tmp_path, capsys, word_vocab_file, tiny_ckpt, argv):
+        vocab, _, records = word_vocab_file
+        directory = tmp_path / "d"
+        directory.mkdir()
+        paths = {"dir": str(directory), "vocab": vocab, "ckpt": tiny_ckpt, "out": str(tmp_path / "r.json"),
+                 "corpus": write_corpus(tmp_path / "corpus.jsonl", records)}
+        code, err = self.run_main(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 3 and err.count("\n") == 1 and err.startswith("file error: "), err
+        assert repr(str(directory)) in err
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".matcha-")]
+        assert os.listdir(directory) == []
+
 
 HUGE = "1" + "0" * 400  # 10**400, beyond the float range
 OUTSIDE_PROBES = (

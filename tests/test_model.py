@@ -28,6 +28,7 @@ import matcha.model
 from oracles import (
     convert,
     convert_loop,
+    init_params_glorot,
     pool,
     pool_loop,
     project,
@@ -494,6 +495,16 @@ class TestInitParams:
         for name in ("embedding", "proj_weight", "proj_bias", "conversion"):
             arr = getattr(params, name)
             assert np.array_equal(arr, arr.astype(np.float32).astype(np.float64))
+
+    @pytest.mark.parametrize("vocab_size, dim, n_ctx, seed", [(72, 64, 16, 42), (10, 6, 3, 7), (5, 1, 1, 0),
+                                                               (300, 8, 5, 123)])
+    def test_matches_glorot_oracle_bit_for_bit(self, vocab_size, dim, n_ctx, seed):
+        params = init_params(vocab_size, dim, n_ctx, max_len=20, margin=0.5, seed=seed)
+        want = init_params_glorot(vocab_size, dim, n_ctx, max_len=20, margin=0.5, seed=seed)
+        assert params.hyper == want.hyper
+        for name in TENSOR_NAMES:
+            got, ref = getattr(params, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
     def test_transferred_embedding(self):
         table = np.random.default_rng(19).normal(0, 1, (12, 4))

@@ -27,7 +27,6 @@ from matcha.training import (
     TENSOR_NAMES,
     BatchSchedule,
     Gradients,
-    OptimizerState,
     TokenizedDataset,
     TrainConfig,
     TripletBatch,
@@ -320,7 +319,7 @@ class TestAdamStep:
         state = init_optimizer(params, lr=1e-2, weight_decay=0.05)
         params_ref, state_ref = params.copy(), copy.deepcopy(state)
         for epoch in range(10):
-            state.epoch_index = state_ref.epoch_index = epoch // 4
+            state.lr = state_ref.lr = 1e-2 * 0.9 ** (epoch // 4)
             grads = zero_gradients(params, train_embeddings)
             for name in TENSOR_NAMES:
                 g = getattr(grads, name)
@@ -349,7 +348,7 @@ class TestAdamStep:
         dim = params.hyper.dim
         touched = np.zeros(params.vocab_size, dtype=bool)
         for k, rows in enumerate(self.LAZY_ROWS):
-            state.epoch_index = state_ref.epoch_index = k // 4
+            state.lr = state_ref.lr = 1e-2 * 0.9 ** (k // 4)
             draw = lambda *shape: rng.normal(0, 10.0 ** rng.integers(-6, 2), shape)
             rows = np.array(rows, dtype=np.intp)
             grads = Gradients(
@@ -407,16 +406,6 @@ class TestAdamStep:
         successor = params.embedding
         adam_step(state, params, loss_and_grads(params, batch)[1])
         assert params.embedding is successor
-
-    def test_effective_lr_schedule(self):
-        state = OptimizerState(first_moment={}, second_moment={}, base_lr=1e-4, decay_rate=0.9)
-        for epoch in range(5):
-            state.epoch_index = epoch
-            assert state.effective_lr == 1e-4 * 0.9**epoch
-        state.decay_rate = 1.0
-        for epoch in range(5):
-            state.epoch_index = epoch
-            assert state.effective_lr == 1e-4
 
 
 class TestAccumulation:
@@ -662,6 +651,23 @@ class TestTrain:
             assert row["batches"] == 8
             assert np.isfinite(row["mean_loss"])
 
+    @pytest.mark.parametrize("lr_decay", [0.9, 1.0])
+    def test_lr_decays_each_epoch(self, monkeypatch, lr_decay):
+        # Every step of epoch e, and its report row, use lr * lr_decay**e exactly.
+        params, datasets = desk_setup()
+        config = TrainConfig(epochs=5, batch_size=8, grad_accum_steps=3, lr=1e-3, lr_decay=lr_decay, seed=2)
+        stepped, step = [], matcha.training.adam_step
+
+        def spy(state, *args):
+            stepped.append(state.lr)
+            return step(state, *args)
+
+        monkeypatch.setattr(matcha.training, "adam_step", spy)
+        _, report = train(config, datasets, params)
+        want = [1e-3 * lr_decay**epoch for epoch in range(5)]
+        assert [row["lr"] for row in report] == want
+        assert stepped == [lr for lr in want for _ in range(3)]  # 8 micro-batches: windows of 3, 3 and 2
+
     def test_loss_decreases_over_epochs(self):
         params, datasets = desk_setup(n_records=128)
         config = TrainConfig(epochs=4, batch_size=16, grad_accum_steps=1, seed=3)
@@ -802,6 +808,18 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=r"^epoch 0, micro-batch [1-9]\d*: \w+ .*encountered in "):
                 train(config, datasets, params)
+
+    @pytest.mark.parametrize("weight_decay, micro", [
+        # The first window's step leaves huge parameters, and the next window's first forward overflows.
+        (0.05, 3),
+        # lr * weight_decay is inf: the step itself fails, on the micro-batch that closes its window.
+        (10.0, 2),
+    ])
+    def test_overflow_in_a_window_names_its_micro_batch(self, weight_decay, micro):
+        params, datasets = desk_setup()
+        config = TrainConfig(epochs=2, batch_size=8, grad_accum_steps=3, lr=1e308, weight_decay=weight_decay)
+        with pytest.raises(NumericError, match=rf"^epoch 0, micro-batch {micro}: "):
+            train(config, datasets, params)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="^margin must be finite$"):
