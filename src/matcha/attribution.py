@@ -42,7 +42,7 @@ class AttributionResult:
     baseline_score: float
 
     def to_dict(self) -> dict:
-        return {**vars(self), "per_token": [[tok, val] for tok, val in self.per_token]}
+        return {**vars(self), "per_token": list(map(list, self.per_token))}
 
 
 def integrated_gradients(
@@ -112,10 +112,11 @@ def integrated_gradients(
     row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
     per_token_values = (emb if baseline_kind == "zero" else np.zeros_like(emb)) @ row_grad
     total = float(per_token_values.sum())
-    pieces = {i: vocab.decode([i]) for i in set(ids)}
+    distinct = list(set(ids))
+    pieces = dict(zip(distinct, vocab.pieces(distinct)))
     return AttributionResult(
         direction=direction,
-        per_token=[(pieces[i], v) for i, v in zip(ids, per_token_values.tolist())],
+        per_token=list(zip(map(pieces.__getitem__, ids), per_token_values.tolist())),
         total=total,
         completeness_residual=abs(total - (score_actual - score_baseline)),
         steps=steps,

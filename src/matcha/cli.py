@@ -11,6 +11,7 @@ and the package version.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -245,7 +246,8 @@ def _cmd_attribute(config: RunConfig) -> int:
 
 def _check(config: RunConfig) -> None:
     """Raise ConfigError for the first setting out of range.  Every default passes, so each field is
-    checked whatever the command; only the vocabulary-flag rules depend on it."""
+    checked whatever the command; only the vocabulary-flag rules depend on it.  Then an output path
+    that is a directory raises IsADirectoryError, before any input is read, not at the final rename."""
     if config.command == "train" and config.merges and not config.vocab:
         raise ConfigError("train with --merges requires --vocab")
     if config.command == "evaluate" and config.ckpt and not config.vocab:
@@ -263,6 +265,12 @@ def _check(config: RunConfig) -> None:
             MetricRange(*entry.split("=", 1))
     except (ShapeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    outputs = [config.out, config.report, config.csv]
+    if config.command == "train" and config.out:  # the files `_cmd_train` writes beside the checkpoint
+        outputs += [config.report or config.out + ".train.jsonl", None if config.vocab else config.out + ".vocab.json"]
+    for path in filter(None, outputs):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def run(config: RunConfig) -> int:

@@ -13,6 +13,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     EmptyInputError,
@@ -81,7 +82,7 @@ class _TokenTable:
 
     def _tokens(self, ids: list[int]) -> list[str]:
         try:
-            return [self.id_to_token[token_id] for token_id in ids]
+            return list(map(self.id_to_token.__getitem__, ids))
         except KeyError as missing:
             raise TokenRangeError(f"id {missing.args[0]} outside [0, {self.vocab_size})") from None
 
@@ -95,7 +96,9 @@ class Vocabulary(_TokenTable):
 
     def __post_init__(self) -> None:
         self.merge_ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        self.byte_decoder = {c: b for b, c in self.byte_encoder.items()}
+        # `str.translate` table: each byte stand-in -> the latin-1 character of its byte.  Any other
+        # character below U+0100 -> U+FFFD, so that it too fails the latin-1 encode after the pass.
+        self._to_latin1 = dict.fromkeys(range(256), 0xFFFD) | {ord(c): b for b, c in self.byte_encoder.items()}
         # The memo of `encode`, in two maps: a chunk -> the ids of " " + chunk, and a pretoken,
         # first word or joined word -> its ids.  Sound because the table and merges never
         # change after load; plain attributes, so == and repr see only the fields.
@@ -178,8 +181,28 @@ class Vocabulary(_TokenTable):
 
     def decode(self, ids: list[int]) -> str:
         """Invert encode: ids -> token strings -> bytes -> UTF-8 text."""
-        data = bytes(map(self.byte_decoder.__getitem__, "".join(self._tokens(ids))))
-        return data.decode("utf-8", errors="replace")
+        return self._bytes(self._tokens(ids)).decode("utf-8", errors="replace")
+
+    def pieces(self, ids: list[int]) -> list[str]:
+        """`decode([i])` for each id in `ids`: one translate pass over the joined tokens, then each
+        token's byte slice decoded on its own, so a character split across tokens is U+FFFD in each."""
+        tokens = self._tokens(ids)
+        data = self._bytes(tokens)
+        ends = list(accumulate(map(len, tokens)))
+        return [data[start:end].decode("utf-8", "replace") for start, end in zip([0, *ends], ends)]
+
+    def _bytes(self, tokens, where: str = "") -> bytes:
+        """The bytes of the joined tokens, one per character; a character that is no byte stand-in
+        raises VocabularyIntegrityError naming its token, after `where`."""
+        text = "".join(tokens)
+        try:
+            return text.translate(self._to_latin1).encode("latin-1")
+        except UnicodeEncodeError as exc:
+            ends = accumulate(map(len, tokens))
+            token = next(t for t, end in zip(tokens, ends) if end > exc.start)
+            raise VocabularyIntegrityError(
+                f"{where}token {token!r} holds {text[exc.start]!r}, which is not a byte stand-in"
+            ) from None
 
 
 def _token_ids(path: str, raw) -> dict[str, int]:
@@ -222,7 +245,9 @@ def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
                 )
         merges.append((left, right))
 
-    return Vocabulary(token_to_id=token_to_id, merges=merges)
+    vocab = Vocabulary(token_to_id=token_to_id, merges=merges)
+    vocab._bytes(token_to_id, where=f"{vocab_file}: ")  # every token is a run of byte stand-ins
+    return vocab
 
 
 def _merge(vocab: Vocabulary, pretoken: str) -> tuple[int, ...]:
@@ -275,6 +300,10 @@ class WordVocabulary(_TokenTable):
 
     def decode(self, ids: list[int]) -> str:
         return " ".join(self._tokens(ids))
+
+    def pieces(self, ids: list[int]) -> list[str]:
+        """`decode([i])` for each id in `ids`: its token."""
+        return self._tokens(ids)
 
     def save(self, path: str) -> None:
         """Write {"kind": "word", "tokens": [...]}, a token's id being its index.  A table whose

@@ -31,7 +31,10 @@ tolerance, while `integrated_gradients_tiled` checks the values
 themselves.  `attribution_gap_loop` is `attribution_gap`
 with its two `integrated_gradients` calls written out, and
 `attribution_result_dict` is `AttributionResult.to_dict` with its fields
-listed by hand, as the package once had them.  `BatchScheduleQueues` and `train_accumulating` are the batch
+listed by hand, as the package once had them.  `bpe_decode_map` and
+`pieces_per_id` are BPE `decode` and the naming of IG's tokens as the
+package wrote them before its one translate pass; the IG oracles name
+their tokens through them.  `BatchScheduleQueues` and `train_accumulating` are the batch
 schedule (per-dataset queues walked by a cursor) and the trainer loop (an
 accumulation counter) as the package wrote them before the per-epoch batch
 plan; the trainer calls the package's `loss_and_grads` and `adam_step`, so
@@ -140,6 +143,26 @@ def bpe_encode_naive(merges: list[tuple[str, str]], token_to_id: dict[str, int],
         if len(ids) >= max_len:
             break
     return ids[:max_len]
+
+
+def bpe_decode_map(vocab, ids: list[int]) -> str:
+    """BPE `decode` as the package wrote it before its translate table: the joined tokens' characters
+    mapped to bytes through the inverse of `vocab.byte_encoder`, then decoded as UTF-8 with U+FFFD
+    for each bad sequence.  An id outside the table or a character that is no byte stand-in raises
+    KeyError."""
+    byte_decoder = {c: b for b, c in vocab.byte_encoder.items()}
+    id_to_token = {i: t for t, i in vocab.token_to_id.items()}
+    data = bytes(map(byte_decoder.__getitem__, "".join(id_to_token[i] for i in ids)))
+    return data.decode("utf-8", errors="replace")
+
+
+def pieces_per_id(vocab, ids: list[int]) -> list[str]:
+    """Each id's piece as `integrated_gradients` once named its tokens: a dict of each distinct id's
+    own decode (`bpe_decode_map` for a BPE vocabulary, the word vocabulary's `decode` otherwise),
+    read once per id."""
+    decode = (lambda one: bpe_decode_map(vocab, one)) if hasattr(vocab, "byte_encoder") else vocab.decode
+    pieces = {i: decode([i]) for i in set(ids)}
+    return [pieces[i] for i in ids]
 
 
 def words(text: str) -> list[str]:
@@ -408,7 +431,7 @@ def integrated_gradients_three_pass(params, reference: str, candidate: str, voca
     total = float(per_token_values.sum())
     return AttributionResult(
         direction=direction,
-        per_token=[(vocab.decode([i]), v) for i, v in zip(ids, per_token_values.tolist())],
+        per_token=list(zip(pieces_per_id(vocab, ids), per_token_values.tolist())),
         total=total,
         completeness_residual=abs(total - (score_actual - score_baseline)),
         steps=steps,
@@ -457,10 +480,9 @@ def integrated_gradients_grid(params, reference: str, candidate: str, vocab, dir
     row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
     per_token_values = (emb if baseline_kind == "zero" else np.zeros_like(emb)) @ row_grad
     total = float(per_token_values.sum())
-    pieces = {i: vocab.decode([i]) for i in set(ids)}
     return AttributionResult(
         direction=direction,
-        per_token=[(pieces[i], v) for i, v in zip(ids, per_token_values.tolist())],
+        per_token=list(zip(pieces_per_id(vocab, ids), per_token_values.tolist())),
         total=total,
         completeness_residual=abs(total - (score_actual - score_baseline)),
         steps=steps,

@@ -23,6 +23,7 @@ from oracles import (
     integrated_gradients_three_pass,
     integrated_gradients_tiled,
     path_integral_attributions,
+    pieces_per_id,
     represent_layered,
     score_grad_tiled,
 )
@@ -135,14 +136,15 @@ class TestIntegratedGradients:
         assert [tok for tok, _ in result.per_token] == ["not", "quite"]
 
     def test_per_token_decodes_each_id_alone(self, bpe_vocab):
-        # Repeated BPE tokens, and the two byte tokens of "é": each id decodes on its own.
+        # Repeated BPE tokens, and the 2, 3 and 4 byte tokens of "é", "€" and "😀": each id decodes on its own.
         params = random_params(np.random.default_rng(5), bpe_vocab.vocab_size, 8, 2, scale=0.4)
         params.hyper.max_len = 64
-        text = "the cat sat on the cat, the café hello hello"
+        text = "the cat sat on the cat, the café hello hello € 😀"
         result = integrated_gradients(params, "the world", text, bpe_vocab)
         ids = bpe_vocab.encode(text, 64)
         assert len(set(ids)) < len(ids)
-        assert [tok for tok, _ in result.per_token] == [bpe_vocab.decode([i]) for i in ids]
+        assert [tok for tok, _ in result.per_token] == pieces_per_id(bpe_vocab, ids)
+        assert "\ufffd" in dict(result.per_token)
         values = [value for _, value in result.per_token]
         assert all(type(value) is float for value in values)
         # Every row gets the same gradient, so equal ids get equal values; their array sum is the total.

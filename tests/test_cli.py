@@ -510,6 +510,26 @@ class TestMalformedInputFiles:
         assert not [name for name in os.listdir(tmp_path) if name.startswith(".matcha-")]
         assert os.listdir(directory) == []
 
+    @pytest.mark.parametrize("argv, directory", [
+        (["train", "--data", "{missing}", "--out", "{dir}"], "d"),
+        (["train", "--data", "{missing}", "--out", "{out}", "--report", "{dir}"], "d"),
+        (["train", "--data", "{missing}", "--out", "{out}"], "m.ckpt.train.jsonl"),
+        (["train", "--data", "{missing}", "--out", "{out}"], "m.ckpt.vocab.json"),
+        (["evaluate", "--data", "{missing}", "--out", "{dir}"], "d"),
+        (["evaluate", "--data", "{missing}", "--out", "{out}", "--csv", "{dir}"], "d"),
+        (["attribute", "--ckpt", "{missing}", "--vocab", "{missing}", "--ref", "a", "--cand", "b", "--out", "{dir}"],
+         "d"),
+    ], ids=["train-out", "train-report", "train-default-report", "train-vocab", "evaluate-out", "evaluate-csv",
+            "attribute-out"])
+    def test_output_directory_fails_before_any_input_is_read(self, tmp_path, capsys, argv, directory):
+        # Every input path is missing, so reading one first would name it instead.
+        directory = tmp_path / directory
+        directory.mkdir()
+        paths = {"dir": str(directory), "out": str(tmp_path / "m.ckpt"), "missing": str(tmp_path / "missing")}
+        code, err = self.run_main(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 3 and err == f"file error: [Errno 21] Is a directory: {str(directory)!r}\n", err
+        assert sorted(os.listdir(tmp_path)) == [directory.name] and os.listdir(directory) == []
+
 
 HUGE = "1" + "0" * 400  # 10**400, beyond the float range
 OUTSIDE_PROBES = (

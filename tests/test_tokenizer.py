@@ -22,7 +22,7 @@ from matcha.tokenizer import (
     byte_to_unicode,
     load_vocabulary,
 )
-from oracles import bpe_encode_naive, bpe_encode_word_loop, words
+from oracles import bpe_decode_map, bpe_encode_naive, bpe_encode_word_loop, pieces_per_id, words
 
 
 def _write(path, text):
@@ -77,6 +77,17 @@ class TestLoadVocabulary:
         merges_path = _write(tmp_path / "m.txt", "#header\n")
         with pytest.raises(VocabularyFormatError, match=r"v\.json: line 1: not UTF-8 at byte 10"):
             load_vocabulary(str(vocab_path), merges_path)
+
+    @pytest.mark.parametrize("token", ["a b", "\t", "\x7f", "\xad", "\u0144", "\u2603"])
+    def test_token_outside_byte_alphabet(self, tmp_path, token):
+        # Only the 256 byte stand-ins may appear in a token: a space, a control character, the soft
+        # hyphen, the first character past the shifted stand-ins, a snowman.
+        byte_encoder = byte_to_unicode()
+        tokens = [byte_encoder[b] for b in range(256)] + [token]
+        vocab_path = _write(tmp_path / "encoder.json", json.dumps(dict(zip(tokens, range(257)))))
+        merges_path = _write(tmp_path / "m.txt", "#header\n")
+        with pytest.raises(VocabularyIntegrityError, match=rf"encoder\.json: token {re.escape(repr(token))} holds"):
+            load_vocabulary(vocab_path, merges_path)
 
     def test_non_utf8_merges_names_byte_offset(self, tmp_path):
         vocab_path = _write(tmp_path / "v.json", json.dumps({"a": 0, "b": 1, "ab": 2}))
@@ -406,17 +417,89 @@ class TestDecode:
             bpe_vocab.decode([bpe_vocab.vocab_size])
 
     def test_token_outside_byte_alphabet(self):
-        # A token table is not checked against the byte alphabet; decoding such a token raises KeyError.
-        vocab = Vocabulary({"a": 0, "\u2603": 1}, [])
+        # A table built directly is not checked; decoding a token that is no run of byte stand-ins
+        # raises the error `load_vocabulary` would, naming the token.
+        vocab = Vocabulary({"a": 0, "\u2603": 1, "b c": 2}, [])
         assert vocab.decode([0, 0]) == "aa"
-        with pytest.raises(KeyError, match="\u2603"):
-            vocab.decode([0, 1])
+        for ids, token in (([0, 1], "'\u2603'"), ([2, 0], "'b c'")):
+            for decode in (vocab.decode, vocab.pieces):
+                with pytest.raises(VocabularyIntegrityError, match=f"token {token} holds"):
+                    decode(ids)
 
     def test_round_trip_random_strings(self, bpe_vocab):
         rng = np.random.default_rng(123)
         for _ in range(1000):
             text = random_utf8_text(rng)
             assert bpe_vocab.decode(bpe_vocab.encode(text)) == text
+
+
+class TestPieces:
+    """`pieces` and `decode` give, character for character, what the per-character byte map gave."""
+
+    def check(self, vocab, ids):
+        assert vocab.pieces(ids) == pieces_per_id(vocab, ids)
+        assert vocab.decode(ids) == bpe_decode_map(vocab, ids)
+
+    def test_every_single_byte_token(self, bpe_vocab):
+        byte_encoder = byte_to_unicode()
+        ids = [bpe_vocab.token_to_id[byte_encoder[b]] for b in range(256)]
+        self.check(bpe_vocab, ids)
+        # A lone lead or continuation byte is not UTF-8 on its own.
+        assert bpe_vocab.pieces(ids) == [chr(b) for b in range(128)] + ["\ufffd"] * 128
+
+    @pytest.mark.parametrize("text, n_bytes", [("é", 2), ("€", 3), ("😀", 4), ("café  Zürich €5", None)])
+    def test_characters_split_across_tokens(self, bpe_vocab, text, n_bytes):
+        ids = bpe_vocab.encode(text)
+        if n_bytes:
+            assert len(ids) == n_bytes
+            assert bpe_vocab.pieces(ids) == ["\ufffd"] * n_bytes
+        self.check(bpe_vocab, ids)
+        assert bpe_vocab.decode(ids) == text
+
+    def test_repeated_ids(self, bpe_vocab):
+        ids = bpe_vocab.encode("the cat the cat, hello hello é é")
+        ids += ids[::-1]
+        assert len(set(ids)) < len(ids)
+        self.check(bpe_vocab, ids)
+
+    def test_random_texts(self, bpe_vocab):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            self.check(bpe_vocab, bpe_vocab.encode(random_utf8_text(rng)))
+
+    def test_custom_byte_encoder(self):
+        rng = np.random.default_rng(4)
+        # The default stand-ins, shuffled: each character now stands in for another byte.
+        default = byte_to_unicode()
+        shuffled = dict(zip(range(256), (default[int(b)] for b in rng.permutation(256))))
+        # Stand-ins far from the default ones: the printable ASCII characters stand for no byte.
+        cjk = {b: chr(0x4E00 + b) for b in range(256)}
+        for byte_encoder in (shuffled, cjk):
+            tokens = [byte_encoder[b] for b in range(256)]
+            tokens += ["".join(byte_encoder[b] for b in word.encode("utf-8")) for word in ("é", "€5", " 😀x")]
+            vocab = Vocabulary(dict(zip(tokens, range(len(tokens)))), [], byte_encoder)
+            self.check(vocab, [int(i) for i in rng.integers(0, len(tokens), 300)])
+            self.check(vocab, list(range(256, len(tokens))))
+        with pytest.raises(VocabularyIntegrityError, match="token 'a' holds 'a'"):
+            Vocabulary({"a": 0}, [], cjk).pieces([0])
+
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    def test_out_of_range_id(self, bpe_vocab, bad):
+        for decode in (bpe_vocab.decode, bpe_vocab.pieces):
+            with pytest.raises(TokenRangeError, match=f"id {bad} outside"):
+                decode([0, bad])
+        with pytest.raises(KeyError):
+            bpe_decode_map(bpe_vocab, [0, bad])
+
+    def test_word_vocabulary(self):
+        vocab = build_word_vocabulary(["the cat sat", "a dög ran", "日本 語"])
+        ids = vocab.encode("the dög the 日本 zebra cat")
+        assert vocab.pieces(ids) == pieces_per_id(vocab, ids) == ["the", "dög", "the", "日本", "<unk>", "cat"]
+        with pytest.raises(TokenRangeError):
+            vocab.pieces([vocab.vocab_size])
+
+    def test_empty(self, bpe_vocab):
+        assert bpe_vocab.pieces([]) == [] and bpe_vocab.decode([]) == ""
 
 
 class TestByteEncoder:
