@@ -6,17 +6,18 @@ representation f stays fixed, and the path-averaged gradient of the score is
 weighted by the input delta.  The score sees the attributed embeddings only
 through their mean, and the model is affine up to the cosine, so the path
 maps to the line h(α) = h_0 + αΔ between the endpoint representations.  The
-midpoint rule averages the cosine gradient over the `steps` points of that
-line.  Each gradient combines f, Δ and the line's closest point to the
-origin h⊥ with weights that are scalars of α, so the mean costs three means
-over `steps` scalars and a few D-vector operations, O(steps + D).  The score
-and the baseline score are one row-wise cosine of f against the two
-endpoints.  No midpoint is the baseline itself, which sidesteps the
-zero-norm cosine singularity of an all-zero start.
+cosine gradient along that line combines f, Δ and the line's closest point to
+the origin h⊥ with weights that are elementary functions of α, so its path
+mean is an exact integral: four scalar antiderivatives at the two ends and a
+few D-vector operations, O(D), and the attributions sum to the score change
+up to rounding.  `steps` is still checked and echoed but changes no value.
+The score and the baseline score are one row-wise cosine of f against the
+two endpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,7 @@ def integrated_gradients(
 
     toward_candidate interpolates the candidate's embeddings with the
     reference representation fixed; toward_reference does the opposite.
+    `steps` must be at least 8 and is echoed in the result; it changes no value.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -86,26 +88,26 @@ def integrated_gradients(
     h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
     # h(α) = h⊥ + tΔ, t = α − α*: h⊥ = h_0 + α*Δ, the line's closest point to the origin, is formed
     # as a vector so that no two large terms cancel near it.  The gradient f/(|f||h|) − (f·h)h/(|f||h|³)
-    # has the path mean (m f − c⊥ h⊥ − c_Δ Δ)/|f|, with m, c⊥ and c_Δ the midpoints' means of
-    # q^(-1/2), w = (f·h)q^(-3/2) and tw, where q = |h|².  Δ = 0 gives h⊥ = h_0.
+    # has the path mean (m f − c⊥ h⊥ − c_Δ Δ)/|f|, with m, c⊥ and c_Δ the integrals over
+    # t ∈ [−α*, 1 − α*] of q^(-1/2), w = (f·h⊥ + t f·Δ)q^(-3/2) and tw, where q = |h|² = a t² + |h⊥|².
+    # Δ = 0 gives the constant q = |h_0|².
     delta = h_actual - h_baseline
-    a = delta @ delta
-    alpha_star = -(h_baseline @ delta) / a if a else 0.0
+    a = float(delta @ delta)
+    alpha_star = -float(h_baseline @ delta) / a if a else 0.0
     h_perp = h_baseline + alpha_star * delta
-    t = (np.arange(steps) + 0.5) / steps - alpha_star
-    q = a * t**2 + h_perp @ h_perp
+    pp = float(h_perp @ h_perp)
     try:
         # A row-wise cosine gives each endpoint the bits of a call on that row alone.
         n_fixed, _, _, (score_actual, score_baseline) = _cosine_core(h_fixed, h[[1, -1]])
-        if not q.all():
+        if not pp and 0.0 <= alpha_star <= 1.0:
             raise DegenerateRepresentationError("zero-norm document representation")
     except DegenerateRepresentationError as exc:
-        where = "along the interpolation path" if not (_norms(h_fixed) and q.all()) else "at an interpolation endpoint"
+        # An endpoint at the origin has alpha* = 0 or 1 exactly; Δ = 0 puts the whole path there.
+        on_path = not (_norms(h_fixed) and a) or 0.0 < alpha_star < 1.0
+        where = "along the interpolation path" if on_path else "at an interpolation endpoint"
         raise DegenerateRepresentationError(
             f"zero-norm representation {where}; try a different baseline ({exc})") from exc
-    inv_norm = 1.0 / np.sqrt(q)
-    w = (h_fixed @ h_perp + t * (h_fixed @ delta)) * inv_norm / q
-    m, c_perp, c_delta = (np.add.reduce(x) / steps for x in (inv_norm, w, t * w))
+    m, c_perp, c_delta = _path_means(a, pp, alpha_star, float(h_fixed @ h_perp), float(h_fixed @ delta))
     g_h = (m * h_fixed - c_perp * h_perp - c_delta * delta) / n_fixed
     # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
     # gets the same embedding gradient.  The input baseline's delta is zero.
@@ -146,3 +148,33 @@ def attribution_gap(
     ]
     mean_correct, mean_incorrect = (float(np.mean(side)) * 100.0 for side in zip(*totals))
     return mean_correct, mean_incorrect, mean_correct - mean_incorrect
+
+
+def _path_means(a: float, pp: float, alpha_star: float, f_perp: float, f_delta: float):
+    """m, c⊥ and c_Δ: the integrals of q^(-1/2), w and tw over t ∈ [t0, t1] = [−α*, 1 − α*].
+
+    q = a·t² + pp and w = (f_perp + t·f_delta)·q^(-3/2), so they take four
+    integrals.  With p = √pp, s = √a and r = √q, their antiderivatives are
+    asinh(s·t/p)/s for q^(-1/2), t/(p²·r) for q^(-3/2), −1/(a·r) for t·q^(-3/2)
+    and (asinh(s·t/p)/s − t/r)/a for t²·q^(-3/2).  Each difference of the two
+    ends is taken where no two large terms cancel.  When the segment holds
+    the closest point, t0 < 0 < t1 and t1/r1 − t0/r0 adds two terms of one
+    sign; otherwise it is pp·(t1² − t0²)/(r0·r1·(t0·r1 + t1·r0)), whose pp
+    cancels in the second integral, so that form holds at p = 0 too.  The two
+    asinh terms join into one, as asinh x − asinh y = asinh(x·√(1 + y²) −
+    y·√(1 + x²)), and 1/r0 − 1/r1 is a·(t1² − t0²)/(r0·r1·(r0 + r1)).
+    """
+    if not a:  # Δ = 0: q = pp all along
+        m = 1.0 / math.sqrt(pp)
+        return m, f_perp * m / pp, 0.0
+    t0, t1 = -alpha_star, 1.0 - alpha_star
+    s = math.sqrt(a)
+    r0, r1 = math.sqrt(a * t0 * t0 + pp), math.sqrt(a * t1 * t1 + pp)
+    d = (t1 - t0) * (t1 + t0)
+    if t0 < 0.0 < t1:
+        j0 = (t1 / r1 - t0 / r0) / pp
+    else:
+        j0 = d / (r0 * r1 * (t0 * r1 + t1 * r0))
+    i0 = math.asinh(s * r0 * r1 * j0) / s
+    j1, j2 = d / (r0 * r1 * (r0 + r1)), (i0 - pp * j0) / a
+    return i0, f_perp * j0 + f_delta * j1, f_perp * j1 + f_delta * j2

@@ -11,6 +11,7 @@ and the package version.
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import functools
 import hashlib
@@ -208,13 +209,12 @@ def _cmd_evaluate(config: RunConfig) -> int:
     with open_atomic(config.out) as fh:
         fh.write(json.dumps(document, indent=2) + "\n")
     if config.csv:
-        lines = ["dataset,metric,threshold,percentage"]
-        for ds, per_metric in document["separation"].items():
-            for metric, rep in per_metric.items():
-                for threshold, pct in rep["threshold_curve"]:
-                    lines.append(f"{ds},{metric},{threshold},{pct}")
         with open_atomic(config.csv) as fh:
-            fh.write("\n".join(lines) + "\n")
+            rows = csv.writer(fh, lineterminator="\n")  # quotes a name that holds a comma, quote or newline
+            rows.writerow(["dataset", "metric", "threshold", "percentage"])
+            for ds, per_metric in document["separation"].items():
+                for metric, rep in per_metric.items():
+                    rows.writerows([ds, metric, threshold, pct] for threshold, pct in rep["threshold_curve"])
     print(f"report written to {config.out}")
     return 0
 
@@ -374,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pair(p)
     p.add_argument("--direction", choices=("both", *DIRECTIONS),
                    help=f"attribution direction (default: {RunConfig.direction})")
-    p.add_argument("--steps", type=int, help=f"Riemann steps (default: {RunConfig.steps})")
+    p.add_argument("--steps", type=int,
+                   help=f"at least 8, and echoed; the integral is exact, so it changes no value "
+                        f"(default: {RunConfig.steps})")
     p.add_argument("--baseline", choices=BASELINE_KINDS, help=f"baseline kind (default: {RunConfig.baseline})")
     p.add_argument("--out", help="write JSON here instead of stdout")
     return parser

@@ -246,7 +246,9 @@ def load_vocabulary(vocab_file: str, merges_file: str) -> Vocabulary:
         merges.append((left, right))
 
     vocab = Vocabulary(token_to_id=token_to_id, merges=merges)
-    vocab._bytes(token_to_id, where=f"{vocab_file}: ")  # every token is a run of byte stand-ins
+    # Every token is a run of byte stand-ins: one search for any other character, which `_bytes` names.
+    if re.search(f"[^{re.escape(''.join(vocab.byte_encoder.values()))}]", "".join(token_to_id)):
+        vocab._bytes(token_to_id, where=f"{vocab_file}: ")
     return vocab
 
 

@@ -26,9 +26,13 @@ Likewise `integrated_gradients_grid` and `integrated_gradients_three_pass`,
 integrated gradients as the package once computed it (the midpoints and
 both endpoints in one cosine call over a (steps + 2, D) grid, and in three
 calls), call the package's forward and cosine: the two must agree bit for
-bit, and the grid gates the package's scalar-path midpoint rule within a
-tolerance, while `integrated_gradients_tiled` checks the values
-themselves.  `attribution_gap_loop` is `attribution_gap`
+bit, and the grid gates `integrated_gradients_midpoint`, the package's
+scalar-path midpoint rule as it was before the exact path integral, within
+a tolerance.  The package's exact integral is gated as the limit of the
+midpoint rule at growing step counts, against it and against
+`integrated_gradients_tiled`, which checks the values themselves, and on a
+one-token line model against `integrated_gradients_decimal_exact`, the
+integral in 50-digit decimal.  `attribution_gap_loop` is `attribution_gap`
 with its two `integrated_gradients` calls written out, and
 `attribution_result_dict` is `AttributionResult.to_dict` with its fields
 listed by hand, as the package once had them.  `bpe_decode_map` and
@@ -71,7 +75,17 @@ from matcha.errors import (
 )
 from matcha.attribution import AttributionResult, integrated_gradients
 from matcha.data import Record
-from matcha.model import Hyper, ModelParams, block_means, check_ids, cosine_with_grads, embedding_rows, forward
+from matcha.model import (
+    Hyper,
+    ModelParams,
+    _cosine_core,
+    _norms,
+    block_means,
+    check_ids,
+    cosine_with_grads,
+    embedding_rows,
+    forward,
+)
 from matcha.evaluation import (
     _WORD,
     DEFAULT_RANGES,
@@ -491,6 +505,72 @@ def integrated_gradients_grid(params, reference: str, candidate: str, vocab, dir
     )
 
 
+def integrated_gradients_midpoint(params, reference: str, candidate: str, vocab, direction: str, steps: int,
+                                  baseline_kind: str) -> AttributionResult:
+    """`integrated_gradients` as the midpoint rule over `steps` points of the path, in O(steps + D).
+
+    A zero fixed representation or a midpoint with q exactly 0 is on the path.
+    """
+    max_len = params.hyper.max_len
+    attributed_text, fixed_text = (
+        (candidate, reference) if direction == "toward_candidate" else (reference, candidate)
+    )
+    ids = vocab.encode(attributed_text, max_len)
+    # One gather: the attributed document's rows, then the fixed document's.
+    # `encode` raises on an empty text and gives at least one id otherwise.
+    rows = embedding_rows(params, check_ids(params, ids + vocab.encode(fixed_text, max_len)))
+    emb, fixed = rows[: len(ids)], rows[len(ids) :]
+    # One forward for the fixed document, the attributed one and, unless it
+    # is the attributed document itself, the baseline: the zero baseline's
+    # mean embedding is the zero row.  Sum over count gives the bits of
+    # .mean(axis=0), without its wrapper.
+    emb_means = np.zeros((3 if baseline_kind == "zero" else 2, params.hyper.dim))
+    emb_means[0] = np.add.reduce(fixed) / len(fixed)
+    emb_means[1] = np.add.reduce(emb) / len(emb)
+    means = block_means(params)
+    _, h = forward(params, emb_means, means)
+    h_fixed, h_actual, h_baseline = h[0], h[1], h[-1]
+    # h(α) = h⊥ + tΔ, t = α − α*: h⊥ = h_0 + α*Δ, the line's closest point to the origin, is formed
+    # as a vector so that no two large terms cancel near it.  The gradient f/(|f||h|) − (f·h)h/(|f||h|³)
+    # has the path mean (m f − c⊥ h⊥ − c_Δ Δ)/|f|, with m, c⊥ and c_Δ the midpoints' means of
+    # q^(-1/2), w = (f·h)q^(-3/2) and tw, where q = |h|².  Δ = 0 gives h⊥ = h_0.
+    delta = h_actual - h_baseline
+    a = delta @ delta
+    alpha_star = -(h_baseline @ delta) / a if a else 0.0
+    h_perp = h_baseline + alpha_star * delta
+    t = (np.arange(steps) + 0.5) / steps - alpha_star
+    q = a * t**2 + h_perp @ h_perp
+    try:
+        # A row-wise cosine gives each endpoint the bits of a call on that row alone.
+        n_fixed, _, _, (score_actual, score_baseline) = _cosine_core(h_fixed, h[[1, -1]])
+        if not q.all():
+            raise DegenerateRepresentationError("zero-norm document representation")
+    except DegenerateRepresentationError as exc:
+        where = "along the interpolation path" if not (_norms(h_fixed) and q.all()) else "at an interpolation endpoint"
+        raise DegenerateRepresentationError(
+            f"zero-norm representation {where}; try a different baseline ({exc})") from exc
+    inv_norm = 1.0 / np.sqrt(q)
+    w = (h_fixed @ h_perp + t * (h_fixed @ delta)) * inv_norm / q
+    m, c_perp, c_delta = (np.add.reduce(x) / steps for x in (inv_norm, w, t * w))
+    g_h = (m * h_fixed - c_perp * h_perp - c_delta * delta) / n_fixed
+    # Back through h = (W̄ē + b̄)C and ē = mean of the rows: every token row
+    # gets the same embedding gradient.  The input baseline's delta is zero.
+    row_grad = means[0].T @ (params.conversion @ g_h) / len(ids)
+    per_token_values = (emb if baseline_kind == "zero" else np.zeros_like(emb)) @ row_grad
+    total = float(per_token_values.sum())
+    distinct = list(set(ids))
+    pieces = dict(zip(distinct, vocab.pieces(distinct)))
+    return AttributionResult(
+        direction=direction,
+        per_token=list(zip(map(pieces.__getitem__, ids), per_token_values.tolist())),
+        total=total,
+        completeness_residual=abs(total - (score_actual - score_baseline)),
+        steps=steps,
+        score=score_actual,
+        baseline_score=score_baseline,
+    )
+
+
 def integrated_gradients_decimal(h_fixed, h_baseline, h_actual, row, steps: int, digits: int = 50) -> float:
     """The midpoint rule's attribution to one embedding `row` when h is affine in it with unit slope.
 
@@ -513,6 +593,40 @@ def integrated_gradients_decimal(h_fixed, h_baseline, h_actual, row, steps: int,
             f_dot_h = sum(a * b for a, b in zip(f, h))
             g = [gi + fi / (n_fixed * n) - f_dot_h * hi / (n_fixed * n * q) for gi, fi, hi in zip(g, f, h)]
         return float(sum(a * b for a, b in zip(e, g)) / steps)
+
+
+def integrated_gradients_decimal_exact(h_fixed, h_baseline, h_actual, row, digits: int = 50) -> float:
+    """The exact path integral's attribution to one embedding `row` when h is affine in it with unit slope.
+
+    The line model of `integrated_gradients_decimal`, integrated exactly: in
+    the h_0 basis, with q(α) = |h_0 + αΔ|² = Aα² + Bα + C and the textbook
+    antiderivatives of q^(-1/2), q^(-3/2), α·q^(-3/2) and α²·q^(-3/2),
+    evaluated in `digits`-digit decimal.  The line must miss the origin.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        f, h_0, h_1, e = ([Decimal(float(x)) for x in v] for v in (h_fixed, h_baseline, h_actual, row))
+        delta = [b - a for a, b in zip(h_0, h_1)]
+        dot = lambda u, v: sum(x * y for x, y in zip(u, v))  # noqa: E731
+        big_a, big_b, big_c = dot(delta, delta), 2 * dot(h_0, delta), dot(h_0, h_0)
+        disc = 4 * big_a * big_c - big_b * big_b
+        root_a = big_a.sqrt()
+
+        def antiderivatives(alpha):
+            q = (big_a * alpha + big_b) * alpha + big_c
+            root_q, slope = q.sqrt(), 2 * big_a * alpha + big_b
+            # ln(2√(Aq) + slope), through (2√(Aq))² − slope² = disc where slope < 0.
+            log = (2 * root_a * root_q + slope).ln() if slope >= 0 else disc.ln() - (2 * root_a * root_q - slope).ln()
+            k_half = log / root_a
+            k_0 = 2 * slope / (disc * root_q)
+            k_1 = -2 * (2 * big_c + big_b * alpha) / (disc * root_q)
+            return k_half, k_0, k_1, (k_half - big_b * k_1 - big_c * k_0) / big_a
+
+        k_half, k_0, k_1, k_2 = (b - a for a, b in zip(antiderivatives(Decimal(0)), antiderivatives(Decimal(1))))
+        f_0, f_delta = dot(f, h_0), dot(f, delta)
+        g = [fi * k_half - f_0 * h0i * k_0 - (f_0 * di + f_delta * h0i) * k_1 - f_delta * di * k_2
+             for fi, h0i, di in zip(f, h_0, delta)]
+        return float(dot(e, g) / dot(f, f).sqrt())
 
 
 def attribution_result_dict(result: AttributionResult) -> dict:

@@ -210,7 +210,7 @@ def test_c07_integrated_gradients_completeness(desk_model):
         rec = desk_model.held_records[int(k)]
         candidate = rec.correct if k % 2 == 0 else rec.incorrect
         result = integrated_gradients(params, rec.reference, candidate, vocab, steps=256)
-        budget = 1e-3 * abs(result.score - result.baseline_score) + 1e-6
+        budget = 1e-12 * max(abs(result.score - result.baseline_score), 1.0)
         assert result.completeness_residual <= budget, (result.completeness_residual, budget)
     # linear functions are attributed exactly at 8 steps
     coef = rng.normal(0, 1, (5, 3))

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from oracles import (
     attribution_gap_loop,
     attribution_result_dict,
     integrated_gradients_decimal,
+    integrated_gradients_decimal_exact,
     integrated_gradients_grid,
+    integrated_gradients_midpoint,
     integrated_gradients_three_pass,
     integrated_gradients_tiled,
     path_integral_attributions,
@@ -31,6 +34,7 @@ from test_model import manual_params, random_params
 
 
 STEPS = (8, 64, 257)
+GROWING_STEPS = (64, 256, 1024)
 PATH_MESSAGE = (
     "zero-norm representation along the interpolation path; "
     "try a different baseline (zero-norm document representation)"
@@ -41,11 +45,11 @@ ENDPOINT_MESSAGE = (
 )
 
 
-def _same_output(params, vocab, reference, candidate, direction, steps, baseline_kind):
-    """The grid and three-pass oracles agree bit for bit, and `integrated_gradients` matches the grid.
+def _oracles_agree(params, vocab, reference, candidate, direction, steps, baseline_kind):
+    """The grid and three-pass oracles agree bit for bit, and the scalar-path midpoint oracle matches the grid.
 
-    The oracles' results serialise to the same JSON text, so every float has
-    the same bits.  The package's scalar-path midpoint rule sums the path in
+    The grid's and three-pass results serialise to the same JSON text, so
+    every float has the same bits.  The midpoint oracle sums the path in
     another order: its `score` and `baseline_score` have the grid's bits, and
     each per-token value is within 1e-12 of the larger of the largest value
     and the score change.
@@ -53,7 +57,7 @@ def _same_output(params, vocab, reference, candidate, direction, steps, baseline
     args = (params, reference, candidate, vocab, direction, steps, baseline_kind)
     grid = integrated_gradients_grid(*args)
     assert json.dumps(grid.to_dict()) == json.dumps(integrated_gradients_three_pass(*args).to_dict())
-    got = integrated_gradients(*args)
+    got = integrated_gradients_midpoint(*args)
     assert (got.direction, got.steps, got.score.hex(), got.baseline_score.hex()) == (
         grid.direction, grid.steps, grid.score.hex(), grid.baseline_score.hex())
     assert [tok for tok, _ in got.per_token] == [tok for tok, _ in grid.per_token]
@@ -62,9 +66,45 @@ def _same_output(params, vocab, reference, candidate, direction, steps, baseline
     assert np.abs(values - expected).max() <= 1e-12 * scale
 
 
+def _converges(values, oracle, scale, steps=GROWING_STEPS):
+    """The gap of `values` to `oracle(n)` shrinks at least 12× per 4× more steps n, or is rounding.
+
+    The midpoint rule's error is O(1/n²), 16× smaller per 4× steps, so an
+    exact integral shows that ratio; rounding is 1e-12 of max(`scale`, 1).
+    """
+    gaps = [np.abs(values - oracle(n)).max() for n in steps]
+    assert all(fine <= max(coarse / 12, 1e-12 * max(scale, 1.0)) for coarse, fine in zip(gaps, gaps[1:])), gaps
+
+
+def _is_the_exact_integral(params, vocab, reference, candidate, direction, baseline_kind, steps=GROWING_STEPS):
+    """`integrated_gradients` is complete to rounding and is the limit of the midpoint oracle.
+
+    Its residual is at most 1e-12 of max(|score change|, 1); `steps` changes
+    no value; its tokens, `score` and `baseline_score` are the oracle's; and
+    the oracle's gap to its per-token values closes as `_converges` asks.
+    """
+    got = integrated_gradients(params, reference, candidate, vocab, direction, 8, baseline_kind)
+    change = got.score - got.baseline_score
+    assert got.completeness_residual <= 1e-12 * max(abs(change), 1.0)
+    values = np.array([v for _, v in got.per_token])
+    assert np.isfinite(values).all()
+
+    def oracle(n):
+        assert integrated_gradients(params, reference, candidate, vocab, direction, n, baseline_kind) == replace(
+            got, steps=n)
+        result = integrated_gradients_midpoint(params, reference, candidate, vocab, direction, n, baseline_kind)
+        assert (result.score.hex(), result.baseline_score.hex()) == (got.score.hex(), got.baseline_score.hex())
+        assert [tok for tok, _ in result.per_token] == [tok for tok, _ in got.per_token]
+        return np.array([v for _, v in result.per_token])
+
+    _converges(values, oracle, max(np.abs(values).max(), abs(change)), steps)
+    return got
+
+
 def _raises_as_three_pass(message, *args):
-    """The package and both oracles raise DegenerateRepresentationError with exactly `message`."""
-    for ig in (integrated_gradients, integrated_gradients_grid, integrated_gradients_three_pass):
+    """The package and the three oracles raise DegenerateRepresentationError with exactly `message`."""
+    for ig in (integrated_gradients, integrated_gradients_midpoint, integrated_gradients_grid,
+               integrated_gradients_three_pass):
         with pytest.raises(DegenerateRepresentationError) as info:
             ig(*args)
         assert str(info.value) == message
@@ -164,14 +204,14 @@ class TestIntegratedGradients:
         assert toward_cand.direction == "toward_candidate"
         assert toward_ref.direction == "toward_reference"
 
-    def test_completeness_residual_shrinks_with_steps(self, small_model):
+    def test_completeness_residual_is_rounding_at_any_steps(self, small_model):
         params, vocab = small_model
         ref, cand = "the door is open", "the door is closed"
-        coarse = integrated_gradients(params, ref, cand, vocab, steps=32)
-        fine = integrated_gradients(params, ref, cand, vocab, steps=256)
-        assert fine.completeness_residual <= coarse.completeness_residual + 1e-9
-        delta = abs(fine.score - fine.baseline_score)
-        assert fine.completeness_residual <= 1e-3 * delta + 1e-6
+        coarse = integrated_gradients(params, ref, cand, vocab, steps=8)
+        for steps in (9, 32, 256, 1_000_000):
+            assert integrated_gradients(params, ref, cand, vocab, steps=steps) == replace(coarse, steps=steps)
+        assert coarse.completeness_residual <= 1e-12 * max(abs(coarse.score - coarse.baseline_score), 1.0)
+        assert coarse.score != coarse.baseline_score
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
@@ -183,11 +223,10 @@ class TestIntegratedGradients:
         emb = params.embedding[vocab.encode(attributed, 16)]
         baseline = emb.copy() if baseline_kind == "input" else np.zeros_like(emb)
         h_fixed = represent_layered(params, vocab.encode(fixed, 16))
-        expected = path_integral_attributions(
-            lambda point: score_grad_tiled(params, point, h_fixed), emb, baseline, 64
-        ).sum(axis=1)
         got = np.array([v for _, v in result.per_token])
-        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+        _converges(got, lambda steps: path_integral_attributions(
+            lambda point: score_grad_tiled(params, point, h_fixed), emb, baseline, steps).sum(axis=1),
+            max(np.abs(got).max(), abs(result.score - result.baseline_score)))
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
@@ -198,10 +237,12 @@ class TestIntegratedGradients:
         ref, cand = "the door is open", "not quite closed"
         result = integrated_gradients(params, ref, cand, vocab, direction, 64, baseline_kind)
         attributed, fixed = (cand, ref) if direction == "toward_candidate" else (ref, cand)
-        values, score_actual, score_baseline = integrated_gradients_tiled(
-            params, vocab.encode(attributed), vocab.encode(fixed), 64, baseline_kind)
         got = np.array([v for _, v in result.per_token])
-        assert np.abs(got - values).max() <= 1e-12 * max(np.abs(values).max(), 1e-300)
+        _, score_actual, score_baseline = integrated_gradients_tiled(
+            params, vocab.encode(attributed), vocab.encode(fixed), 8, baseline_kind)
+        _converges(got, lambda steps: integrated_gradients_tiled(
+            params, vocab.encode(attributed), vocab.encode(fixed), steps, baseline_kind)[0],
+            max(np.abs(got).max(), abs(score_actual - score_baseline)))
         assert abs(result.score - score_actual) <= 1e-12 * abs(score_actual)
         assert abs(result.baseline_score - score_baseline) <= 1e-12 * abs(score_baseline)
 
@@ -241,7 +282,8 @@ class TestIntegratedGradients:
 
 
 class TestOnePassMatchesThreePass:
-    """The one-pass grid oracle gives the three-pass oracle's bits, and `integrated_gradients` matches the grid."""
+    """The one-pass grid oracle gives the three-pass oracle's bits, the midpoint oracle matches the grid,
+    and `integrated_gradients` is the exact integral the midpoint oracle converges to."""
 
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
@@ -249,8 +291,9 @@ class TestOnePassMatchesThreePass:
     def test_desk_model(self, desk_model, direction, baseline_kind, steps):
         for record in desk_model.held_records[:4]:
             for candidate in (record.correct, record.incorrect):
-                _same_output(desk_model.params, desk_model.vocab, record.reference, candidate,
-                             direction, steps, baseline_kind)
+                args = (desk_model.params, desk_model.vocab, record.reference, candidate, direction)
+                _oracles_agree(*args, steps, baseline_kind)
+                _is_the_exact_integral(*args, baseline_kind, (steps, 4 * steps, 16 * steps))
 
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
@@ -261,11 +304,13 @@ class TestOnePassMatchesThreePass:
         params.hyper.max_len = desk_model.max_len
         assert np.abs(params.proj_bias).min() > 0.0
         for record in desk_model.held_records[:4]:
-            _same_output(params, vocab, record.reference, record.correct, direction, steps, baseline_kind)
+            args = (params, vocab, record.reference, record.correct, direction)
+            _oracles_agree(*args, steps, baseline_kind)
+            _is_the_exact_integral(*args, baseline_kind, (steps, 4 * steps, 16 * steps))
 
 
 class TestZeroNormMessages:
-    """A zero fixed representation or midpoint raises the three-pass version's path message."""
+    """A zero fixed representation or a path through the origin raises the three-pass version's path message."""
 
     @staticmethod
     def line_model(fixed_row, attributed_row, bias=np.array([0.75, -0.5])):
@@ -283,12 +328,16 @@ class TestZeroNormMessages:
         _raises_as_three_pass(PATH_MESSAGE, params, "f", "a", vocab, "toward_candidate", 8, baseline_kind)
 
     def test_path_through_the_origin(self):
-        # h_0 = b and h_1 = -2b + b = -b: the midpoint alpha = 4.5 / 9 = 0.5 of 9 steps is exactly 0.
+        # h_0 = b and h_1 = -2b + b = -b: the path meets the origin at alpha = 1/2, the midpoint 4.5 / 9 of 9 steps.
         params, vocab = self.line_model(lambda b: np.array([0.25, 1.0]), lambda b: -2.0 * b)
         _raises_as_three_pass(PATH_MESSAGE, params, "f", "a", vocab, "toward_candidate", 9, "zero")
-        # With an even step count no midpoint lands on alpha = 0.5.  The value, 0 in exact
-        # arithmetic, is rounding: 8.9e-16 along the scalar path, 4.4e-16 on the grid.
-        _same_output(params, vocab, "f", "a", "toward_candidate", 8, "zero")
+        # With an even step count no midpoint lands on alpha = 1/2 and the midpoint sums are finite:
+        # 0 in exact arithmetic, and rounding (8.9e-16 along the scalar path, 4.4e-16 on the grid).
+        # The exact integral of q^(-1/2) through the origin diverges, so the package raises at any steps.
+        _oracles_agree(params, vocab, "f", "a", "toward_candidate", 8, "zero")
+        with pytest.raises(DegenerateRepresentationError) as info:
+            integrated_gradients(params, "f", "a", vocab, "toward_candidate", 8, "zero")
+        assert str(info.value) == PATH_MESSAGE
 
 
 class TestNearTheOrigin:
@@ -306,29 +355,53 @@ class TestNearTheOrigin:
         fixed = rng.normal(0, 0.5, dim)
         return TestZeroNormMessages.line_model(lambda b: fixed, lambda b: (distance * u - b) / alpha_c, bias)
 
+    @staticmethod
+    def exact_within_rounding(params, vocab, distance):
+        """The one per-token value and its residual, within 8·ε·κ (and 1e-12) of scale of the exact integral.
+
+        The exact integral is evaluated in 50-digit decimal on the float64
+        representations.  Rounding the line's closest point h⊥ moves it by
+        about ε·|h| and turns its direction by ε·|h|/|h⊥|, so the bound has
+        κ = (|h_0| + |h_1|) / distance, as the midpoint sum's has with its
+        nearest midpoint.  Returns the result and the exact value.
+        """
+        # The zero baseline's h_0 is the bias b; a one-token document's h is its row plus b.
+        bias = params.proj_bias
+        fixed, attributed = (params.embedding[vocab.token_to_id[token]] for token in "fa")
+        expected = integrated_gradients_decimal_exact(fixed + bias, bias, attributed + bias, attributed)
+        kappa = (np.linalg.norm(bias) + np.linalg.norm(attributed + bias)) / distance
+        bound = max(1e-12, 8 * np.finfo(float).eps * kappa)
+        result = integrated_gradients(params, "f", "a", vocab, "toward_candidate", 8, "zero")
+        (_, value), = result.per_token
+        scale = max(abs(expected), abs(result.score - result.baseline_score))
+        assert abs(value - expected) <= bound * scale
+        assert result.completeness_residual <= bound * scale
+        return result, expected
+
     @pytest.mark.parametrize("steps", STEPS)
     @pytest.mark.parametrize("distance", DISTANCES)
     @pytest.mark.parametrize("dim", [2, 256])
     def test_closest_point_between_midpoints(self, dim, distance, steps):
         params, vocab = self.model(dim, distance, (steps // 2) / steps)
         for baseline_kind in BASELINE_KINDS:
-            _same_output(params, vocab, "f", "a", "toward_candidate", steps, baseline_kind)
+            _oracles_agree(params, vocab, "f", "a", "toward_candidate", steps, baseline_kind)
+        self.exact_within_rounding(params, vocab, distance)
 
     @pytest.mark.parametrize("k", [128, 77])
     @pytest.mark.parametrize("distance", DISTANCES)
     @pytest.mark.parametrize("dim", [2, 256])
     def test_midpoint_near_the_origin(self, dim, distance, k):
-        """A midpoint `distance` from the origin: within what any rounding of the path allows.
+        """A midpoint `distance` from the origin: the midpoint oracles within what any rounding of the path allows.
 
         The midpoint sum then amplifies a rounding of the path's points by
         up to κ = (|h_0| + |h_1|) / (the nearest midpoint's norm), so the
         grid and the scalar path are each held to 8·ε·κ (and 1e-12) of the
         sum evaluated in 50-digit decimal.  k = 128 is alpha = 1/2, where the
-        grid's points happen to be exact; k = 77 is not.
+        grid's points happen to be exact; k = 77 is not.  The package's exact
+        integral is held to its own bound.
         """
         steps = 257
         params, vocab = self.model(dim, distance, (k + 0.5) / steps)
-        # The zero baseline's h_0 is the bias b; a one-token document's h is its row plus b.
         bias = params.proj_bias
         fixed, attributed = (params.embedding[vocab.token_to_id[token]] for token in "fa")
         expected = integrated_gradients_decimal(fixed + bias, bias, attributed + bias, attributed, steps)
@@ -336,10 +409,102 @@ class TestNearTheOrigin:
         nearest = np.linalg.norm(bias + alphas[:, None] * attributed, axis=1).min()
         kappa = (np.linalg.norm(bias) + np.linalg.norm(attributed + bias)) / nearest
         bound = max(1e-12, 8 * np.finfo(float).eps * kappa)
-        for ig in (integrated_gradients, integrated_gradients_grid):
+        for ig in (integrated_gradients_midpoint, integrated_gradients_grid):
             result = ig(params, "f", "a", vocab, "toward_candidate", steps, "zero")
             (_, value), = result.per_token
             assert abs(value - expected) <= bound * max(abs(expected), abs(result.score - result.baseline_score))
+        self.exact_within_rounding(params, vocab, distance)
+
+    def test_the_midpoint_spike_is_gone(self):
+        """D=256 with a midpoint 1e-6 from the origin: the 257-step rule gives a per-token value of
+        about −47,896 for a score that moved by 1.51, and the exact integral gives about −1.51."""
+        params, vocab = self.model(256, 1e-6, 128.5 / 257)
+        result, expected = self.exact_within_rounding(params, vocab, 1e-6)
+        (_, midpoint), = integrated_gradients_midpoint(params, "f", "a", vocab, "toward_candidate", 257,
+                                                       "zero").per_token
+        assert round(midpoint) == -47_896 and round(result.score - result.baseline_score, 2) == -1.51
+        (_, value), = result.per_token
+        assert abs(value - (result.score - result.baseline_score)) <= 1e-9 and abs(expected + 1.51) < 0.01
+
+
+class TestCollinearEndpoints:
+    """h_1 = c·h_0 with c > 0: the line passes through the origin, but the segment misses it."""
+
+    @staticmethod
+    def model(c):
+        # N_c=1, W = C = I and b = h_0: "a" has the row (c − 1)b, so h_1 = c·b; "a z" has the same mean
+        # with rows (c − 1)b ± v, so its two tokens get values of opposite sign.
+        rng = np.random.default_rng(3)
+        bias, v, fixed = rng.normal(0, 0.5, (3, 8))
+        vocab = build_word_vocabulary(["f a z"])
+        embedding = np.zeros((vocab.vocab_size, 8))
+        for token, row in (("f", fixed), ("a", (c - 1) * bias + v), ("z", (c - 1) * bias - v)):
+            embedding[vocab.token_to_id[token]] = row
+        params = manual_params(embedding, np.eye(8), bias, np.eye(8))
+        params.embedding[vocab.token_to_id["a"]] -= v
+        return params, vocab, v
+
+    @pytest.mark.parametrize("c", [2.0, 0.5, 3.7, 0.1])
+    def test_finite_and_complete(self, c):
+        params, vocab, v = self.model(c)
+        # One token: h_1 = c·b, so the cosine, and so each value, moves only by rounding, ε/c of h_1.
+        result = _is_the_exact_integral(params, vocab, "f", "a", "toward_candidate", "zero")
+        (_, value), = result.per_token
+        assert abs(value) <= 1e-12 and abs(result.score - result.baseline_score) <= 1e-12
+        params.embedding[vocab.token_to_id["a"]] += v
+        result = _is_the_exact_integral(params, vocab, "f", "a z", "toward_candidate", "zero")
+        (_, plus), (_, minus) = result.per_token
+        assert plus * minus < 0.0 and min(abs(plus), abs(minus)) > 1e-3
+
+    def test_zero_delta_with_the_zero_baseline(self):
+        # c = 1: the rows v and −v of "a z" average to zero, so h_1 = h_0 = b and the path is one point,
+        # where each token gets ±v·g(b) and the grid's midpoints all take that one gradient.
+        params, vocab, v = self.model(1.0)
+        params.embedding[vocab.token_to_id["a"]] += v
+        result = integrated_gradients(params, "f", "a z", vocab, "toward_candidate", 8, "zero")
+        grid = integrated_gradients_grid(params, "f", "a z", vocab, "toward_candidate", 8, "zero")
+        values, expected = (np.array([value for _, value in r.per_token]) for r in (result, grid))
+        assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert values[0] == -values[1] and abs(values[0]) > 1e-3 and result.score == result.baseline_score
+
+    def test_closest_point_exactly_at_the_origin(self):
+        # c = 2: Δ = b and alpha* = −1 exactly, so h⊥ = b − b is the zero vector.
+        params, vocab, _ = self.model(2.0)
+        bias = params.proj_bias
+        assert np.array_equal(bias - (bias @ bias) / (bias @ bias) * bias, np.zeros(8))
+        result = integrated_gradients(params, "f", "a", vocab, "toward_candidate", 8, "zero")
+        assert result.completeness_residual <= 1e-15 and np.isfinite(result.total)
+
+
+class TestExactCompleteness:
+    """Attributions sum to the score change up to rounding, on every pair, direction and baseline."""
+
+    def test_every_held_out_desk_pair(self, desk_model):
+        params, vocab = desk_model.params, desk_model.vocab
+        for record in desk_model.held_records:
+            for candidate in (record.correct, record.incorrect):
+                for direction in DIRECTIONS:
+                    for baseline_kind in BASELINE_KINDS:
+                        r = integrated_gradients(params, record.reference, candidate, vocab, direction, 64,
+                                                 baseline_kind)
+                        assert r.completeness_residual <= 1e-12 * max(abs(r.score - r.baseline_score), 1.0), r
+
+    def test_midpoint_oracle_converges_on_a_hundred_desk_pairs(self, desk_model):
+        for record in desk_model.held_records[:50]:
+            for candidate in (record.correct, record.incorrect):
+                for direction in DIRECTIONS:
+                    _is_the_exact_integral(desk_model.params, desk_model.vocab, record.reference, candidate,
+                                           direction, "zero")
+
+    def test_wide_model(self, desk_model):
+        vocab = desk_model.vocab
+        params = random_params(np.random.default_rng(256), vocab.vocab_size, 256, 16, scale=0.1).freeze()
+        params.hyper.max_len = desk_model.max_len
+        for record in desk_model.held_records[:100]:
+            for candidate in (record.correct, record.incorrect):
+                for direction in DIRECTIONS:
+                    r = integrated_gradients(params, record.reference, candidate, vocab, direction, 64, "zero")
+                    assert r.completeness_residual <= 1e-12 * max(abs(r.score - r.baseline_score), 1.0), r
 
 
 class TestAttributionGap:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -308,6 +309,30 @@ class TestEvaluateCommand:
         assert report["provenance"]["version"] == __version__
         header = open(csv_out).readline().strip()
         assert header == "dataset,metric,threshold,percentage"
+        # Plain names need no quotes, so the file has the bytes of the rows joined by hand.
+        expected = ["dataset,metric,threshold,percentage"] + [
+            f"{ds},{metric},{threshold},{pct}" for ds, per_metric in report["separation"].items()
+            for metric, rep in per_metric.items() for threshold, pct in rep["threshold_curve"]]
+        assert open(csv_out, "rb").read() == ("\n".join(expected) + "\n").encode()
+
+    def test_csv_quotes_names_with_commas_quotes_and_newlines(self, tmp_path):
+        # Written unquoted, the metric 'bleu,4 "x"' would give the row t,bleu,4 "x",0.0,100.0: five fields.
+        corpus = write_corpus(tmp_path / "eval.jsonl", make_synthetic_corpus(3, seed=1))
+        scores = tmp_path / "scores.jsonl"
+        names = [("eval", 'bleu,4 "x"'), ('news, "daily"\nmail', "toy")]
+        rows = [{"id": rid, "metric": metric, "score": score, "dataset": dataset, "label": label}
+                for dataset, metric in names for rid in ("line1", "line2")
+                for label, score in (("correct", 0.9), ("incorrect", 0.2))]
+        scores.write_text("\n".join(map(json.dumps, rows)), encoding="utf-8")
+        csv_out = tmp_path / "curves.csv"
+        assert main(["evaluate", "--data", corpus, "--scores", str(scores), "--metrics", 'bleu,4 "x"=unit',
+                     "--metrics", "toy=unit", "--out", str(tmp_path / "r.json"), "--csv", str(csv_out)]) == 0
+        with open(csv_out, newline="", encoding="utf-8") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == ["dataset", "metric", "threshold", "percentage"]
+        assert {len(line) for line in lines} == {4}
+        assert {tuple(line[:2]) for line in lines} == set(names)
+        assert all(float(line[3]) in (0.0, 100.0) for line in lines)
 
     def test_one_rated_row_reports_a_null_ccc(self, tmp_path):
         # CCC needs two rated rows; Rank@1 and DCG do not, and the report is still written.

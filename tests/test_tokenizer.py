@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestLoadVocabulary:
         merges_path = _write(tmp_path / "m.txt", "#header\n")
         with pytest.raises(VocabularyIntegrityError, match=rf"encoder\.json: token {re.escape(repr(token))} holds"):
             load_vocabulary(vocab_path, merges_path)
+
+    @pytest.mark.parametrize("token", ["\u2603", "a b"])
+    def test_token_outside_byte_alphabet_last_of_a_large_table(self, tmp_path, token):
+        # 50,000 tokens of two stand-ins each, then one that holds a character outside them.
+        tokens = list(map("".join, islice(product(byte_to_unicode().values(), repeat=2), 50_000)))
+        vocab_path = _write(tmp_path / "encoder.json", json.dumps(dict(zip(tokens + [token], range(50_001)))))
+        merges_path = _write(tmp_path / "m.txt", "#header\n")
+        with pytest.raises(VocabularyIntegrityError,
+                           match=rf"^{re.escape(vocab_path)}: token {re.escape(repr(token))} holds"):
+            load_vocabulary(vocab_path, merges_path)
+        assert load_vocabulary(_write(tmp_path / "ok.json", json.dumps(dict(zip(tokens, range(50_000))))),
+                               merges_path).vocab_size == 50_000
 
     def test_non_utf8_merges_names_byte_offset(self, tmp_path):
         vocab_path = _write(tmp_path / "v.json", json.dumps({"a": 0, "b": 1, "ab": 2}))
