@@ -98,6 +98,15 @@ def _manifests_for(data_path: str) -> list[DatasetManifest]:
     return [DatasetManifest(name=name, path=data_path, has_contrastive=False)]
 
 
+def _outputs(config: RunConfig) -> dict[str, str]:
+    """Every file the command writes, under the flag that names it or the rule that derives it."""
+    outputs = {"--out": config.out, "--report": config.report, "--csv": config.csv}
+    if config.command == "train" and config.out:  # the files written beside the checkpoint
+        outputs["--report"] = config.report or config.out + ".train.jsonl"
+        outputs["<out>.vocab.json"] = None if config.vocab else config.out + ".vocab.json"
+    return {name: path for name, path in outputs.items() if path}
+
+
 def _cmd_tokenize(config: RunConfig) -> int:
     vocab = _load_tokenizer(config)
     ids = vocab.encode(config.text, config.max_len)
@@ -153,17 +162,16 @@ def _cmd_train(config: RunConfig) -> int:
     initial = [params]
     del params
     params, report = train(cfg, datasets, initial.pop())
-    save_checkpoint(params, config.out)
+    outputs = _outputs(config)
+    save_checkpoint(params, outputs["--out"])
     # Only beside the checkpoint it was trained with: a run that fails leaves the old pair.
-    if isinstance(vocab, WordVocabulary) and not config.vocab:
-        vocab.save(config.out + ".vocab.json")
-
-    report_path = config.report or config.out + ".train.jsonl"
+    if "<out>.vocab.json" in outputs:  # a vocabulary built from the corpus
+        vocab.save(outputs["<out>.vocab.json"])
     lines = [json.dumps(_provenance(cfg.seed, config))]
     for row in report:
         lines.append(json.dumps(row))
         print(f"epoch {row['epoch']}: mean_loss={row['mean_loss']:.6f} lr={row['lr']:.3g} batches={row['batches']}")
-    with open_atomic(report_path) as fh:
+    with open_atomic(outputs["--report"]) as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"checkpoint written to {config.out}")
     return 0
@@ -246,8 +254,9 @@ def _cmd_attribute(config: RunConfig) -> int:
 
 def _check(config: RunConfig) -> None:
     """Raise ConfigError for the first setting out of range.  Every default passes, so each field is
-    checked whatever the command; only the vocabulary-flag rules depend on it.  Then an output path
-    that is a directory raises IsADirectoryError, before any input is read, not at the final rename."""
+    checked whatever the command; only the vocabulary-flag rules depend on it.  Then, before any input
+    is read, two outputs that name one file raise ConfigError, and an output path that is a directory
+    raises IsADirectoryError, not at the final rename."""
     if config.command == "train" and config.merges and not config.vocab:
         raise ConfigError("train with --merges requires --vocab")
     if config.command == "evaluate" and config.ckpt and not config.vocab:
@@ -265,10 +274,11 @@ def _check(config: RunConfig) -> None:
             MetricRange(*entry.split("=", 1))
     except (ShapeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    outputs = [config.out, config.report, config.csv]
-    if config.command == "train" and config.out:  # the files `_cmd_train` writes beside the checkpoint
-        outputs += [config.report or config.out + ".train.jsonl", None if config.vocab else config.out + ".vocab.json"]
-    for path in filter(None, outputs):
+    named: dict[str, str] = {}
+    for name, path in _outputs(config).items():
+        first = named.setdefault(os.path.realpath(path), name)
+        if first != name:
+            raise ConfigError(f"{first} and {name} name the same file: {path}")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

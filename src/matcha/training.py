@@ -132,6 +132,8 @@ class TrainConfig:
             problems.append(f"schedule_strategy must be one of {sorted(SCHEDULE_STRATEGIES)}")
         if self.schedule_strategy == "curriculum" and not self.curriculum_order:
             problems.append("curriculum schedule requires curriculum_order")
+        if self.curriculum_order and len(set(self.curriculum_order)) < len(self.curriculum_order):
+            problems.append("curriculum_order names a dataset more than once")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -309,24 +311,31 @@ class TokenizedDataset:
     has_contrastive: bool = True
 
 
+def _in_curriculum_order(datasets: list[TokenizedDataset], order: list[str]) -> list[TokenizedDataset]:
+    by_name = {d.name: d for d in datasets}
+    if missing := [n for n in order if n not in by_name]:
+        raise ValueError(f"curriculum_order names unknown datasets: {missing}")
+    return [by_name[n] for n in order]
+
+
+# Each strategy: the datasets it keeps (a function of the datasets and curriculum_order), and whether it
+# interleaves them, in an order reshuffled each epoch, or takes them one after another.
 SCHEDULE_STRATEGIES = {
-    "interleaved",
-    "sequential",
-    "curriculum",
-    "random_negative",
-    "contrastive_only",
+    # every dataset, interleaved
+    "interleaved": (lambda datasets, order: datasets, True),
+    # every dataset, one at a time in listed order
+    "sequential": (lambda datasets, order: datasets, False),
+    # the datasets curriculum_order names, one at a time in that (difficulty) order
+    "curriculum": (_in_curriculum_order, False),
+    # the datasets carrying real contradictions, interleaved
+    "contrastive_only": (lambda datasets, order: [d for d in datasets if d.has_contrastive], True),
+    # the datasets with sampled negatives, interleaved
+    "random_negative": (lambda datasets, order: [d for d in datasets if not d.has_contrastive], True),
 }
 
 
 class BatchSchedule:
-    """Per-epoch batch stream over one or more datasets.
-
-    interleaved         round-robin over the datasets (order reshuffled each
-                        epoch), one whole batch per dataset per turn
-    sequential          datasets consumed one at a time in listed order
-    curriculum          sequential over a user-supplied difficulty order
-    contrastive_only    interleaved over datasets carrying real contradictions
-    random_negative     interleaved over datasets with sampled negatives
+    """Batches of config.batch_size from the datasets that config.schedule_strategy keeps; config is validated.
 
     `start_epoch` draws the epoch's permutations (the dataset order when
     interleaving, then each dataset's items in that order) and lays out the
@@ -335,49 +344,26 @@ class BatchSchedule:
     already used up.  `next_batch` hands that list out one batch at a time.
     """
 
-    def __init__(
-        self,
-        datasets: list[TokenizedDataset],
-        batch_size: int,
-        strategy: str = "interleaved",
-        curriculum_order: list[str] | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if strategy not in SCHEDULE_STRATEGIES:
-            raise ValueError(f"unknown schedule strategy {strategy!r}")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if strategy == "contrastive_only":
-            datasets = [d for d in datasets if d.has_contrastive]
-        elif strategy == "random_negative":
-            datasets = [d for d in datasets if not d.has_contrastive]
-        elif strategy == "curriculum":
-            if not curriculum_order:
-                raise ValueError("curriculum schedule requires curriculum_order")
-            by_name = {d.name: d for d in datasets}
-            missing = [n for n in curriculum_order if n not in by_name]
-            if missing:
-                raise ValueError(f"curriculum_order names unknown datasets: {missing}")
-            datasets = [by_name[n] for n in curriculum_order]
-        if not any(d.items for d in datasets):
-            raise ValueError(f"no non-empty dataset available for strategy {strategy!r}")
-        self.datasets = datasets
-        self.batch_size = batch_size
-        self.strategy = strategy
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, datasets: list[TokenizedDataset], config: TrainConfig, rng: np.random.Generator) -> None:
+        select, self.interleave = SCHEDULE_STRATEGIES[config.schedule_strategy]
+        self.datasets = select(datasets, config.curriculum_order)
+        if not any(d.items for d in self.datasets):
+            raise ValueError(f"no non-empty dataset available for strategy {config.schedule_strategy!r}")
+        self.batch_size = config.batch_size
+        self.rng = rng
         self._plan = iter(())
 
     def start_epoch(self) -> None:
         """Reshuffle every dataset (and, for interleaving, the dataset order), then plan the epoch's batches."""
-        interleave = self.strategy not in ("sequential", "curriculum")
-        order = self.rng.permutation(len(self.datasets)).tolist() if interleave else range(len(self.datasets))
+        n = len(self.datasets)
+        order = self.rng.permutation(n).tolist() if self.interleave else range(n)
         queues = []
         for pos in order:
             ds = self.datasets[pos]
             items = [ds.items[i] for i in self.rng.permutation(len(ds.items)).tolist()]
             queues.append([TripletBatch(items[i : i + self.batch_size], ds.name)
                            for i in range(0, len(items), self.batch_size)])
-        rounds = zip_longest(*queues) if interleave else queues
+        rounds = zip_longest(*queues) if self.interleave else queues
         self._plan = iter([batch for batches in rounds for batch in batches if batch is not None])
 
     def next_batch(self) -> TripletBatch | None:
@@ -392,9 +378,10 @@ def train(
 ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns the trained parameters, frozen, and one report row per epoch.
 
-    Each epoch's micro-batches are taken in windows of grad_accum_steps, the last one maybe
-    shorter; a window's gradients are averaged over its length for one optimizer step, whose lr
-    train sets each epoch to lr * lr_decay**epoch.
+    config is validated once, and the BatchSchedule built from it gives each epoch's micro-batches.
+    They are taken in windows of grad_accum_steps, the last one maybe shorter; a window's gradients
+    are averaged over its length for one optimizer step, whose lr train sets each epoch to
+    lr * lr_decay**epoch.
     Fully reproducible from config.seed.  A read-only table (a loaded checkpoint's) is shared: the
     first optimizer step writes its float64 successor; with no step (epochs=0) it is returned as is.
     This call drops its reference to params_init at once, so a shared table the caller does not
@@ -405,14 +392,7 @@ def train(
     del params_init
     params.hyper.margin = config.margin
     state = init_optimizer(params, lr=config.lr, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
-    schedule = BatchSchedule(
-        datasets,
-        config.batch_size,
-        config.schedule_strategy,
-        curriculum_order=config.curriculum_order,
-        rng=rng,
-    )
+    schedule = BatchSchedule(datasets, config, np.random.default_rng(config.seed))
     report: list[dict] = []
     # An overflow (a huge lr) stops the run where it happens, not at the save of NaN parameters.
     with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -35,7 +35,6 @@ from matcha.synthetic import make_synthetic_corpus
 from matcha.tokenizer import build_word_vocabulary, load_vocabulary
 from matcha.training import (
     TENSOR_NAMES,
-    BatchSchedule,
     TrainConfig,
     TripletBatch,
     adam_step,
@@ -355,11 +354,11 @@ def _train_once(tmp_path, tag):
 
 def test_c10_schedule_properties_and_reproducibility(tmp_path):
     started = time.time()
-    from test_training import make_datasets
+    from test_training import make_datasets, make_schedule
 
     for seed in range(10):
         datasets = make_datasets([3, 2, 2], batch_size=2)
-        sched = BatchSchedule(datasets, 2, "interleaved", rng=np.random.default_rng(seed))
+        sched = make_schedule(datasets, 2, "interleaved", seed)
         sched.start_epoch()
         sources = _schedule_sources(sched)
         assert len(sources) == 7
@@ -369,7 +368,7 @@ def test_c10_schedule_properties_and_reproducibility(tmp_path):
             if cur == prev:
                 # only legal when every other dataset was already exhausted
                 assert all(v == 0 for k, v in remaining.items() if k != prev)
-        sequential = BatchSchedule(datasets, 2, "sequential", rng=np.random.default_rng(seed))
+        sequential = make_schedule(datasets, 2, "sequential", seed)
         sequential.start_epoch()
         seq_sources = _schedule_sources(sequential)
         assert seq_sources == ["A"] * 3 + ["B"] * 2 + ["C"] * 2

@@ -671,9 +671,11 @@ class TestBadCommandLine:
         ([*TRAIN, "--margin", "inf"], "margin must be finite"),
         ([*TRAIN, "--config", "settings.json"], "margin must be finite"),
         (["attribute", *PAIR, "--steps", "7"], "--steps must be >= 8"),
+        ([*TRAIN, "--schedule", "curriculum", "--curriculum-order", "A,B,A"],
+         "curriculum_order names a dataset more than once"),
         (["evaluate", "--data", "c.jsonl", "--out", "r.json", "--metrics", "x"], "--metrics entry 'x' must be name=kind"),
     ], ids=["tokenize-max-len-0", "dim-0", "n-ctx-0", "max-len-0", "margin-inf", "config-margin-infinity",
-            "steps-7", "metric-without-kind"])
+            "steps-7", "curriculum-names-a-dataset-twice", "metric-without-kind"])
     def test_settings_are_checked_before_any_file_is_opened(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "settings.json").write_text('{"margin": Infinity}')
@@ -694,6 +696,37 @@ class TestBadCommandLine:
         assert main(["train", "--data", corpus, "--out", str(out), "--epochs", "1", "--batch-size", "8", *flags]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--out", "m.ckpt", "--report", "m.ckpt"], "--out and --report name the same file: m.ckpt"),
+        (["train", "--out", "m.ckpt", "--report", "m.ckpt.vocab.json"],
+         "--report and <out>.vocab.json name the same file: m.ckpt.vocab.json"),
+        (["evaluate", "--out", "r.json", "--csv", "./r.json"], "--out and --csv name the same file: ./r.json"),
+        (["evaluate", "--out", "r.json", "--csv", "link.json"], "--out and --csv name the same file: link.json"),
+    ], ids=["train-report-is-out", "train-report-is-vocab", "evaluate-csv-is-out", "evaluate-csv-links-to-out"])
+    def test_two_outputs_naming_one_file(self, tmp_path, monkeypatch, capsys, argv, message):
+        # Each run would succeed with one output replacing the other; it fails before any file is read or written.
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "c.jsonl", make_synthetic_corpus(16, seed=5))
+        for name in ("m.ckpt", "m.ckpt.vocab.json", "r.json"):
+            (tmp_path / name).write_bytes(b"old " + name.encode())
+        os.symlink("r.json", tmp_path / "link.json")
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        small = ["--epochs", "1", "--batch-size", "8", "--dim", "8", "--n-ctx", "2"] if argv[0] == "train" else []
+        assert main([argv[0], "--data", "c.jsonl", *argv[1:], *small]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+    def test_report_may_name_the_vocabulary_path_when_none_is_written(self, tmp_path, monkeypatch, word_vocab_file):
+        # With --vocab, train writes no <out>.vocab.json, so --report may take that name.
+        vocab_path, _, records = word_vocab_file
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "c.jsonl", records)
+        assert main(["train", "--data", "c.jsonl", "--vocab", vocab_path, "--out", "m.ckpt",
+                     "--report", "m.ckpt.vocab.json", "--epochs", "1", "--batch-size", "8", "--dim", "8",
+                     "--n-ctx", "2"]) == 0
+        assert load_checkpoint("m.ckpt").vocab_size == WordVocabulary.load(vocab_path).vocab_size
+        assert json.loads(open("m.ckpt.vocab.json").readline())["seed"] == 42
 
     def test_run_checks_the_settings_of_a_library_caller(self, tmp_path):
         config = RunConfig(command="train", data=str(tmp_path / "c.jsonl"), out=str(tmp_path / "m.ckpt"), dim=0)

@@ -1,0 +1,67 @@
+"""The README desk recipe's `train`, re-run in-process against the golden files in tests/golden/.
+
+Where NumPy and its OpenBLAS build are the ones desk.json records, the checkpoint must match byte for
+byte.  Elsewhere the bytes may differ in the last float32 bit, so each tensor must lie within float32
+rounding of the recorded desk.ckpt, and both environments are printed.  The vocabulary and the report
+are checked everywhere.  `PYTHONPATH=src python3 tests/golden/regen.py` rewrites the files.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+from golden.regen import HERE, environment, run_desk, sha256
+from matcha.checkpoint import load_checkpoint
+from matcha.model import TENSOR_NAMES
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(os.path.join(HERE, "desk.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("desk"))
+    return directory, run_desk(directory)
+
+
+def test_report_rows(golden, desk):
+    _, rows = desk
+    provenance, *epochs = rows
+    want_provenance, *want_epochs = golden["report"]
+    assert provenance == want_provenance
+    assert [sorted(row) for row in epochs] == [sorted(row) for row in want_epochs]
+    for got, want in zip(epochs, want_epochs):
+        assert (got["epoch"], got["batches"]) == (want["epoch"], want["batches"])
+        for key in ("mean_loss", "lr"):
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(want[key])), (got, want)
+
+
+def test_vocabulary_bytes(golden, desk):
+    directory, _ = desk
+    assert sha256(os.path.join(directory, "model.ckpt.vocab.json")) == golden["sha256"]["model.ckpt.vocab.json"]
+
+
+def test_checkpoint(golden, desk):
+    directory, _ = desk
+    path, reference = os.path.join(directory, "model.ckpt"), os.path.join(HERE, "desk.ckpt")
+    assert sha256(reference) == golden["sha256"]["model.ckpt"], "desk.ckpt is not the checkpoint desk.json records"
+    here, recorded = environment(), golden["environment"]
+    if here == recorded:
+        assert sha256(path) == golden["sha256"]["model.ckpt"]
+        return
+    print(f"environment {here} is not the recorded {recorded}: comparing tensors within float32 rounding")
+    got, want = load_checkpoint(path), load_checkpoint(reference)
+    assert got.hyper == want.hyper
+    for name in TENSOR_NAMES:
+        a, b = (np.asarray(getattr(p, name), dtype=np.float32) for p in (got, want))
+        assert a.shape == b.shape, name
+        # One float32 step at the larger magnitude: the most that rounding a float64 value can move it.
+        ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+        off = np.abs(a.astype(np.float64) - b) > ulp
+        assert not off.any(), (f"{name}: {int(off.sum())} of {off.size} entries beyond float32 rounding; "
+                               f"environment {here}, recorded {recorded}")

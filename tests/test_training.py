@@ -476,10 +476,15 @@ def make_datasets(sizes, batch_size, vocab_size=6, has_contrastive=True):
     return out
 
 
+def make_schedule(datasets, batch_size, strategy, seed, curriculum_order=None):
+    config = TrainConfig(batch_size=batch_size, schedule_strategy=strategy, curriculum_order=curriculum_order)
+    return BatchSchedule(datasets, config, np.random.default_rng(seed))
+
+
 class TestSchedules:
     def test_interleaved_alternates_two_datasets(self):
         datasets = make_datasets([3, 3], batch_size=2)
-        sched = BatchSchedule(datasets, 2, "interleaved", rng=np.random.default_rng(0))
+        sched = make_schedule(datasets, 2, "interleaved", 0)
         sched.start_epoch()
         sources = []
         while (batch := sched.next_batch()) is not None:
@@ -496,7 +501,7 @@ class TestSchedules:
             for s in range(200)
             if list(np.random.default_rng(s).permutation(3)) == [0, 1, 2]
         )
-        sched = BatchSchedule(datasets, 2, "interleaved", rng=np.random.default_rng(seed))
+        sched = make_schedule(datasets, 2, "interleaved", seed)
         sched.start_epoch()
         sources = []
         while (batch := sched.next_batch()) is not None:
@@ -507,7 +512,7 @@ class TestSchedules:
         datasets = make_datasets([4], batch_size=3)
         streams = []
         for strategy in ("interleaved", "sequential"):
-            sched = BatchSchedule(datasets, 3, strategy, rng=np.random.default_rng(11))
+            sched = make_schedule(datasets, 3, strategy, 11)
             sched.start_epoch()
             stream = []
             while (batch := sched.next_batch()) is not None:
@@ -517,7 +522,7 @@ class TestSchedules:
 
     def test_sequential_consumes_in_order(self):
         datasets = make_datasets([2, 2, 2], batch_size=2)
-        sched = BatchSchedule(datasets, 2, "sequential", rng=np.random.default_rng(12))
+        sched = make_schedule(datasets, 2, "sequential", 12)
         sched.start_epoch()
         sources = []
         while (batch := sched.next_batch()) is not None:
@@ -526,9 +531,7 @@ class TestSchedules:
 
     def test_curriculum_order(self):
         datasets = make_datasets([1, 1, 1], batch_size=2)
-        sched = BatchSchedule(
-            datasets, 2, "curriculum", curriculum_order=["C", "A", "B"], rng=np.random.default_rng(13)
-        )
+        sched = make_schedule(datasets, 2, "curriculum", 13, curriculum_order=["C", "A", "B"])
         sched.start_epoch()
         sources = []
         while (batch := sched.next_batch()) is not None:
@@ -538,7 +541,7 @@ class TestSchedules:
     def test_contrastive_only_filters(self):
         datasets = make_datasets([1, 1], batch_size=2)
         datasets[1].has_contrastive = False
-        sched = BatchSchedule(datasets, 2, "contrastive_only", rng=np.random.default_rng(14))
+        sched = make_schedule(datasets, 2, "contrastive_only", 14)
         sched.start_epoch()
         sources = {b.source_dataset for b in iter(sched.next_batch, None)}
         assert sources == {"A"}
@@ -546,26 +549,29 @@ class TestSchedules:
     def test_random_negative_filters(self):
         datasets = make_datasets([1, 1], batch_size=2)
         datasets[1].has_contrastive = False
-        sched = BatchSchedule(datasets, 2, "random_negative", rng=np.random.default_rng(15))
+        sched = make_schedule(datasets, 2, "random_negative", 15)
         sched.start_epoch()
         sources = {b.source_dataset for b in iter(sched.next_batch, None)}
         assert sources == {"B"}
 
     def test_batches_never_mix_datasets(self):
         datasets = make_datasets([2, 2], batch_size=3)
-        sched = BatchSchedule(datasets, 3, "interleaved", rng=np.random.default_rng(16))
+        sched = make_schedule(datasets, 3, "interleaved", 16)
         for _ in range(2):
             sched.start_epoch()
             while (batch := sched.next_batch()) is not None:
                 assert len({batch.source_dataset}) == 1
 
+    # The config a BatchSchedule reads is checked once, by TrainConfig.validate, which `train` calls.
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            BatchSchedule(make_datasets([1], 2), 2, "zigzag")
+        with pytest.raises(ValueError, match=r"^schedule_strategy must be one of \['contrastive_only', "):
+            TrainConfig(schedule_strategy="zigzag").validate()
 
     def test_curriculum_requires_order(self):
-        with pytest.raises(ValueError):
-            BatchSchedule(make_datasets([1], 2), 2, "curriculum")
+        with pytest.raises(ValueError, match="^curriculum schedule requires curriculum_order$"):
+            TrainConfig(schedule_strategy="curriculum").validate()
+        with pytest.raises(ValueError, match="^curriculum schedule requires curriculum_order$"):
+            train(TrainConfig(schedule_strategy="curriculum"), make_datasets([1], 2), init_params(6, 4, 2, seed=0))
 
 
 class TestEpochPlanMatchesQueues:
@@ -585,7 +591,7 @@ class TestEpochPlanMatchesQueues:
         datasets = self.datasets()
         order = ["C", "D", "A", "B"] if strategy == "curriculum" else None
         for seed in range(10):
-            plan = BatchSchedule(datasets, batch_size, strategy, order, rng=np.random.default_rng(seed))
+            plan = make_schedule(datasets, batch_size, strategy, seed, order)
             queues = BatchScheduleQueues(datasets, batch_size, strategy, order, rng=np.random.default_rng(seed))
             assert plan.next_batch() is None
             for _ in range(3):
@@ -828,3 +834,11 @@ class TestTrain:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValueError):
             TrainConfig(schedule_strategy="bogus").validate()
+
+    @pytest.mark.parametrize("strategy", ["curriculum", "interleaved"])
+    def test_curriculum_order_naming_a_dataset_twice(self, strategy):
+        config = TrainConfig(schedule_strategy=strategy, curriculum_order=["A", "B", "A"])
+        with pytest.raises(ValueError, match="^curriculum_order names a dataset more than once$"):
+            config.validate()
+        with pytest.raises(ValueError, match="^curriculum_order names a dataset more than once$"):
+            train(config, make_datasets([1, 1], 2), init_params(6, 4, 2, seed=0))
