@@ -107,6 +107,17 @@ def _outputs(config: RunConfig) -> dict[str, str]:
     return {name: path for name, path in outputs.items() if path}
 
 
+def _inputs(config: RunConfig) -> list[tuple[str, str]]:
+    """Every file the command reads, with the flag that names it; a registry's own file and datasets count too."""
+    inputs = [("--data", config.data), ("--vocab", config.vocab), ("--merges", config.merges),
+              ("--ckpt", config.ckpt), ("--init-ckpt", config.init_ckpt), *(("--scores", p) for p in config.scores)]
+    if config.data and os.path.isdir(config.data):
+        inputs.append(("--data", os.path.join(config.data, "registry.json")))
+    if config.data and (os.path.isdir(config.data) or config.data.endswith(".json")):
+        inputs += [(f"dataset {m.name!r} of --data", m.path) for m in _manifests_for(config.data)]
+    return [(name, path) for name, path in inputs if path]
+
+
 def _cmd_tokenize(config: RunConfig) -> int:
     vocab = _load_tokenizer(config)
     ids = vocab.encode(config.text, config.max_len)
@@ -256,7 +267,8 @@ def _check(config: RunConfig) -> None:
     """Raise ConfigError for the first setting out of range.  Every default passes, so each field is
     checked whatever the command; only the vocabulary-flag rules depend on it.  Then, before any input
     is read, two outputs that name one file raise ConfigError, and an output path that is a directory
-    raises IsADirectoryError, not at the final rename."""
+    raises IsADirectoryError, not at the final rename.  Last, before any file is written, an output
+    that names an input raises ConfigError."""
     if config.command == "train" and config.merges and not config.vocab:
         raise ConfigError("train with --merges requires --vocab")
     if config.command == "evaluate" and config.ckpt and not config.vocab:
@@ -274,13 +286,17 @@ def _check(config: RunConfig) -> None:
             MetricRange(*entry.split("=", 1))
     except (ShapeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    named: dict[str, str] = {}
+    named: dict[str, tuple[str, str]] = {}
     for name, path in _outputs(config).items():
-        first = named.setdefault(os.path.realpath(path), name)
+        first, _ = named.setdefault(os.path.realpath(path), (name, path))
         if first != name:
             raise ConfigError(f"{first} and {name} name the same file: {path}")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for name, path in _inputs(config):
+        output, output_path = named.get(os.path.realpath(path), (None, None))
+        if output:
+            raise ConfigError(f"{output} and {name} name the same file: {output_path}")
 
 
 def run(config: RunConfig) -> int:

@@ -10,11 +10,12 @@ from matcha.attribution import (
     DEFAULT_STEPS,
     DIRECTIONS,
     AttributionResult,
+    BatchAttribution,
     attribution_gap,
     integrated_gradients,
 )
 from matcha.errors import DegenerateRepresentationError
-from matcha.model import score
+from matcha.model import MEAN_BLOCK_ENTRIES, score
 from matcha.tokenizer import build_word_vocabulary
 from oracles import (
     attribution_gap_loop,
@@ -23,6 +24,7 @@ from oracles import (
     integrated_gradients_decimal_exact,
     integrated_gradients_grid,
     integrated_gradients_midpoint,
+    integrated_gradients_per_pair,
     integrated_gradients_three_pass,
     integrated_gradients_tiled,
     path_integral_attributions,
@@ -80,7 +82,8 @@ def _is_the_exact_integral(params, vocab, reference, candidate, direction, basel
     """`integrated_gradients` is complete to rounding and is the limit of the midpoint oracle.
 
     Its residual is at most 1e-12 of max(|score change|, 1); `steps` changes
-    no value; its tokens, `score` and `baseline_score` are the oracle's; and
+    no value; its tokens are the oracle's, and its `score` and `baseline_score`
+    within 1e-12 of the oracle's, whose h its own means and forward give; and
     the oracle's gap to its per-token values closes as `_converges` asks.
     """
     got = integrated_gradients(params, reference, candidate, vocab, direction, 8, baseline_kind)
@@ -93,7 +96,7 @@ def _is_the_exact_integral(params, vocab, reference, candidate, direction, basel
         assert integrated_gradients(params, reference, candidate, vocab, direction, n, baseline_kind) == replace(
             got, steps=n)
         result = integrated_gradients_midpoint(params, reference, candidate, vocab, direction, n, baseline_kind)
-        assert (result.score.hex(), result.baseline_score.hex()) == (got.score.hex(), got.baseline_score.hex())
+        assert abs(result.score - got.score) <= 1e-12 and abs(result.baseline_score - got.baseline_score) <= 1e-12
         assert [tok for tok, _ in result.per_token] == [tok for tok, _ in got.per_token]
         return np.array([v for _, v in result.per_token])
 
@@ -187,9 +190,10 @@ class TestIntegratedGradients:
         assert "\ufffd" in dict(result.per_token)
         values = [value for _, value in result.per_token]
         assert all(type(value) is float for value in values)
-        # Every row gets the same gradient, so equal ids get equal values; their array sum is the total.
+        # Every row gets the same gradient, so equal ids get equal values.  Their sum is the total: a pair's
+        # segment of the batch's flat values is summed in order, and np.sum pairs its terms up, so within 1e-12.
         assert all(value == values[ids.index(i)] for i, value in zip(ids, values))
-        assert float(np.sum(values)) == result.total
+        assert abs(float(np.sum(values)) - result.total) <= 1e-12 * max(1.0, abs(result.total))
 
     def test_directions_attribute_opposite_documents(self, small_model):
         params, vocab = small_model
@@ -539,9 +543,133 @@ class TestAttributionGap:
     @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
     @pytest.mark.parametrize("steps", [8, 64])
     def test_matches_per_candidate_loop(self, desk_model, steps, baseline_kind):
+        # One batched call against one per-pair oracle call per candidate: the same means within rounding.
         pairs = [(r.reference, r.correct, r.incorrect) for r in desk_model.held_records[:20]]
         args = (desk_model.params, pairs, desk_model.vocab, steps, baseline_kind)
-        assert attribution_gap(*args) == attribution_gap_loop(*args)
+        got, want = attribution_gap(*args), attribution_gap_loop(*args)
+        assert all(abs(a - b) <= 1e-12 * max(1.0, abs(b)) for a, b in zip(got, want)), (got, want)
+        assert got[2] == got[0] - got[1]
+
+
+def _desk_pairs(records):
+    """Each record's (reference, correct) and (reference, incorrect) pairs, as two lists."""
+    pairs = [(r.reference, candidate) for r in records for candidate in (r.correct, r.incorrect)]
+    return [ref for ref, _ in pairs], [cand for _, cand in pairs]
+
+
+def _matches_the_per_pair_oracle(params, vocab, references, candidates, direction, baseline_kind):
+    """One batched call against `integrated_gradients_per_pair` on each pair, within 1e-12.
+
+    Per-token values, totals, scores, baseline scores and residuals each lie
+    within 1e-12 of the oracle's; the pieces are the oracle's; each pair is
+    complete to 1e-12 of max(|score change|, 1).  Returns the batch.
+    """
+    batch = integrated_gradients(params, references, candidates, vocab, direction, 64, baseline_kind)
+    assert isinstance(batch, BatchAttribution) and len(batch.total) == len(references)
+    assert (batch.direction, batch.steps, batch.offsets[0], batch.offsets[-1]) == (direction, 64, 0, len(batch.values))
+    change = batch.score - batch.baseline_score
+    assert (batch.completeness_residual <= 1e-12 * np.maximum(np.abs(change), 1.0)).all()
+    for k, (reference, candidate) in enumerate(zip(references, candidates)):
+        want = integrated_gradients_per_pair(params, reference, candidate, vocab, direction, 64, baseline_kind)
+        got = batch.pair(k)
+        assert [tok for tok, _ in got.per_token] == [tok for tok, _ in want.per_token]
+        values, expected = (np.array([v for _, v in r.per_token]) for r in (got, want))
+        assert np.array_equal(values, batch.values[batch.offsets[k]:batch.offsets[k + 1]])
+        assert np.abs(values - expected).max() <= 1e-12, (k, values, expected)
+        for name in ("total", "score", "baseline_score", "completeness_residual"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (k, name, got, want)
+        assert (got.direction, got.steps, got.total) == (direction, 64, batch.total[k])
+    return batch
+
+
+class TestBatched:
+    """`integrated_gradients` over sequences of pairs, gated against the per-pair oracle within 1e-12."""
+
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_every_held_out_desk_pair(self, desk_model, direction, baseline_kind):
+        # 800 pairs of 5-token documents: several `represent` blocks and token blocks, every reference twice.
+        references, candidates = _desk_pairs(desk_model.held_records)
+        batch = _matches_the_per_pair_oracle(desk_model.params, desk_model.vocab, references, candidates, direction,
+                                             baseline_kind)
+        assert batch.offsets[-1] * desk_model.params.hyper.dim > 8 * MEAN_BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("baseline_kind", BASELINE_KINDS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_random_wide_model(self, desk_model, direction, baseline_kind):
+        vocab = desk_model.vocab
+        params = random_params(np.random.default_rng(256), vocab.vocab_size, 256, 16, scale=0.1).freeze()
+        params.hyper.max_len = desk_model.max_len
+        references, candidates = _desk_pairs(desk_model.held_records[:100])
+        batch = _matches_the_per_pair_oracle(params, vocab, references, candidates, direction, baseline_kind)
+        assert batch.offsets[-1] * 256 > 8 * MEAN_BLOCK_ENTRIES
+
+    def test_repeated_texts_and_long_documents(self, desk_model):
+        # The same pair three times, a reference as its own candidate, and documents of up to 64 tokens, some
+        # longer than a token block alone (MEAN_BLOCK_ENTRIES / 256 = 64 tokens at D=256).
+        vocab = desk_model.vocab
+        params = random_params(np.random.default_rng(3), vocab.vocab_size, 256, 16, scale=0.1)
+        params.hyper.max_len = desk_model.max_len
+        records = desk_model.held_records[:40]
+        long_texts = [" ".join(r.reference for r in records[k: k + 16]) for k in range(0, 40, 8)]
+        references = [records[0].reference] * 3 + [records[1].reference, *long_texts] + [r.reference for r in records]
+        candidates = [records[0].correct] * 3 + [records[1].reference, *long_texts[::-1]]
+        candidates += [r.incorrect for r in records]
+        assert max(len(vocab.encode(t, 64)) for t in long_texts) == 64
+        for direction in DIRECTIONS:
+            batch = _matches_the_per_pair_oracle(params, vocab, references, candidates, direction, "zero")
+            assert [batch.pair(k) for k in range(3)] == [batch.pair(0)] * 3
+
+    def test_scores_are_the_models(self, desk_model):
+        references, candidates = _desk_pairs(desk_model.held_records)
+        params, vocab = desk_model.params, desk_model.vocab
+        batch = integrated_gradients(params, references, candidates, vocab)
+        assert np.abs(batch.score - score(params, references, candidates, vocab)).max() <= 1e-12
+        one = integrated_gradients(params, references[0], candidates[0], vocab)
+        assert abs(one.score - score(params, references[0], candidates[0], vocab)) <= 1e-12
+
+    def test_one_pair_is_the_first_pair_of_a_batch_of_one(self, desk_model):
+        record = desk_model.held_records[0]
+        args = (desk_model.params, [record.reference], [record.incorrect], desk_model.vocab, "toward_reference")
+        assert integrated_gradients(*args).pair(0) == integrated_gradients(
+            desk_model.params, record.reference, record.incorrect, desk_model.vocab, "toward_reference")
+
+    def test_degenerate_pair_is_named(self):
+        # The line model's path through the origin as the third pair of four; the other three are sound.
+        params, vocab = TestZeroNormMessages.line_model(lambda b: np.array([0.25, 1.0]), lambda b: -2.0 * b)
+        with pytest.raises(DegenerateRepresentationError) as info:
+            integrated_gradients(params, ["f", "a", "f", "a"], ["f", "f", "a", "f"], vocab)
+        assert str(info.value) == f"pair 2: {PATH_MESSAGE}"
+        params.proj_bias[:] = 0.0
+        with pytest.raises(DegenerateRepresentationError) as info:
+            integrated_gradients(params, ["f", "a"], ["a", "f"], vocab)
+        assert str(info.value) == f"pair 0: {ENDPOINT_MESSAGE}"
+
+    def test_empty_and_unequal_sequences(self, small_model):
+        params, vocab = small_model
+        batch = integrated_gradients(params, [], [], vocab)
+        assert batch.total.size == 0 and batch.values.size == 0 and list(batch.offsets) == [0]
+        with pytest.raises(ValueError, match="^2 references but 1 candidates$"):
+            integrated_gradients(params, ["a", "b"], ["a"], vocab)
+
+    def test_memory_does_not_grow_with_the_tokens(self):
+        # 400 pairs of 100-token documents at D=256: 40,000 attributed tokens, whose rows alone would take
+        # 82 MB in one gather.  Each block gathers at most MEAN_BLOCK_ENTRIES entries, so the peak is
+        # `represent`'s, the (pairs, D) arrays of the pair stage (0.8 MB each) and the outputs.
+        words = [f"w{i}" for i in range(500)]
+        vocab = build_word_vocabulary([" ".join(words)])
+        params = random_params(np.random.default_rng(4), vocab.vocab_size, 256, 16, scale=0.1)
+        params.hyper.max_len = 128
+        rng = np.random.default_rng(5)
+        texts = [" ".join(rng.choice(words, 100)) for _ in range(800)]
+        tracemalloc.start()
+        try:
+            batch = integrated_gradients(params, texts[:400], texts[400:], vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.offsets[-1] == 40_000
+        assert peak < 12_000_000
 
 
 def test_result_serialization(small_model):

@@ -717,6 +717,48 @@ class TestBadCommandLine:
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--data", "c.jsonl", "--out", "m.ckpt", "--report", "c.jsonl"],
+         "--report and --data name the same file: c.jsonl"),
+        (["train", "--data", "c.jsonl", "--out", "c.jsonl"], "--out and --data name the same file: c.jsonl"),
+        (["train", "--data", "reg.json", "--out", "m.ckpt", "--report", "./c.jsonl"],
+         "--report and dataset 'c' of --data name the same file: ./c.jsonl"),
+        (["train", "--data", "reg", "--out", "m.ckpt", "--report", "reg/registry.json"],
+         "--report and --data name the same file: reg/registry.json"),
+        (["train", "--data", "c.jsonl", "--vocab", "v.json", "--out", "m.ckpt", "--report", "v.json"],
+         "--report and --vocab name the same file: v.json"),
+        (["train", "--data", "c.jsonl", "--vocab", "v.json", "--merges", "merges.txt", "--out", "merges.txt"],
+         "--out and --merges name the same file: merges.txt"),
+        (["train", "--data", "c.jsonl", "--init-ckpt", "m.ckpt", "--out", "m.ckpt"],
+         "--out and --init-ckpt name the same file: m.ckpt"),
+        (["evaluate", "--data", "c.jsonl", "--ckpt", "m.ckpt", "--vocab", "v.json", "--out", "m.ckpt"],
+         "--out and --ckpt name the same file: m.ckpt"),
+        (["evaluate", "--data", "c.jsonl", "--scores", "s.jsonl", "--out", "r.json", "--csv", "link.jsonl"],
+         "--csv and --scores name the same file: link.jsonl"),
+        (["attribute", "--ckpt", "m.ckpt", "--vocab", "v.json", "--ref", "a", "--cand", "b", "--out", "v.json"],
+         "--out and --vocab name the same file: v.json"),
+    ], ids=["train-report-is-data", "train-out-is-data", "train-report-is-a-registry-dataset",
+            "train-report-is-the-registry", "train-report-is-vocab", "train-out-is-merges", "train-out-is-init-ckpt",
+            "evaluate-out-is-ckpt", "evaluate-csv-links-to-scores", "attribute-out-is-vocab"])
+    def test_an_output_naming_an_input(self, tmp_path, monkeypatch, capsys, argv, message):
+        # Each run would replace an input it reads; it fails before any file is written.
+        monkeypatch.chdir(tmp_path)
+        write_corpus(tmp_path / "c.jsonl", make_synthetic_corpus(16, seed=5))
+        (tmp_path / "reg").mkdir()
+        for registry in ("reg.json", "reg/registry.json"):
+            (tmp_path / registry).write_text(json.dumps([{"name": "c", "path": os.path.abspath("c.jsonl")}]))
+        for name in ("m.ckpt", "v.json", "merges.txt", "s.jsonl"):
+            (tmp_path / name).write_bytes(b"old " + name.encode())
+        os.symlink("s.jsonl", tmp_path / "link.jsonl")
+        before = {name: (tmp_path / name).read_bytes() for name in ("c.jsonl", "reg.json", "reg/registry.json",
+                                                                     "m.ckpt", "v.json", "merges.txt", "s.jsonl")}
+        small = ["--epochs", "1", "--batch-size", "8"] if argv[0] == "train" else []
+        assert main([*argv, *small]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(["c.jsonl", "reg", "reg.json", "m.ckpt", "v.json", "merges.txt",
+                                                        "s.jsonl", "link.jsonl"])
+
     def test_report_may_name_the_vocabulary_path_when_none_is_written(self, tmp_path, monkeypatch, word_vocab_file):
         # With --vocab, train writes no <out>.vocab.json, so --report may take that name.
         vocab_path, _, records = word_vocab_file

@@ -1,9 +1,11 @@
-"""The README desk recipe's `train`, re-run in-process against the golden files in tests/golden/.
+"""The README desk recipe's `train` and `attribute`, re-run in-process against the golden files in tests/golden/.
 
 Where NumPy and its OpenBLAS build are the ones desk.json records, the checkpoint must match byte for
 byte.  Elsewhere the bytes may differ in the last float32 bit, so each tensor must lie within float32
 rounding of the recorded desk.ckpt, and both environments are printed.  The vocabulary and the report
-are checked everywhere.  `PYTHONPATH=src python3 tests/golden/regen.py` rewrites the files.
+are checked everywhere, and so are the `attribute` documents, which run on desk.ckpt itself: the same
+keys, and each number within 1e-12 of the recorded one.  `PYTHONPATH=src python3 tests/golden/regen.py`
+rewrites the files.
 """
 
 import json
@@ -12,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from golden.regen import HERE, environment, run_desk, sha256
+from golden.regen import HERE, environment, run_attribute, run_desk, sha256
 from matcha.checkpoint import load_checkpoint
 from matcha.model import TENSOR_NAMES
 
@@ -65,3 +67,26 @@ def test_checkpoint(golden, desk):
         off = np.abs(a.astype(np.float64) - b) > ulp
         assert not off.any(), (f"{name}: {int(off.sum())} of {off.size} entries beyond float32 rounding; "
                                f"environment {here}, recorded {recorded}")
+
+
+def _same_document(got, want, where="document"):
+    """Equal keys, lengths, strings and integers; each float within 1e-12 of max(1, |want|)."""
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), (where, list(got), list(want))
+        for key in want:
+            _same_document(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), (where, len(got), len(want))
+        for k, (a, b) in enumerate(zip(got, want)):
+            _same_document(a, b, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (where, got, want)
+    else:
+        assert got == want, (where, got, want)
+
+
+@pytest.mark.parametrize("baseline", ["zero", "input"])
+def test_attribute_documents(golden, desk, baseline):
+    directory, _ = desk
+    _same_document(run_attribute(directory, baseline), golden["attribute"][baseline]["document"])
