@@ -6,6 +6,12 @@ mask, so every statistic is a mask or index operation over arrays.  Scores
 enter on each metric's native scale and are mapped to [0, 1] for the
 statistics that need a common footing.  Table-style outputs follow the x100
 reporting convention throughout.
+
+ROUGE-L's longest common subsequence has two kernels of one bit-parallel
+recurrence: a pair whose shorter text has at most LANE_TOKENS (64) lexical
+tokens runs in a uint64 lane beside every other such pair, and any longer
+pair on Python big-ints.  Both count the same integer, so the choice never
+changes a score.
 """
 
 from __future__ import annotations
@@ -394,14 +400,14 @@ def _rouge_n(flat: np.ndarray, lengths: np.ndarray, refs: np.ndarray, cands: np.
     return _pair_f1(hits, lengths[cands] - (n - 1), lengths[refs] - (n - 1))
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
+def _lcs_length(a: list, b: list) -> int:
     """Longest common subsequence length by the bit-parallel recurrence of
     Allison-Dix and Hyyro: one big-int step per token of b.
 
     Bit i of `row` is clear where the LCS of a[:i+1] and the prefix of b seen
     so far grows over that of a[:i]; the clear bits count the LCS.
     """
-    positions: dict[str, int] = {}
+    positions: dict = {}
     for i, token in enumerate(a):
         positions[token] = positions.get(token, 0) | (1 << i)
     full = (1 << len(a)) - 1
@@ -412,9 +418,68 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return len(a) - row.bit_count()
 
 
-def _rouge_l(tokens: list[list[str]], lengths: np.ndarray, refs: np.ndarray, cands: np.ndarray) -> list[float]:
-    """Longest-common-subsequence F1 of texts refs[k] and cands[k] for every pair k."""
-    hits = [_lcs_length(tokens[r], tokens[c]) for r, c in zip(refs.tolist(), cands.tolist())]
+LANE_TOKENS = 64  # a pair whose shorter text has at most this many tokens runs in one uint64 lane
+LANE_BLOCK_ENTRIES = 1 << 14  # (step, pair) entries of one block; each compares up to 64 tokens
+_FULL = np.array([(1 << n) - 1 for n in range(LANE_TOKENS + 1)], dtype=np.uint64)
+
+
+def _lcs_lanes(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, short: np.ndarray,
+               long: np.ndarray) -> np.ndarray:
+    """LCS length of texts short[k] and long[k] for every pair k, where 0 < lengths[short] <= LANE_TOKENS.
+
+    `_lcs_length`'s recurrence with `row` in a uint64 lane per pair, one array
+    step per token of the longer text; a carry past bit 63 wraps away.  Pairs
+    run longest-first in blocks of at most LANE_BLOCK_ENTRIES (step, pair)
+    entries, or one pair, so step j touches only the block's pairs still
+    that long.
+    """
+    pairs = np.argsort(-lengths[long], kind="stable")
+    hits = np.empty(short.size, dtype=np.int64)
+    first = 0
+    while first < pairs.size:
+        block = pairs[first : first + max(1, LANE_BLOCK_ENTRIES // int(lengths[long[pairs[first]]]))]
+        first += block.size
+        s, l = short[block], long[block]
+        steps, span = lengths[l], int(lengths[l[0]])
+        width = -(-int(lengths[s].max()) // 8)  # bytes of match mask the block's short texts fill
+        # Each text's ids, then whatever follows it in `flat`: a match past the end of short text k
+        # is cleared by `row &`, and step j reads only the pairs whose long text is past j tokens.
+        b, a = (flat[np.minimum(starts[texts][:, None] + np.arange(n), flat.size - 1)]
+                for texts, n in ((l, span), (s, 8 * width)))
+        # Bit i of match[j, k] is set where token i of short text k is token j of long text k.
+        bits = np.zeros((span, block.size, 8), dtype=np.uint8)
+        bits[..., :width] = np.packbits(b.T[:, :, None] == a, bitorder="little").reshape(span, -1, width)
+        match = bits.view("<u8")[..., 0]
+        full = _FULL[lengths[s]]
+        row = full.copy()
+        for j, active in enumerate(np.searchsorted(-steps, -np.arange(span)).tolist()):
+            r = row[:active]
+            m = r & match[j, :active]
+            row[:active] = ((r + m) | (r - m)) & full[:active]
+        # Set bits counted over bytes: np.bitwise_count needs NumPy 2.0.
+        hits[block] = lengths[s] - np.unpackbits(row.view(np.uint8)).reshape(block.size, 64).sum(axis=1, dtype=np.int64)
+    return hits
+
+
+def _rouge_l(flat: np.ndarray, lengths: np.ndarray, refs: np.ndarray, cands: np.ndarray) -> list[float]:
+    """Longest-common-subsequence F1 of texts refs[k] and cands[k] for every pair k, from `_dense` ids.
+
+    A pair whose shorter text has at most LANE_TOKENS tokens takes its LCS
+    from `_lcs_lanes`, any other from `_lcs_length` on Python ints; a pair
+    with an empty text has LCS 0.
+    """
+    short = np.where(lengths[refs] <= lengths[cands], refs, cands)
+    long = refs + cands - short
+    starts = np.cumsum(lengths) - lengths
+    hits = np.zeros(refs.size, dtype=np.int64)
+    lanes = np.flatnonzero((lengths[short] > 0) & (lengths[short] <= LANE_TOKENS))
+    if lanes.size:
+        hits[lanes] = _lcs_lanes(flat, starts, lengths, short[lanes], long[lanes])
+    big = np.flatnonzero(lengths[short] > LANE_TOKENS)
+    if big.size:
+        tokens, first, last = flat.tolist(), starts.tolist(), (starts + lengths).tolist()
+        hits[big] = [_lcs_length(tokens[first[a] : last[a]], tokens[first[b] : last[b]])
+                     for a, b in zip(short[big].tolist(), long[big].tolist())]
     return _pair_f1(hits, lengths[cands], lengths[refs])
 
 
@@ -427,8 +492,7 @@ def rouge_n_f1(reference: str | list[str], candidate: str | list[str], n: int) -
 
 def rouge_l_f1(reference: str | list[str], candidate: str | list[str]) -> float:
     """Longest-common-subsequence F1 over the lexical tokens of two texts (or the tokens given), in [0, 1]."""
-    tokens = [_tokens(reference), _tokens(candidate)]
-    return _rouge_l(tokens, _dense(tokens)[1], np.array([0]), np.array([1]))[0]
+    return _rouge_l(*_dense([_tokens(reference), _tokens(candidate)]), np.array([0]), np.array([1]))[0]
 
 
 def rouge_table(references: list[str], candidates: list[str]) -> dict[str, list[float]]:
@@ -439,10 +503,9 @@ def rouge_table(references: list[str], candidates: list[str]) -> dict[str, list[
     index: dict[str, int] = {}
     refs, cands = (np.array([index.setdefault(t, len(index)) for t in texts], dtype=np.int64)
                    for texts in (references, candidates))
-    tokens = [_lex_tokens(text) for text in index]
-    flat, lengths = _dense(tokens)
+    flat, lengths = _dense([_lex_tokens(text) for text in index])
     return {"rouge1": _rouge_n(flat, lengths, refs, cands, 1), "rouge2": _rouge_n(flat, lengths, refs, cands, 2),
-            "rougeL": _rouge_l(tokens, lengths, refs, cands)}
+            "rougeL": _rouge_l(flat, lengths, refs, cands)}
 
 
 @dataclass

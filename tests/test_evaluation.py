@@ -3,13 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import wasserstein_distance as scipy_w1
 
 import matcha.evaluation
 from matcha.errors import MatchaError, SchemaError
 from matcha.evaluation import (
+    LANE_TOKENS,
     MetricRange,
+    _dense,
     _lcs_length,
+    _lcs_lanes,
+    _rouge_l,
     ScoreTable,
     agreement_columns,
     ccc,
@@ -505,6 +511,71 @@ class TestBitParallelLcs:
             ref = " ".join(_random_tokens(rng, int(rng.integers(0, 90)), words))
             cand = ", ".join(_random_tokens(rng, int(rng.integers(0, 90)), words))
             assert rouge_l_f1(ref, cand) == rouge_l_f1_dp(ref, cand), (ref, cand)
+
+
+def _token_lists(symbols: int):
+    return st.lists(st.sampled_from("abcd"[:symbols]), max_size=80)
+
+
+class TestLcsLanes:
+    """The uint64-lane LCS, and the choice between it and the big-int one, equal the DP exactly."""
+
+    @staticmethod
+    def lanes(pairs: list[tuple[list[str], list[str]]]) -> list[int]:
+        """`_lcs_lanes` of each (a, b) pair, with a in the lane."""
+        flat, lengths = _dense([tokens for pair in pairs for tokens in pair])
+        texts = np.arange(lengths.size)
+        return _lcs_lanes(flat, np.cumsum(lengths) - lengths, lengths, texts[0::2], texts[1::2]).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(_token_lists(k), _token_lists(k)),
+                                                        min_size=1, max_size=4)))
+    def test_batch_equals_dp(self, pairs):
+        references, candidates = ([" ".join(pair[side]) for pair in pairs] for side in (0, 1))
+        with np.errstate(all="raise"):
+            assert rouge_table(references, candidates)["rougeL"] == [
+                rouge_l_f1_dp(r, c) for r, c in zip(references, candidates)]
+        lane_pairs = [(a, b) for a, b in pairs if 0 < len(a) <= LANE_TOKENS and b]
+        if lane_pairs:
+            assert self.lanes(lane_pairs) == [lcs_length_dp(a, b) for a, b in lane_pairs]
+
+    def test_lane_side_lengths_and_the_choice(self, monkeypatch):
+        """Shorter sides of 0, 1, 63, 64 and 65 tokens in one batch; only those past 64 take the big-int LCS."""
+        rng = np.random.default_rng(5)
+        pairs = [(_random_tokens(rng, k, ["a", "b"]), _random_tokens(rng, n, ["a", "b", "c"]))
+                 for k in (0, 1, 63, 64, 65) for n in (k, 70, 130)]
+        pairs += [(b, a) for a, b in pairs]
+        # A text with no lexical token is empty.
+        references, candidates = ([" ".join(pair[side]) or "!!! ..." for pair in pairs] for side in (0, 1))
+        big = []
+        lcs_length = matcha.evaluation._lcs_length
+        monkeypatch.setattr(matcha.evaluation, "_lcs_length",
+                            lambda a, b: big.append(sorted([len(a), len(b)])) or lcs_length(a, b))
+        assert rouge_table(references, candidates)["rougeL"] == [
+            rouge_l_f1_dp(r, c) for r, c in zip(references, candidates)]
+        assert sorted(big) == sorted(sorted([len(a), len(b)]) for a, b in pairs if min(len(a), len(b)) > 64)
+        lane_pairs = [(a, b) for a, b in pairs if 0 < len(a) <= LANE_TOKENS and b]
+        assert self.lanes(lane_pairs) == [lcs_length_dp(a, b) for a, b in lane_pairs]
+
+    def test_memory_is_bounded_by_blocks(self):
+        """Short references against a few 500-token candidates: 200,000 (step, pair) entries, held a block at a time."""
+        rng = np.random.default_rng(9)
+        words = [f"w{i}" for i in range(50)]
+        references = [_random_tokens(rng, 60, words) for _ in range(100)]
+        candidates = [_random_tokens(rng, 500, words) for _ in range(4)]
+        flat, lengths = _dense(references + candidates)
+        refs, cands = np.repeat(np.arange(100), 4), np.tile(np.arange(100, 104), 100)
+        tracemalloc.start()
+        try:
+            scores = _rouge_l(flat, lengths, refs, cands)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A block of LANE_BLOCK_ENTRIES (step, pair) entries holds a byte per token comparison, 64 an
+        # entry, and packing them copies them: about 2.2 MB.  All 200,000 entries at once take 12.8 MB.
+        assert peak - held < 4e6, peak - held
+        for k in range(0, 400, 97):
+            assert scores[k] == rouge_l_f1_dp(" ".join(references[refs[k]]), " ".join(candidates[cands[k] - 100]))
 
 
 def build_pair_table(correct_scores, incorrect_scores, metric="m"):

@@ -1,11 +1,12 @@
-"""The README desk recipe's `train` and `attribute`, re-run in-process against the golden files in tests/golden/.
+"""The README desk recipe's `train`, `attribute`, `evaluate` and `score`, and a small BPE `evaluate`, re-run
+in-process against the golden files in tests/golden/.
 
 Where NumPy and its OpenBLAS build are the ones desk.json records, the checkpoint must match byte for
 byte.  Elsewhere the bytes may differ in the last float32 bit, so each tensor must lie within float32
 rounding of the recorded desk.ckpt, and both environments are printed.  The vocabulary and the report
-are checked everywhere, and so are the `attribute` documents, which run on desk.ckpt itself: the same
-keys, and each number within 1e-12 of the recorded one.  `PYTHONPATH=src python3 tests/golden/regen.py`
-rewrites the files.
+are checked everywhere, and so are the runs on desk.ckpt itself and the BPE run: each JSON document has
+the same keys and each number within 1e-12 of the recorded one, and each CSV and stdout the same bytes.
+`PYTHONPATH=src python3 tests/golden/regen.py` rewrites the files.
 """
 
 import json
@@ -14,8 +15,9 @@ import os
 import numpy as np
 import pytest
 
-from golden.regen import HERE, environment, run_attribute, run_desk, sha256
+from golden.regen import HERE, environment, run_attribute, run_bpe, run_desk, run_evaluate, run_score, sha256
 from matcha.checkpoint import load_checkpoint
+from matcha.evaluation import LANE_TOKENS, _lex_tokens
 from matcha.model import TENSOR_NAMES
 
 
@@ -90,3 +92,27 @@ def _same_document(got, want, where="document"):
 def test_attribute_documents(golden, desk, baseline):
     directory, _ = desk
     _same_document(run_attribute(directory, baseline), golden["attribute"][baseline]["document"])
+
+
+def test_evaluate_report_and_csv(golden, desk):
+    directory, _ = desk
+    document, text = run_evaluate(directory)
+    _same_document(document, golden["evaluate"]["document"])
+    assert text == golden["evaluate"]["csv"]
+
+
+def test_score_stdout(golden, desk):
+    directory, _ = desk
+    assert run_score(directory) == golden["score"]["stdout"]
+
+
+def test_bpe_evaluate_report_and_csv(tmp_path):
+    with open(os.path.join(HERE, "bpe.json"), encoding="utf-8") as fh:
+        want = json.load(fh)
+    document, text = run_bpe(str(tmp_path))
+    with open(tmp_path / "bpe.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    # Every reference is past the uint64 lanes, so the big-int LCS is pinned too.
+    assert min(len(_lex_tokens(r["reference"])) for r in records) > LANE_TOKENS
+    _same_document(document, want["document"])
+    assert text == want["csv"], f"environment {environment()}, recorded {want['environment']}"
